@@ -3,7 +3,8 @@
 Subcommands: ``invariance``, ``lift``, ``torus-test``, ``genus``,
 ``alexander``, ``puiseux``, ``homology``, ``nullhomologous``.  Every
 subcommand accepts ``--json``; the JSON field names are a stability
-contract for scripting and are documented in the README.
+contract for scripting, pinned by the golden outputs in
+``tests/fixtures/cli_golden.json``.
 
 Exit codes: 0 success, 1 domain error, 2 usage or parse error, 3 internal
 consistency fault.
@@ -12,6 +13,7 @@ consistency fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,8 +41,9 @@ from .lens import (
     parse_band_diagram,
 )
 
-# Lifts materialize p copies of the band word; refuse absurd sizes instead
-# of exhausting memory on garbage input.
+# Printed lifts and torus braids are materialized words; refuse absurd sizes
+# instead of exhausting memory on garbage input.  Every command checks its
+# sizes with _check_size before it builds anything.
 _LIFT_LETTER_LIMIT = 1_000_000
 
 
@@ -53,13 +56,19 @@ def _emit(args, fields: dict, text_lines: list[str]) -> int:
     return 0
 
 
-def _checked_lift(diagram):
-    cost = diagram.space.p * len(diagram.word) + diagram.space.q * diagram.word.strands * (
-        diagram.word.strands - 1
-    )
-    if cost > _LIFT_LETTER_LIMIT:
-        raise ValueError(f"lifted word would have {cost} letters; refusing")
-    return lift(diagram)
+def _check_size(size: int, what: str, unit: str = "letters") -> None:
+    if size > _LIFT_LETTER_LIMIT:
+        raise ValueError(f"{what} would have {size} {unit}; refusing")
+
+
+def _check_lift_size(diagram) -> None:
+    n = diagram.word.strands
+    _check_size(diagram.space.p * len(diagram.word) + diagram.space.q * n * (n - 1), "lifted word")
+
+
+def _check_torus_size(a: int, b: int) -> None:
+    # torus_braid itself rejects a < 1 or b < 1.
+    _check_size(max(a, 0) * max(b - 1, 0), f"torus braid T({a},{b})")
 
 
 def _cmd_invariance(args) -> int:
@@ -72,7 +81,10 @@ def _cmd_invariance(args) -> int:
 
 def _cmd_lift(args) -> int:
     diagram = parse_band_diagram(args.band)
-    lifted = _checked_lift(diagram)
+    _check_lift_size(diagram)
+    if args.compare_torus:
+        _check_torus_size(*args.compare_torus)
+    lifted = lift(diagram)
     count = len(closure_components(lifted))
     fields = {
         "p": diagram.space.p,
@@ -94,8 +106,9 @@ def _cmd_lift(args) -> int:
                 f"torus braid on {reference.strands}"
             )
         else:
+            p, q = diagram.space.p, diagram.space.q
             same = equal_up_to_unit(
-                alexander_of_closure(lifted), alexander_of_closure(reference)
+                alexander_of_closure(diagram.word, p, q), alexander_of_closure(reference)
             )
             fields["equal_up_to_unit"] = same
             text.append(f"equal_up_to_unit: {'true' if same else 'false'}")
@@ -128,6 +141,7 @@ def _cmd_torus_test(args) -> int:
 def _cmd_genus(args) -> int:
     if args.torus:
         a, b = args.torus
+        _check_torus_size(a, b)
         p = math.gcd(a, b)
         fiber = bennequin_fiber(torus_braid(a, b))
         g = torus_quotient_genus(a, b)
@@ -169,8 +183,9 @@ def _cmd_alexander(args) -> int:
         text = [f"alexander: {poly}"]
     else:
         diagram = parse_band_diagram(args.band)
-        lifted = _checked_lift(diagram)
-        poly = alexander_of_closure(lifted)
+        _check_lift_size(diagram)
+        lifted = lift(diagram)
+        poly = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
         fields = {
             "p": diagram.space.p,
             "q": diagram.space.q,
@@ -195,8 +210,8 @@ def _cmd_puiseux(args) -> int:
 
 def _cmd_homology(args) -> int:
     diagram = parse_band_diagram(args.band)
+    _check_lift_size(diagram)
     classes = [c.value for c in homology_classes(diagram)]
-    _checked_lift(diagram)
     lifted = lifted_component_count(diagram)
     fields = {
         "p": diagram.space.p,
@@ -215,6 +230,9 @@ def _cmd_homology(args) -> int:
 
 def _cmd_nullhomologous(args) -> int:
     diagram = parse_band_diagram(args.band)
+    # The search keeps one mask of min(p, n + 1) bits per component.
+    width = min(diagram.space.p, diagram.word.strands + 1)
+    _check_size(len(components(diagram)) * width, "orientation table", "bits")
     signs = nullhomologous_orientation(diagram)
     rendered = None if signs is None else ["+" if s > 0 else "-" for s in signs]
     fields = {
@@ -231,7 +249,9 @@ def _cmd_nullhomologous(args) -> int:
     return _emit(args, fields, text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="lenslinks",
         description="Exact computations for algebraic links in lens spaces.",

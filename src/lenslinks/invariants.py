@@ -8,13 +8,17 @@ except on column i, which becomes
 
 (matrix entries (i-1,i) = t, (i,i) = -t, (i+1,i) = 1, rows outside 1..n-1
 dropped); its inverse has entries (i-1,i) = 1, (i,i) = -1/t, (i+1,i) = 1/t.
-The Alexander polynomial of the closure is then
+The product of a word is therefore built by updating one column per
+letter, with shifts and adds only.  The full twist Delta^2 is central and
+maps to t^n * id, so a power of it is a unit factor t^{n*k}, never a
+product of letters.  The Alexander polynomial of the closure is then
 
     det(burau(w) - id) / (1 + t + ... + t^{n-1})
 
 up to a unit +-t^k, and every comparison here happens after normalizing
 away the unit: the lowest exponent is shifted to 0 and the sign fixed so
-its coefficient is positive.
+its coefficient is positive.  The determinant uses fraction-free
+(Bareiss) elimination, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -59,45 +63,73 @@ class AlexanderPoly:
         return str(self.poly)
 
 
-def _generator_matrix(n: int, letter: int) -> LaurentMatrix:
-    d = n - 1
-    i = abs(letter)
-    rows = [[LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(d)] for r in range(d)]
-    col = i - 1
+def _column_update(columns: list[list[dict[int, int]]], letter: int) -> None:
+    """Right-multiply by the generator ``letter``: only one column changes.
+
+    s_i makes column i  t*c_{i-1} - t*c_i + c_{i+1},  and s_i^-1 makes it
+    c_{i-1} - c_i/t + c_{i+1}/t; each is a few shifts and adds of the
+    neighbouring columns, never a polynomial product.
+    """
+    d = len(columns)
+    c = abs(letter) - 1
     if letter > 0:
-        rows[col][col] = LaurentPoly.monomial(1, -1)
-        if col - 1 >= 0:
-            rows[col - 1][col] = LaurentPoly.monomial(1)
-        if col + 1 < d:
-            rows[col + 1][col] = LaurentPoly.one()
+        parts = [(1, -1, columns[c])]
+        if c > 0:
+            parts.append((1, 1, columns[c - 1]))
+        if c + 1 < d:
+            parts.append((0, 1, columns[c + 1]))
     else:
-        rows[col][col] = LaurentPoly.monomial(-1, -1)
-        if col - 1 >= 0:
-            rows[col - 1][col] = LaurentPoly.one()
-        if col + 1 < d:
-            rows[col + 1][col] = LaurentPoly.monomial(-1)
-    return LaurentMatrix.from_rows(rows)
+        parts = [(-1, -1, columns[c])]
+        if c > 0:
+            parts.append((0, 1, columns[c - 1]))
+        if c + 1 < d:
+            parts.append((-1, 1, columns[c + 1]))
+    column = []
+    for r in range(d):
+        entry: dict[int, int] = {}
+        for shift, sign, source in parts:
+            for e, v in source[r].items():
+                e += shift
+                entry[e] = entry.get(e, 0) + sign * v
+        column.append({e: v for e, v in entry.items() if v})
+    columns[c] = column
 
 
-def burau_reduced(w: BraidWord) -> LaurentMatrix:
-    """Product of the reduced Burau generator matrices in word order."""
+def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
+    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
+
+    The letters of w are applied ``power`` times as column updates.  The
+    full twist Delta^2 is central and its reduced Burau image is t^n * id,
+    so the twists multiply every entry by the unit t^{n*twists} instead of
+    being applied letter by letter.
+    """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
-    acc = LaurentMatrix.identity(w.strands - 1)
-    for letter in w.letters:
-        acc = acc @ _generator_matrix(w.strands, letter)
-    return acc
+    if power < 0 or twists < 0:
+        raise ValueError("power and twists must be non-negative")
+    d = w.strands - 1
+    columns = [[({0: 1} if r == c else {}) for r in range(d)] for c in range(d)]
+    for _ in range(power):
+        for letter in w.letters:
+            _column_update(columns, letter)
+    unit = w.strands * twists
+    return LaurentMatrix(
+        tuple([tuple([LaurentPoly.from_dict(col[r]).shift(unit) for col in columns]) for r in range(d)])
+    )
 
 
-def alexander_of_closure(w: BraidWord) -> AlexanderPoly:
-    """The one-variable Alexander polynomial of the closure of ``w``.
+def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:
+    """The one-variable Alexander polynomial of the closure of  w^power . Delta^{2*twists}.
 
-    Computed as det(burau(w) - id) divided exactly by 1 + t + ... + t^{n-1},
-    then unit-normalized.  Split links (in particular unlinks on >= 2
-    strands) give the zero polynomial.
+    Computed as det(burau - id) divided exactly by 1 + t + ... + t^{n-1},
+    then unit-normalized.  The lift of a band diagram in L(p,q) is the
+    closure of word^p . Delta^{2q}, so its polynomial is
+    ``alexander_of_closure(word, p, q)`` without the lifted word ever being
+    built.  Split links (in particular unlinks on >= 2 strands) give the
+    zero polynomial.
     """
     n = w.strands
-    numerator = (burau_reduced(w) - LaurentMatrix.identity(n - 1)).det()
+    numerator = (burau_reduced(w, power, twists) - LaurentMatrix.identity(n - 1)).det()
     if numerator.is_zero:
         return AlexanderPoly(LaurentPoly.zero())
     cyclic_sum = LaurentPoly.from_dict({k: 1 for k in range(n)})

@@ -2,11 +2,15 @@
 
 Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
-exact.  Matrices are kept tiny (reduced Burau matrices on a handful of
-strands), which makes cofactor expansion a perfectly good determinant
-algorithm.
+exact.  Determinants use Bareiss's fraction-free elimination (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every intermediate entry is a minor of
+the matrix, so each step's division by the previous pivot is exact in
+Z[t, t^-1] and the cost is O(d^3) polynomial operations.
 
 All values are immutable; operations return new objects and never mutate.
+Only the public constructor ``LaurentPoly(terms)`` validates its input; the
+results of arithmetic are canonical by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -18,8 +22,20 @@ class DivisibilityError(ArithmeticError):
     """Exact division failed: the divisor does not divide the dividend in Z[t, t^-1]."""
 
 
+# Tuples here are built from lists, never from generators: tuple(<generator>)
+# grows its result by resizing, which bypasses CPython's per-size tuple free
+# lists while freeing still fills them, so memory creeps up call after call.
+
+
 def _canonical(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((e, c) for e, c in coeffs.items() if c != 0))
+
+
+def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """A LaurentPoly on terms already in canonical form, without re-validating them."""
+    poly = object.__new__(LaurentPoly)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(coeffs: dict[int, int]) -> LaurentPoly:
-        return LaurentPoly(_canonical(coeffs))
+        return _trusted(_canonical(coeffs))
 
     @staticmethod
     def zero() -> LaurentPoly:
@@ -87,29 +103,35 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the unit t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
+        if k == 0:
+            return self
+        return _trusted(tuple([(e + k, c) for e, c in self.terms]))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return _trusted(tuple([(e, -c) for e, c in self.terms]))
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         coeffs = dict(self.terms)
         for e, c in other.terms:
             coeffs[e] = coeffs.get(e, 0) + c
-        return LaurentPoly(_canonical(coeffs))
+        return _trusted(_canonical(coeffs))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+        coeffs = dict(self.terms)
+        for e, c in other.terms:
+            coeffs[e] = coeffs.get(e, 0) - c
+        return _trusted(_canonical(coeffs))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not self.terms or not other.terms:
             return LaurentPoly()
         coeffs: dict[int, int] = {}
+        get = coeffs.get
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return LaurentPoly(_canonical(coeffs))
+                coeffs[e] = get(e, 0) + c1 * c2
+        return _trusted(_canonical(coeffs))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -136,32 +158,30 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero:
         return LaurentPoly()
 
-    # Shift both operands to honest polynomials with nonzero constant term;
-    # the discarded unit t^k is restored at the end.
-    offset = num.min_exp() - den.min_exp()
-    rem = dict(num.shift(-num.min_exp()).terms)
-    d = dict(den.shift(-den.min_exp()).terms)
-    d_deg = max(d)
-    d_lead = d[d_deg]
-
-    quotient: dict[int, int] = {}
-    while rem:
-        r_deg = max(rem)
-        if r_deg < d_deg:
-            raise DivisibilityError("non-exact division (remainder of lower degree)")
-        lead, r = divmod(rem[r_deg], d_lead)
+    d_low, (d_high, d_lead) = den.terms[0][0], den.terms[-1]
+    # Long division from the top on honest polynomials with nonzero constant
+    # term; the discarded unit t^offset is restored at the end.
+    n_low = num.terms[0][0]
+    offset = n_low - d_low
+    rem = {e - n_low: c for e, c in num.terms}
+    lower = [(e - d_low, c) for e, c in den.terms[:-1]]
+    d_deg = d_high - d_low
+    quotient = []
+    for k in range(num.terms[-1][0] - n_low - d_deg, -1, -1):
+        top = rem.pop(k + d_deg, 0)
+        if top == 0:
+            continue
+        lead, r = divmod(top, d_lead)
         if r != 0:
             raise DivisibilityError("non-exact division (leading coefficient)")
-        k = r_deg - d_deg
-        quotient[k] = lead
-        for e, c in d.items():
-            e2 = e + k
-            v = rem.get(e2, 0) - lead * c
-            if v == 0:
-                rem.pop(e2, None)
-            else:
-                rem[e2] = v
-    return LaurentPoly(_canonical(quotient)).shift(offset)
+        quotient.append((k + offset, lead))
+        for e, c in lower:
+            e += k
+            rem[e] = rem.get(e, 0) - lead * c
+    if any(rem.values()):
+        raise DivisibilityError("non-exact division (remainder of lower degree)")
+    quotient.reverse()
+    return _trusted(tuple(quotient))
 
 
 @dataclass(frozen=True)
@@ -183,13 +203,13 @@ class LaurentMatrix:
 
     @staticmethod
     def from_rows(rows) -> LaurentMatrix:
-        return LaurentMatrix(tuple(tuple(row) for row in rows))
+        return LaurentMatrix(tuple([tuple(row) for row in rows]))
 
     @staticmethod
     def identity(size: int) -> LaurentMatrix:
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
         return LaurentMatrix(
-            tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+            tuple([tuple([one if i == j else zero for j in range(size)]) for i in range(size)])
         )
 
     def entry(self, i: int, j: int) -> LaurentPoly:
@@ -217,44 +237,40 @@ class LaurentMatrix:
         if self.size != other.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
         return LaurentMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
+            tuple([tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.rows, other.rows)])
         )
 
     def det(self) -> LaurentPoly:
-        """Determinant by Laplace expansion, memoized over column subsets.
+        """Determinant by Bareiss's fraction-free elimination.
 
-        Row k is expanded against all k-column minors of the first k rows,
-        which costs d * 2^(d-1) polynomial multiplications; ample for the
-        small matrices used here.
+        After step k every entry below and right of the pivot is the
+        (k+1)x(k+1) minor on the leading rows and columns plus its own row
+        and column, so dividing by the previous pivot is exact.  A zero
+        pivot is swapped with a lower row that is nonzero in its column,
+        flipping the sign; if there is none the determinant is zero.  Costs
+        O(d^3) polynomial products and exact divisions.
         """
-        d = self.size
-        # minors[S] = det of rows 0..popcount(S)-1 on the column set S
-        minors: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-        for k in range(1, d + 1):
-            row = self.rows[k - 1]
-            next_minors: dict[int, LaurentPoly] = {}
-            for subset, minor in minors.items():
-                if not minor:
-                    continue
-                sign = 1
-                position = 0
-                for j in range(d):
-                    bit = 1 << j
-                    if subset & bit:
-                        position += 1
-                        continue
-                    entry = row[j]
-                    if entry:
-                        # sign of placing column j (at index `position` within
-                        # the grown set) into row k: (-1)^(k-1+position)
-                        term = entry * minor
-                        grown = subset | bit
-                        acc = next_minors.get(grown)
-                        signed = term if (position + k) % 2 == 1 else -term
-                        next_minors[grown] = signed if acc is None else acc + signed
-            minors = next_minors
-        full = (1 << d) - 1
-        return minors.get(full, LaurentPoly())
+        m = [list(row) for row in self.rows]
+        d = len(m)
+        negate = False
+        previous = None
+        for k in range(d - 1):
+            if not m[k][k]:
+                swap = next((i for i in range(k + 1, d) if m[i][k]), None)
+                if swap is None:
+                    return LaurentPoly()
+                m[k], m[swap] = m[swap], m[k]
+                negate = not negate
+            pivot_row = m[k]
+            pivot = pivot_row[k]
+            for i in range(k + 1, d):
+                row = m[i]
+                factor = row[k]
+                for j in range(k + 1, d):
+                    entry = pivot * row[j]
+                    if factor and pivot_row[j]:
+                        entry = entry - factor * pivot_row[j]
+                    row[j] = entry if previous is None else divide_exact(entry, previous)
+            previous = pivot
+        result = m[d - 1][d - 1]
+        return -result if negate else result

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .braid import BraidWord, closure_components, concat, garside, parse_braid_word, permutation, power
 from .errors import ParseError
@@ -93,8 +92,12 @@ class BandDiagram:
 
 def lift(d: BandDiagram) -> BraidWord:
     """The braid word whose closure is the lift of ``d`` in the 3-sphere."""
-    closing = power(garside(d.word.strands), 2 * d.space.q)
-    return concat(power(d.word, d.space.p), closing)
+    lifted = power(d.word, d.space.p)
+    if d.space.q == 0:
+        # L(1,0) has no closing twist; building garside(n) anyway would cost
+        # n(n-1)/2 letters that the size checks do not count.
+        return lifted
+    return concat(lifted, power(garside(d.word.strands), 2 * d.space.q))
 
 
 def components(d: BandDiagram) -> tuple[tuple[int, ...], ...]:
@@ -133,17 +136,39 @@ def lifted_component_count(d: BandDiagram) -> int:
 def nullhomologous_orientation(d: BandDiagram) -> tuple[int, ...] | None:
     """A sign assignment making the total homology class vanish, if one exists.
 
-    Searches all 2^r assignments; returns the first (in the order +1 before
-    -1 per component) with  sum_i sign_i * length_i = 0 (mod p), else None.
-    Existence is a necessary condition for the diagram to present an
-    algebraic link.
+    Returns the first assignment (in the order +1 before -1 per component)
+    with  sum_i sign_i * length_i = 0 (mod p), else None.  Existence is a
+    necessary condition for the diagram to present an algebraic link.
+
+    The lengths sum to n, so the signed sum lies in [-n, n]; modulo
+    m = min(p, n + 1) it vanishes exactly when it vanishes modulo p.  A
+    table of the residues mod m reachable by each suffix of the components,
+    held as m-bit masks, costs O(r * m); the signs are then chosen greedily
+    from the front, taking +1 whenever the rest can still reach zero.
     """
-    p = d.space.p
     lengths = [len(cycle) for cycle in components(d)]
-    for signs in product((1, -1), repeat=len(lengths)):
-        if sum(s * l for s, l in zip(signs, lengths)) % p == 0:
-            return signs
-    return None
+    m = min(d.space.p, d.word.strands + 1)
+    full = (1 << m) - 1
+
+    def rotate(mask: int, k: int) -> int:
+        k %= m
+        return ((mask << k) | (mask >> (m - k))) & full
+
+    # After the reversal, bit x of reachable[i] says that components i..r-1
+    # can sum to x mod m; reachable[r] holds only 0.
+    reachable = [1]
+    for length in reversed(lengths):
+        rest = reachable[-1]
+        reachable.append(rotate(rest, length) | rotate(rest, -length))
+    reachable.reverse()
+    if not reachable[0] & 1:
+        return None
+    signs, total = [], 0
+    for length, rest in zip(lengths, reachable[1:]):
+        sign = 1 if rest >> (-(total + length) % m) & 1 else -1
+        signs.append(sign)
+        total += sign * length
+    return tuple(signs)
 
 
 def parse_band_diagram(text: str) -> BandDiagram:

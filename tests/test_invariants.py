@@ -1,5 +1,7 @@
 """Reduced Burau representation and Alexander polynomials of closures."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from lenslinks.invariants import (
     torus_braid,
 )
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
+from lenslinks.lens import BandDiagram, LensSpace, lift
 
 
 def signed_letters(n):
@@ -39,6 +42,49 @@ def word_pairs(max_strands=4, max_len=8):
 
 def inverse_word(w):
     return BraidWord(w.strands, tuple(-letter for letter in reversed(w.letters)))
+
+
+def generator_matrix(n, letter):
+    """Reference: the reduced Burau matrix of one generator, written out in full."""
+    d = n - 1
+    col = abs(letter) - 1
+    rows = [[LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(d)] for r in range(d)]
+    if letter > 0:
+        rows[col][col] = LaurentPoly.monomial(1, -1)
+        if col - 1 >= 0:
+            rows[col - 1][col] = LaurentPoly.monomial(1)
+        if col + 1 < d:
+            rows[col + 1][col] = LaurentPoly.one()
+    else:
+        rows[col][col] = LaurentPoly.monomial(-1, -1)
+        if col - 1 >= 0:
+            rows[col - 1][col] = LaurentPoly.one()
+        if col + 1 < d:
+            rows[col + 1][col] = LaurentPoly.monomial(-1)
+    return LaurentMatrix.from_rows(rows)
+
+
+def burau_by_products(w):
+    """Reference: the product of the generator matrices in word order."""
+    acc = LaurentMatrix.identity(w.strands - 1)
+    for letter in w.letters:
+        acc = acc @ generator_matrix(w.strands, letter)
+    return acc
+
+
+def scalar(n, exponent):
+    """t^exponent times the identity of size n - 1."""
+    unit, zero = LaurentPoly.monomial(exponent), LaurentPoly.zero()
+    return LaurentMatrix.from_rows([[unit if r == c else zero for c in range(n - 1)] for r in range(n - 1)])
+
+
+def band_diagrams(max_strands=4, max_len=5, max_p=5):
+    def build(n, p, data):
+        q = data.draw(st.sampled_from([0] if p == 1 else [q for q in range(1, p) if math.gcd(p, q) == 1]))
+        letters = data.draw(st.lists(signed_letters(n), max_size=max_len))
+        return BandDiagram(LensSpace(p, q), BraidWord(n, tuple(letters)))
+
+    return st.builds(build, st.integers(2, max_strands), st.integers(1, max_p), st.data())
 
 
 class TestBurauReduced:
@@ -71,6 +117,44 @@ class TestBurauReduced:
     def test_inverse_word_gives_inverse_matrix(self, w):
         product = burau_reduced(w) @ burau_reduced(inverse_word(w))
         assert product == LaurentMatrix.identity(w.strands - 1)
+
+
+class TestBurauAgainstProducts:
+    @settings(max_examples=80)
+    @given(words(max_strands=6, max_len=12))
+    def test_column_updates_equal_generator_products(self, w):
+        assert burau_reduced(w) == burau_by_products(w)
+
+    @pytest.mark.parametrize("letters", [(), (1,), (-1,), (1, 1, -1, 1), (-1, -1, -1)])
+    def test_two_strands(self, letters):
+        w = BraidWord(2, letters)
+        assert burau_reduced(w) == burau_by_products(w)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_full_twist_is_scalar(self, n):
+        assert burau_reduced(power(garside(n), 2)) == scalar(n, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(words(max_strands=5, max_len=6), st.integers(0, 3), st.integers(0, 2))
+    def test_power_and_twists(self, w, e, k):
+        full = concat(power(w, e), power(garside(w.strands), 2 * k))
+        assert burau_reduced(w, e, k) == burau_by_products(full)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            burau_reduced(BraidWord(3, (1,)), -1)
+
+
+class TestAlexanderOfLift:
+    @settings(max_examples=60, deadline=None)
+    @given(band_diagrams())
+    def test_structured_lift_equals_materialized_lift(self, d):
+        structured = alexander_of_closure(d.word, d.space.p, d.space.q)
+        assert structured == alexander_of_closure(lift(d))
+
+    def test_torus_9_3_from_l31(self):
+        word = BraidWord(3, (2, 1, 2, 1))
+        assert alexander_of_closure(word, 3, 1) == alexander_of_closure(torus_braid(9, 3))
 
 
 class TestAlexanderPoly:

@@ -20,7 +20,8 @@ def polys(max_terms=5, exp_range=4, coeff_range=5):
 
 
 def matrices(size, entry_polys=None):
-    entry_polys = entry_polys or polys(max_terms=3, exp_range=2, coeff_range=3)
+    if entry_polys is None:
+        entry_polys = polys(max_terms=3, exp_range=2, coeff_range=3)
     row = st.tuples(*[entry_polys] * size)
     return st.tuples(*[row] * size).map(LaurentMatrix)
 
@@ -28,6 +29,47 @@ def matrices(size, entry_polys=None):
 T = LaurentPoly.monomial
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
+
+
+def laplace_det(m: LaurentMatrix) -> LaurentPoly:
+    """Reference determinant: Laplace expansion memoized over column subsets.
+
+    Row k is expanded against all k-column minors of the first k rows, at a
+    cost of d * 2^(d-1) products; only for the small sizes of the tests.
+    """
+    d = m.size
+    # minors[S] = det of rows 0..popcount(S)-1 on the column set S
+    minors = {0: ONE}
+    for k in range(1, d + 1):
+        row = m.rows[k - 1]
+        grown_minors = {}
+        for subset, minor in minors.items():
+            position = 0
+            for j in range(d):
+                bit = 1 << j
+                if subset & bit:
+                    position += 1
+                    continue
+                # placing column j at index `position` of the grown set
+                term = row[j] * minor
+                signed = term if (position + k) % 2 == 1 else -term
+                grown = subset | bit
+                grown_minors[grown] = grown_minors.get(grown, ZERO) + signed
+        minors = grown_minors
+    return minors[(1 << d) - 1]
+
+
+def singular(m: LaurentMatrix, scale: LaurentPoly) -> LaurentMatrix:
+    """``m`` with its last row replaced by ``scale`` times its first row."""
+    rows = list(m.rows)
+    rows[-1] = tuple(scale * entry for entry in rows[0])
+    return LaurentMatrix(tuple(rows))
+
+
+def zero_leading_pivot(m: LaurentMatrix) -> LaurentMatrix:
+    rows = [list(row) for row in m.rows]
+    rows[0][0] = ZERO
+    return LaurentMatrix.from_rows(rows)
 
 
 class TestLaurentPoly:
@@ -72,6 +114,13 @@ class TestLaurentPoly:
     def test_shift_is_unit_multiplication(self, a):
         assert a.shift(3) == a * T(3)
 
+    @given(polys(), polys())
+    def test_results_pass_validation(self, a, b):
+        # Arithmetic skips the constructor's check; its results must still
+        # be canonical, so re-validating them succeeds and changes nothing.
+        for result in (a + b, a - b, a * b, -a, a.shift(-2)):
+            assert LaurentPoly(result.terms) == result
+
 
 class TestDivideExact:
     def test_difference_of_squares(self):
@@ -92,6 +141,16 @@ class TestDivideExact:
         den = LaurentPoly.from_dict({1: 1, 0: -1})
         with pytest.raises(DivisibilityError):
             divide_exact(num, den)
+
+    def test_monomial_divisor(self):
+        num = LaurentPoly.from_dict({-1: 6, 3: -4})
+        assert divide_exact(num, T(2, -2)) == LaurentPoly.from_dict({-3: -3, 1: 2})
+        with pytest.raises(DivisibilityError):
+            divide_exact(num, T(0, 4))
+
+    def test_remainder_of_lower_degree_raises(self):
+        with pytest.raises(DivisibilityError):
+            divide_exact(T(1), LaurentPoly.from_dict({0: 1, 2: 1}))
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -146,3 +205,35 @@ class TestLaurentMatrix:
     def test_det_multiplicative(self, pair):
         a, b = pair
         assert (a @ b).det() == a.det() * b.det()
+
+    def test_det_swaps_past_zero_pivot(self):
+        m = LaurentMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])
+        assert m.det() == -ONE
+
+    def test_det_one_by_one(self):
+        assert LaurentMatrix.from_rows([[T(-3, 7)]]).det() == T(-3, 7)
+
+
+class TestBareissAgainstLaplace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(matrices))
+    def test_random(self, m):
+        assert m.det() == laplace_det(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6).flatmap(matrices), polys(max_terms=2))
+    def test_singular(self, m, scale):
+        s = singular(m, scale)
+        assert s.det() == laplace_det(s) == ZERO
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(matrices))
+    def test_zero_leading_pivot(self, m):
+        z = zero_leading_pivot(m)
+        assert z.det() == laplace_det(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda d: matrices(d, polys(max_terms=2, exp_range=1, coeff_range=1))))
+    def test_sparse(self, m):
+        # Entries are often zero, so pivots vanish mid-elimination.
+        assert m.det() == laplace_det(m)

@@ -1,5 +1,6 @@
 """Band diagrams in lens spaces: lifts, homology classes, component counts."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from lenslinks.braid import BraidWord, closure_components
 from lenslinks.errors import ParseError
+from lenslinks import lens
 from lenslinks.invariants import alexander_of_closure, equal_up_to_unit, torus_braid
 from lenslinks.lens import (
     BandDiagram,
@@ -69,6 +71,14 @@ class TestLift:
     def test_sphere_lift_is_identity(self):
         w = BraidWord(3, (2, -1, 2))
         assert lift(BandDiagram(LensSpace(1, 0), w)) == w
+
+    def test_sphere_lift_builds_no_twist(self, monkeypatch):
+        # garside(n) has n(n-1)/2 letters; L(1,0) must not build it.
+        def forbidden(n):
+            raise AssertionError("garside built for L(1,0)")
+
+        monkeypatch.setattr(lens, "garside", forbidden)
+        assert lift(BandDiagram(LensSpace(1, 0), BraidWord(100_000))) == BraidWord(100_000)
 
     def test_lift_in_l32_matches_torus_9_3(self):
         d = BandDiagram(LensSpace(3, 2), BraidWord(3, (2, 1)))
@@ -176,7 +186,34 @@ class TestLiftedComponentCount:
         assert found >= 25
 
 
+def brute_force_orientation(d):
+    """Reference: the first of all 2^r sign vectors, +1 before -1, that vanishes mod p."""
+    lengths = [len(cycle) for cycle in components(d)]
+    for signs in itertools.product((1, -1), repeat=len(lengths)):
+        if sum(s * l for s, l in zip(signs, lengths)) % d.space.p == 0:
+            return signs
+    return None
+
+
 class TestNullhomologousOrientation:
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(400):
+            n, p = rng.randint(1, 10), rng.randint(1, 25)
+            q = 0 if p == 1 else rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))) if n > 1 else ()
+            d = BandDiagram(LensSpace(p, q), BraidWord(n, letters))
+            assert nullhomologous_orientation(d) == brute_force_orientation(d), d
+            checked += nullhomologous_orientation(d) is not None
+        assert checked > 100
+
+    def test_many_components(self):
+        # 60 components of length 1 mod 7: brute force would try up to 2^60
+        # vectors.  60 - 2k = 0 mod 7 first holds for k = 2 minus signs,
+        # which come last in +1-before--1 order.
+        d = BandDiagram(LensSpace(7, 3), BraidWord(60))
+        assert nullhomologous_orientation(d) == (1,) * 58 + (-1, -1)
     def test_opposite_signs_found(self):
         d = BandDiagram(LensSpace(3, 1), BraidWord(2, (1, 1)))
         assert nullhomologous_orientation(d) == (1, -1)
