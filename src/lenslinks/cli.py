@@ -13,7 +13,6 @@ consistency fault.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -249,9 +248,7 @@ def _cmd_nullhomologous(args) -> int:
     return _emit(args, fields, text)
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="lenslinks",
         description="Exact computations for algebraic links in lens spaces.",

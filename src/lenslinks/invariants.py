@@ -17,8 +17,8 @@ product of letters.  The Alexander polynomial of the closure is then
 
 up to a unit +-t^k, and every comparison here happens after normalizing
 away the unit: the lowest exponent is shifted to 0 and the sign fixed so
-its coefficient is positive.  The determinant uses fraction-free
-(Bareiss) elimination, see :meth:`LaurentMatrix.det`.
+its coefficient is positive.  The determinant is a cofactor expansion, see
+:meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.

@@ -2,11 +2,9 @@
 
 Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
-exact.  Determinants use Bareiss's fraction-free elimination (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): every intermediate entry is a minor of
-the matrix, so each step's division by the previous pivot is exact in
-Z[t, t^-1] and the cost is O(d^3) polynomial operations.
+exact.  Matrices are kept small (reduced Burau matrices on a handful of
+strands), and determinants use cofactor expansion memoized over column
+subsets.
 
 All values are immutable; operations return new objects and never mutate.
 Only the public constructor ``LaurentPoly(terms)`` validates its input; the
@@ -241,36 +239,37 @@ class LaurentMatrix:
         )
 
     def det(self) -> LaurentPoly:
-        """Determinant by Bareiss's fraction-free elimination.
+        """Determinant by Laplace expansion, memoized over column subsets.
 
-        After step k every entry below and right of the pivot is the
-        (k+1)x(k+1) minor on the leading rows and columns plus its own row
-        and column, so dividing by the previous pivot is exact.  A zero
-        pivot is swapped with a lower row that is nonzero in its column,
-        flipping the sign; if there is none the determinant is zero.  Costs
-        O(d^3) polynomial products and exact divisions.
+        Row k is expanded against all k-column minors of the first k rows,
+        which costs d * 2^(d-1) polynomial multiplications; ample for the
+        small matrices used here.
         """
-        m = [list(row) for row in self.rows]
-        d = len(m)
-        negate = False
-        previous = None
-        for k in range(d - 1):
-            if not m[k][k]:
-                swap = next((i for i in range(k + 1, d) if m[i][k]), None)
-                if swap is None:
-                    return LaurentPoly()
-                m[k], m[swap] = m[swap], m[k]
-                negate = not negate
-            pivot_row = m[k]
-            pivot = pivot_row[k]
-            for i in range(k + 1, d):
-                row = m[i]
-                factor = row[k]
-                for j in range(k + 1, d):
-                    entry = pivot * row[j]
-                    if factor and pivot_row[j]:
-                        entry = entry - factor * pivot_row[j]
-                    row[j] = entry if previous is None else divide_exact(entry, previous)
-            previous = pivot
-        result = m[d - 1][d - 1]
-        return -result if negate else result
+        d = self.size
+        # minors[S] = det of rows 0..popcount(S)-1 on the column set S
+        minors: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
+        for k in range(1, d + 1):
+            row = self.rows[k - 1]
+            next_minors: dict[int, LaurentPoly] = {}
+            for subset, minor in minors.items():
+                if not minor:
+                    continue
+                sign = 1
+                position = 0
+                for j in range(d):
+                    bit = 1 << j
+                    if subset & bit:
+                        position += 1
+                        continue
+                    entry = row[j]
+                    if entry:
+                        # sign of placing column j (at index `position` within
+                        # the grown set) into row k: (-1)^(k-1+position)
+                        term = entry * minor
+                        grown = subset | bit
+                        acc = next_minors.get(grown)
+                        signed = term if (position + k) % 2 == 1 else -term
+                        next_minors[grown] = signed if acc is None else acc + signed
+            minors = next_minors
+        full = (1 << d) - 1
+        return minors.get(full, LaurentPoly())

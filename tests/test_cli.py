@@ -139,10 +139,7 @@ class TestSizeLimits:
         assert json.loads(out)["exists"] is False
 
 
-class TestCachedParser:
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
-
+class TestRepeatedCalls:
     @pytest.mark.parametrize(
         "failing",
         [["frobnicate"], ["lift"], ["alexander", "--band", "3 1 : 1"], ["genus", "--torus", "6", "2"]],

@@ -1,5 +1,7 @@
 """Exact Laurent polynomial and matrix arithmetic."""
 
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,32 +33,16 @@ ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
 
 
-def laplace_det(m: LaurentMatrix) -> LaurentPoly:
-    """Reference determinant: Laplace expansion memoized over column subsets.
-
-    Row k is expanded against all k-column minors of the first k rows, at a
-    cost of d * 2^(d-1) products; only for the small sizes of the tests.
-    """
-    d = m.size
-    # minors[S] = det of rows 0..popcount(S)-1 on the column set S
-    minors = {0: ONE}
-    for k in range(1, d + 1):
-        row = m.rows[k - 1]
-        grown_minors = {}
-        for subset, minor in minors.items():
-            position = 0
-            for j in range(d):
-                bit = 1 << j
-                if subset & bit:
-                    position += 1
-                    continue
-                # placing column j at index `position` of the grown set
-                term = row[j] * minor
-                signed = term if (position + k) % 2 == 1 else -term
-                grown = subset | bit
-                grown_minors[grown] = grown_minors.get(grown, ZERO) + signed
-        minors = grown_minors
-    return minors[(1 << d) - 1]
+def leibniz_det(m: LaurentMatrix) -> LaurentPoly:
+    """Reference determinant: the sum over all d! permutations; only for small d."""
+    total = ZERO
+    for perm in permutations(range(m.size)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m.size), 2))
+        term = ONE
+        for row, col in enumerate(perm):
+            term = term * m.rows[row][col]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def singular(m: LaurentMatrix, scale: LaurentPoly) -> LaurentMatrix:
@@ -206,7 +192,7 @@ class TestLaurentMatrix:
         a, b = pair
         assert (a @ b).det() == a.det() * b.det()
 
-    def test_det_swaps_past_zero_pivot(self):
+    def test_det_zero_leading_entry(self):
         m = LaurentMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])
         assert m.det() == -ONE
 
@@ -214,26 +200,26 @@ class TestLaurentMatrix:
         assert LaurentMatrix.from_rows([[T(-3, 7)]]).det() == T(-3, 7)
 
 
-class TestBareissAgainstLaplace:
+class TestDetAgainstLeibniz:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(matrices))
     def test_random(self, m):
-        assert m.det() == laplace_det(m)
+        assert m.det() == leibniz_det(m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6).flatmap(matrices), polys(max_terms=2))
     def test_singular(self, m, scale):
         s = singular(m, scale)
-        assert s.det() == laplace_det(s) == ZERO
+        assert s.det() == leibniz_det(s) == ZERO
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6).flatmap(matrices))
     def test_zero_leading_pivot(self, m):
         z = zero_leading_pivot(m)
-        assert z.det() == laplace_det(z)
+        assert z.det() == leibniz_det(z)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda d: matrices(d, polys(max_terms=2, exp_range=1, coeff_range=1))))
     def test_sparse(self, m):
-        # Entries are often zero, so pivots vanish mid-elimination.
-        assert m.det() == laplace_det(m)
+        # Entries are often zero, and so are many minors.
+        assert m.det() == leibniz_det(m)
