@@ -113,7 +113,8 @@ def power(w: BraidWord, e: int) -> BraidWord:
     """The e-fold concatenation of ``w`` with itself (e >= 0)."""
     if e < 0:
         raise ValueError("negative powers are not defined for words")
-    return BraidWord(w.strands, w.letters * e)
+    # Repeating an empty tuple still checks that e fits a machine index.
+    return BraidWord(w.strands, w.letters * e if w.letters else ())
 
 
 def permutation(w: BraidWord) -> StrandPermutation:

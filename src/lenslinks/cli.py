@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 
 from .braid import closure_components, parse_braid_word
@@ -44,6 +45,9 @@ from .lens import (
 # instead of exhausting memory on garbage input.  Every command checks its
 # sizes with _check_size before it builds anything.
 _LIFT_LETTER_LIMIT = 1_000_000
+# The strand count n of a band or braid: closure permutations take O(n)
+# memory and Burau matrices (n-1)^2 entries.
+_STRAND_LIMIT = 256
 
 
 def _emit(args, fields: dict, text_lines: list[str]) -> int:
@@ -55,14 +59,27 @@ def _emit(args, fields: dict, text_lines: list[str]) -> int:
     return 0
 
 
-def _check_size(size: int, what: str, unit: str = "letters") -> None:
-    if size > _LIFT_LETTER_LIMIT:
+def _check_size(size: int, what: str, unit: str = "letters", limit: int = _LIFT_LETTER_LIMIT) -> None:
+    if size > limit:
         raise ValueError(f"{what} would have {size} {unit}; refusing")
 
 
-def _check_lift_size(diagram) -> None:
-    n = diagram.word.strands
-    _check_size(diagram.space.p * len(diagram.word) + diagram.space.q * n * (n - 1), "lifted word")
+def _check_strands(n: int, what: str) -> None:
+    _check_size(n, what, "strands", _STRAND_LIMIT)
+
+
+def _check_lift_size(space, word) -> None:
+    n = word.strands
+    _check_size(space.p * len(word) + space.q * n * (n - 1), "lifted word")
+    _check_strands(n, "band diagram")
+
+
+def _check_orientation_table(space, word) -> None:
+    # The search keeps one mask of min(p, n + 1) bits for each of the at
+    # most n components, whose count needs the closure permutation.
+    n = word.strands
+    _check_size(n * min(space.p, n + 1), "orientation table", "bits")
+    _check_strands(n, "band diagram")
 
 
 def _check_torus_size(a: int, b: int) -> None:
@@ -79,8 +96,7 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    diagram = parse_band_diagram(args.band)
-    _check_lift_size(diagram)
+    diagram = parse_band_diagram(args.band, _check_lift_size)
     if args.compare_torus:
         _check_torus_size(*args.compare_torus)
     lifted = lift(diagram)
@@ -176,13 +192,13 @@ def _cmd_alexander(args) -> int:
     if args.braid is not None:
         if args.strands is None:
             raise ValueError("--braid requires --strands")
+        _check_strands(args.strands, "braid")
         word = parse_braid_word(args.braid, args.strands)
         poly = alexander_of_closure(word)
         fields = {"strands": word.strands, "word": list(word.letters), "alexander": str(poly)}
         text = [f"alexander: {poly}"]
     else:
-        diagram = parse_band_diagram(args.band)
-        _check_lift_size(diagram)
+        diagram = parse_band_diagram(args.band, _check_lift_size)
         lifted = lift(diagram)
         poly = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
         fields = {
@@ -208,8 +224,7 @@ def _cmd_puiseux(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    diagram = parse_band_diagram(args.band)
-    _check_lift_size(diagram)
+    diagram = parse_band_diagram(args.band, _check_lift_size)
     classes = [c.value for c in homology_classes(diagram)]
     lifted = lifted_component_count(diagram)
     fields = {
@@ -228,10 +243,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_nullhomologous(args) -> int:
-    diagram = parse_band_diagram(args.band)
-    # The search keeps one mask of min(p, n + 1) bits per component.
-    width = min(diagram.space.p, diagram.word.strands + 1)
-    _check_size(len(components(diagram)) * width, "orientation table", "bits")
+    diagram = parse_band_diagram(args.band, _check_orientation_table)
     signs = nullhomologous_orientation(diagram)
     rendered = None if signs is None else ["+" if s > 0 else "-" for s in signs]
     fields = {
@@ -333,6 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv`` and execute; returns the process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -344,7 +358,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, DivisibilityError) as exc:
-        print(f"internal consistency fault: {exc}", file=sys.stderr)
+        print(
+            f"internal consistency fault: {exc}; reproduce with: lenslinks {shlex.join(argv)}",
+            file=sys.stderr,
+        )
         return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -352,7 +369,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(run())
 
 
 if __name__ == "__main__":

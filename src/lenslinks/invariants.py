@@ -9,9 +9,12 @@ except on column i, which becomes
 (matrix entries (i-1,i) = t, (i,i) = -t, (i+1,i) = 1, rows outside 1..n-1
 dropped); its inverse has entries (i-1,i) = 1, (i,i) = -1/t, (i+1,i) = 1/t.
 The product of a word is therefore built by updating one column per
-letter, with shifts and adds only.  The full twist Delta^2 is central and
-maps to t^n * id, so a power of it is a unit factor t^{n*k}, never a
-product of letters.  The Alexander polynomial of the closure is then
+letter.  Each entry is held packed as one integer, its value at t = 2^k
+(see :mod:`lenslinks.laurent`), so an update is a few big-integer shifts
+and adds; the entries are decoded once at the end.  The full twist Delta^2
+is central and maps to t^n * id, so a power of it is a unit factor
+t^{n*k}, never a product of letters.  The Alexander polynomial of the
+closure is then
 
     det(burau(w) - id) / (1 + t + ... + t^{n-1})
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .laurent import LaurentMatrix, LaurentPoly, divide_exact
+from .laurent import LaurentMatrix, LaurentPoly, divide_exact, slot_bits
 
 
 @dataclass(frozen=True)
@@ -63,36 +66,32 @@ class AlexanderPoly:
         return str(self.poly)
 
 
-def _column_update(columns: list[list[dict[int, int]]], letter: int) -> None:
-    """Right-multiply by the generator ``letter``: only one column changes.
+def _updates(letter: int, d: int) -> list[tuple[int, int, int]]:
+    """(Laurent shift, sign, source column) of the parts of the new column ``abs(letter) - 1``.
 
     s_i makes column i  t*c_{i-1} - t*c_i + c_{i+1},  and s_i^-1 makes it
-    c_{i-1} - c_i/t + c_{i+1}/t; each is a few shifts and adds of the
-    neighbouring columns, never a polynomial product.
+    c_{i-1} - c_i/t + c_{i+1}/t; columns outside 0..d-1 are dropped.
     """
-    d = len(columns)
     c = abs(letter) - 1
     if letter > 0:
-        parts = [(1, -1, columns[c])]
-        if c > 0:
-            parts.append((1, 1, columns[c - 1]))
-        if c + 1 < d:
-            parts.append((0, 1, columns[c + 1]))
+        parts = [(1, 1, c - 1), (1, -1, c), (0, 1, c + 1)]
     else:
-        parts = [(-1, -1, columns[c])]
-        if c > 0:
-            parts.append((0, 1, columns[c - 1]))
-        if c + 1 < d:
-            parts.append((-1, 1, columns[c + 1]))
-    column = []
-    for r in range(d):
-        entry: dict[int, int] = {}
-        for shift, sign, source in parts:
-            for e, v in source[r].items():
-                e += shift
-                entry[e] = entry.get(e, 0) + sign * v
-        column.append({e: v for e, v in entry.items() if v})
-    columns[c] = column
+        parts = [(0, 1, c - 1), (-1, -1, c), (-1, 1, c + 1)]
+    return [part for part in parts if 0 <= part[2] < d]
+
+
+def _norm_bound(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> int:
+    """A bound on every |coefficient| of the Burau matrix that ``steps``, ``power`` times, build.
+
+    The same column updates on the L1 norms of the entries: a new entry's
+    norm is at most the sum of the norms of the entries it adds.
+    """
+    norms = [[int(r == c) for r in range(d)] for c in range(d)]
+    sources = [(c, [j for _, _, j in parts]) for c, parts in steps]
+    for _ in range(power):
+        for c, columns in sources:
+            norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
+    return max([max(col) for col in norms])
 
 
 def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
@@ -102,19 +101,45 @@ def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatri
     full twist Delta^2 is central and its reduced Burau image is t^n * id,
     so the twists multiply every entry by the unit t^{n*twists} instead of
     being applied letter by letter.
+
+    Each column is held as d integers and one offset: entry (r, j) is
+    X(t) * t^-offset_j for a polynomial X stored as its value X(2^k).  A
+    letter then costs a few shifts and adds on d integers.  The slot width
+    k comes from :func:`_norm_bound` before the pass, so every coefficient
+    fits its slot and the entries decode exactly at the end.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")
     d = w.strands - 1
-    columns = [[({0: 1} if r == c else {}) for r in range(d)] for c in range(d)]
-    for _ in range(power):
-        for letter in w.letters:
-            _column_update(columns, letter)
+    steps = [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
+    # An empty word takes no passes, however large the power.
+    passes = power if steps else 0
+    k = slot_bits(_norm_bound(d, steps, passes).bit_length() + 1)
+    columns = [[int(r == c) for r in range(d)] for c in range(d)]
+    offsets = [0] * d
+    for _ in range(passes):
+        for c, parts in steps:
+            # The smallest offset that leaves every part a non-negative shift.
+            offset = max([offsets[j] - shift for shift, _, j in parts])
+            column = [0] * d
+            for shift, sign, j in parts:
+                bits = k * (shift - offsets[j] + offset)
+                if sign > 0:
+                    column = [x + (y << bits) for x, y in zip(column, columns[j])]
+                else:
+                    column = [x - (y << bits) for x, y in zip(column, columns[j])]
+            columns[c] = column
+            offsets[c] = offset
     unit = w.strands * twists
     return LaurentMatrix(
-        tuple([tuple([LaurentPoly.from_dict(col[r]).shift(unit) for col in columns]) for r in range(d)])
+        tuple(
+            [
+                tuple([LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)])
+                for r in range(d)
+            ]
+        )
     )
 
 
@@ -146,4 +171,4 @@ def torus_braid(a: int, b: int) -> BraidWord:
     if a < 1 or b < 1:
         raise ValueError("torus parameters must be positive")
     run = tuple(range(b - 1, 0, -1))
-    return BraidWord(b, run * a)
+    return BraidWord(b, run * a if run else ())

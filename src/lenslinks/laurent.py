@@ -6,6 +6,15 @@ exact.  Matrices are kept small (reduced Burau matrices on a handful of
 strands), and determinants use cofactor expansion memoized over column
 subsets.
 
+Large dense products use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
+2009): each operand is packed into one integer, its value at t = 2^k, the
+two integers are multiplied once, and the product's coefficients are read
+back as signed base-2^k digits.  k leaves room for the largest possible
+product coefficient, so the digits never overlap.  Small or sparse operands
+stay on the schoolbook loop, where packing costs more than it saves.
+``LaurentPoly.from_packed`` decodes such an integer for other modules.
+
 All values are immutable; operations return new objects and never mutate.
 Only the public constructor ``LaurentPoly(terms)`` validates its input; the
 results of arithmetic are canonical by construction and skip the check.
@@ -13,6 +22,8 @@ results of arithmetic are canonical by construction and skip the check.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 
@@ -27,6 +38,91 @@ class DivisibilityError(ArithmeticError):
 
 def _canonical(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((e, c) for e, c in coeffs.items() if c != 0))
+
+
+# Kronecker substitution: a product of two operands with at least this many
+# terms, each spanning at most _KRONECKER_MAX_SPREAD exponents per term, is
+# one big-int product.  Smaller or sparser operands stay on the schoolbook
+# loop, where packing costs more than it saves.
+_KRONECKER_MIN_TERMS = 16
+_KRONECKER_MAX_SPREAD = 4
+
+# Slot widths whose digits memoryview.cast reads directly; on big-endian
+# hosts every width takes the per-slot route.
+_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {}
+
+
+def slot_bits(bits: int) -> int:
+    """The slot width for signed digits of ``bits`` bits: 8, 16, 32, 64 or a multiple of 64."""
+    for k in (8, 16, 32, 64):
+        if bits <= k:
+            return k
+    return -(-bits // 64) * 64
+
+
+def _bias(k: int, slots: int) -> int:
+    """2^(k-1) in each of ``slots`` slots of k bits: makes signed digits non-negative."""
+    return int.from_bytes((1 << (k - 1)).to_bytes(k // 8, "little") * slots, "little")
+
+
+def _pack(terms: tuple[tuple[int, int], ...], k: int) -> int:
+    """The sum of c * 2^(k*(e - low)) over the terms, low being the lowest exponent.
+
+    Every |c| must be below 2^(k-1), and k a width from :func:`slot_bits`.
+    """
+    low = terms[0][0]
+    slots = terms[-1][0] - low + 1
+    half = 1 << (k - 1)
+    dense = [half] * slots
+    for e, c in terms:
+        dense[e - low] = c + half
+    code = _TYPECODES.get(k)
+    if code is not None:
+        raw = array(code, dense).tobytes()
+    else:
+        size = k // 8
+        raw = b"".join([v.to_bytes(size, "little") for v in dense])
+    return int.from_bytes(raw, "little") - _bias(k, slots)
+
+
+def _unpack(x: int, k: int, low: int) -> tuple[tuple[int, int], ...]:
+    """Canonical terms of the polynomial whose digit i in base 2^k is the coefficient of t^(low + i).
+
+    The inverse of :func:`_pack`: every digit must lie strictly between
+    -2^(k-1) and 2^(k-1).  Adding 2^(k-1) to each slot makes them all
+    non-negative, so one ``to_bytes`` yields every digit at once.
+    """
+    slots = abs(x).bit_length() // k + 1
+    half = 1 << (k - 1)
+    raw = (x + _bias(k, slots)).to_bytes(slots * k // 8, "little")
+    code = _TYPECODES.get(k)
+    if code is not None:
+        digits = memoryview(raw).cast(code)
+    else:
+        size = k // 8
+        digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return tuple([(low + i, v - half) for i, v in enumerate(digits) if v != half])
+
+
+def _dense(terms: tuple[tuple[int, int], ...]) -> bool:
+    return terms[-1][0] - terms[0][0] < _KRONECKER_MAX_SPREAD * len(terms)
+
+
+def _kronecker(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The product's terms by one big-int product of the operands packed at t = 2^k.
+
+    A product coefficient sums at most min(len(a), len(b)) products of
+    coefficients, so k = bits(max|a|) + bits(max|b|) + bits(min len) + 1
+    holds it as a signed digit.
+    """
+    bits = (
+        max([abs(c) for _, c in a]).bit_length()
+        + max([abs(c) for _, c in b]).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    k = slot_bits(bits)
+    return _unpack(_pack(a, k) * _pack(b, k), k, a[0][0] + b[0][0])
 
 
 def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
@@ -57,6 +153,16 @@ class LaurentPoly:
     @staticmethod
     def from_dict(coeffs: dict[int, int]) -> LaurentPoly:
         return _trusted(_canonical(coeffs))
+
+    @staticmethod
+    def from_packed(x: int, k: int, low: int) -> LaurentPoly:
+        """The polynomial whose signed base-2^k digit i is the coefficient of t^(low + i).
+
+        ``x`` is the polynomial's value at t = 2^k, shifted to start at
+        t^0; every coefficient must lie strictly between -2^(k-1) and
+        2^(k-1), and k be a width from :func:`slot_bits`.
+        """
+        return _trusted(_unpack(x, k, low))
 
     @staticmethod
     def zero() -> LaurentPoly:
@@ -121,12 +227,15 @@ class LaurentPoly:
         return _trusted(_canonical(coeffs))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return LaurentPoly()
+        if len(a) >= _KRONECKER_MIN_TERMS <= len(b) and _dense(a) and _dense(b):
+            return _trusted(_kronecker(a, b))
         coeffs: dict[int, int] = {}
         get = coeffs.get
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 coeffs[e] = get(e, 0) + c1 * c2
         return _trusted(_canonical(coeffs))

@@ -22,6 +22,7 @@ which this module recomputes both ways as a permanent cross-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components, concat, garside, parse_braid_word, permutation, power
@@ -171,10 +172,14 @@ def nullhomologous_orientation(d: BandDiagram) -> tuple[int, ...] | None:
     return tuple(signs)
 
 
-def parse_band_diagram(text: str) -> BandDiagram:
+def parse_band_diagram(text: str, check: Callable[[LensSpace, BraidWord], None] | None = None) -> BandDiagram:
     """Parse ``"p q n : <letters>"`` with an optional ``"| + - ..."`` orientation suffix.
 
     Examples: ``"3 1 3 : 2 1 2 1"``, ``"3 1 2 : 1 1 | + -"``.
+
+    ``check``, if given, sees the parsed space and word before the diagram
+    is built, which for an oriented diagram means before its closure
+    permutation exists; it refuses the input by raising.
     """
     head, sep, rest = text.partition(":")
     if not sep:
@@ -203,8 +208,13 @@ def parse_band_diagram(text: str) -> BandDiagram:
     try:
         space = LensSpace(p, q)
         word = parse_braid_word(word_text, n)
-        return BandDiagram(space, word, orientations)
     except ParseError:
         raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if check is not None:
+        check(space, word)
+    try:
+        return BandDiagram(space, word, orientations)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -1,15 +1,21 @@
 """The command-line contract: JSON fields, exit codes and size refusals."""
 
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lenslinks
 import lenslinks.cli as cli
+import lenslinks.lens
 from lenslinks.laurent import DivisibilityError
 from lenslinks.lens import ConsistencyError
 
@@ -94,7 +100,35 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "alexander_of_closure", broken)
         code, out, err = run(capsys, ["alexander", "--band", "3 1 2 : 1 1"])
-        assert (code, out, err) == (3, "", "internal consistency fault: injected\n")
+        expected = "internal consistency fault: injected; reproduce with: lenslinks alexander --band '3 1 2 : 1 1'\n"
+        assert (code, out, err) == (3, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "--band", "5 2 3 : 1 | + -", "--json"],
+            ["homology", "--band", "3 1 2 : 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1"],
+        ],
+    )
+    def test_fault_message_reproduces_argv(self, capsys, monkeypatch, argv):
+        # Quoting survives the shell: the printed command splits back into argv.
+        def broken(*args):
+            raise ConsistencyError("injected")
+
+        monkeypatch.setattr(cli, "lifted_component_count", broken)
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        reproduce = err.rstrip("\n").split("; reproduce with: lenslinks ", 1)[1]
+        assert shlex.split(reproduce) == argv
+
+    def test_fault_message_from_process_argv(self, capsys, monkeypatch):
+        def broken(*args):
+            raise DivisibilityError("injected")
+
+        monkeypatch.setattr(cli, "alexander_of_closure", broken)
+        monkeypatch.setattr(sys, "argv", ["lenslinks", "alexander", "--band", "3 1 2 : 1 1"])
+        assert cli.run() == 3
+        assert capsys.readouterr().err.endswith("lenslinks alexander --band '3 1 2 : 1 1'\n")
 
 
 class TestSizeLimits:
@@ -131,6 +165,25 @@ class TestSizeLimits:
         assert code == 1
         assert f"orientation table would have {1200 * 1009} bits; refusing" in err
 
+    def test_power_of_empty_word_answered_quickly(self, capsys):
+        # Only the closing twist is left of the lift; no pass over the
+        # billion copies of the empty word is made.
+        code, out, _ = run(capsys, ["alexander", "--band", "1000000000 1 2 :", "--json"])
+        assert code == 0
+        assert json.loads(out)["alexander"] == "1 - t"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["genus", "--torus", str(2**64), "1"],
+            ["lift", "--band", f"{2**64} 1 2 :"],
+            ["homology", "--band", f"{2**64} 1 2 :"],
+        ],
+    )
+    def test_huge_repeat_of_nothing(self, capsys, argv):
+        # An empty word or run repeated 2^64 times is empty, not an overflow.
+        assert run(capsys, argv)[0] == 0
+
     def test_many_components_answered_quickly(self, capsys):
         # 41 odd-length components mod 2: no solution, which a search over
         # all 2^41 sign vectors would never finish proving.
@@ -159,3 +212,139 @@ class TestRepeatedCalls:
         run(capsys, ["frobnicate"])
         assert run(capsys, ["alexander", "--help"]) == fresh
         assert run(capsys, ["alexander", "--help"]) == fresh
+
+
+class TestStrandLimit:
+    @pytest.mark.parametrize(
+        "argv, what, n",
+        [
+            (["alexander", "--braid", "", "--strands", "1000"], "braid", 1000),
+            (["alexander", "--braid", "1 2", "--strands", str(cli._STRAND_LIMIT + 1)], "braid", cli._STRAND_LIMIT + 1),
+            (["alexander", "--band", "1 0 1000000 :"], "band diagram", 1000000),
+            (["lift", "--band", "1 0 1000000 :"], "band diagram", 1000000),
+            (["lift", "--band", "1 0 1000000 : 1 | +"], "band diagram", 1000000),
+            (["homology", "--band", "2 1 300 :"], "band diagram", 300),
+            (["nullhomologous", "--band", "2 1 300 : | +"], "band diagram", 300),
+        ],
+    )
+    def test_refused_with_strand_count(self, capsys, argv, what, n):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} would have {n} strands; refusing\n"
+
+    def test_refused_before_building(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before the strand check")
+
+        monkeypatch.setattr(lenslinks.lens, "closure_components", forbidden)
+        for name in ("alexander_of_closure", "closure_components", "components", "lift"):
+            monkeypatch.setattr(cli, name, forbidden)
+        for argv in (
+            ["alexander", "--braid", "", "--strands", "100000"],
+            ["alexander", "--band", "1 0 100000 : 1 | + " + "+ " * 99998],
+            ["lift", "--band", "1 0 100000 :"],
+            ["homology", "--band", "1 0 100000 : | +"],
+            ["nullhomologous", "--band", "2 1 100000 : | +"],
+        ):
+            assert run(capsys, argv)[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "--band", f"1 0 {cli._STRAND_LIMIT} :"],
+            ["nullhomologous", "--band", f"3 1 {cli._STRAND_LIMIT} : 1"],
+            ["alexander", "--braid", "1 -2 1", "--strands", str(cli._STRAND_LIMIT)],
+        ],
+    )
+    def test_limit_itself_accepted(self, capsys, argv):
+        assert run(capsys, argv)[0] == 0
+
+
+# Tokens chosen to reach every refusal and parse error: huge and negative
+# integers, unicode digits, separators, and band diagrams whose p, q, n and
+# letters are drawn from the same mix.  Words stay short: on a dense word of
+# a few dozen strands the cofactor determinant takes minutes.
+_INTS = st.one_of(
+    st.integers(-3, 20),
+    st.sampled_from([10**6, 10**9, 10**18, 2**64, 10**40, -(10**18)]),
+)
+_WORDS = st.lists(
+    st.one_of(st.integers(-4, 4), st.sampled_from([10**6, -(10**18)])), max_size=6
+).map(lambda letters: " ".join(map(str, letters)))
+_BANDS = st.builds(
+    lambda p, q, n, word, signs: f"{p} {q} {n} : {word}{signs}",
+    _INTS,
+    _INTS,
+    _INTS,
+    _WORDS,
+    st.sampled_from(["", " | +", " | + -", " | - - -", " | x"]),
+)
+_POLYS = st.one_of(
+    st.sampled_from(["x^8 + y^2", "x^1000000000000 + y^2", "x^2*y^3 - 1/2*x*y", "x^-1", "0", "x + + y"]),
+    st.builds(lambda a, b: f"x^{a} + y^{b}", _INTS, _INTS),
+)
+_EXPONENTS = st.lists(_INTS, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+_TOKENS = st.one_of(
+    _INTS.map(str),
+    _WORDS,
+    _BANDS,
+    _POLYS,
+    _EXPONENTS,
+    st.sampled_from(["", " ", ":", "|", ",,", "1e9", "٣", "nan", "-", "--json"]),
+    st.text(max_size=8),
+)
+
+
+def _options(*parts):
+    return st.tuples(*parts).map(lambda tokens: [str(t) for t in tokens])
+
+
+# Each subcommand with its own options in place, so that the values reach
+# the commands instead of stopping at argparse.
+_COMMANDS = st.one_of(
+    _options(st.just("invariance"), st.just("--poly"), _POLYS, st.just("--p"), _INTS, st.just("--q"), _INTS),
+    _options(st.just("lift"), st.just("--band"), _BANDS),
+    _options(st.just("lift"), st.just("--band"), _BANDS, st.just("--compare-torus"), _INTS, _INTS),
+    _options(st.just("torus-test"), st.just("--a"), _INTS, st.just("--b"), _INTS, st.just("--p"), _INTS),
+    _options(
+        st.just("torus-test"), st.just("--a"), _INTS, st.just("--b"), _INTS, st.just("--p"), _INTS, st.just("--q"), _INTS
+    ),
+    _options(st.just("genus"), st.just("--torus"), _INTS, _INTS),
+    _options(st.just("genus"), st.just("--quotient"), _INTS, _INTS, _INTS),
+    _options(st.just("alexander"), st.just("--band"), _BANDS),
+    _options(st.just("alexander"), st.just("--braid"), _WORDS, st.just("--strands"), _INTS),
+    _options(st.just("puiseux"), st.just("--m"), _INTS, st.just("--exponents"), _EXPONENTS),
+    _options(st.just("puiseux"), st.just("--m"), _INTS, st.just("--exponents"), _EXPONENTS, st.just("--characteristic-only")),
+    _options(st.sampled_from(["homology", "nullhomologous"]), st.just("--band"), _BANDS),
+)
+_SUBCOMMANDS = st.sampled_from(
+    ["invariance", "lift", "torus-test", "genus", "alexander", "puiseux", "homology", "nullhomologous", "frobnicate"]
+)
+_FLAGS = st.sampled_from(
+    [
+        "--poly", "--p", "--q", "--band", "--compare-torus", "--a", "--b", "--torus", "--quotient",
+        "--braid", "--strands", "--m", "--exponents", "--characteristic-only", "--json",
+    ]
+)
+# Any flags after any subcommand, each with up to three tokens.
+_SOUP = st.builds(
+    lambda command, options: [command] + [token for flag, values in options for token in (flag, *values)],
+    _SUBCOMMANDS,
+    st.lists(st.tuples(_FLAGS, st.lists(_TOKENS, max_size=3)), max_size=5),
+)
+_ARGV = st.one_of(_COMMANDS, _COMMANDS.map(lambda argv: argv + ["--json"]), _SOUP)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGV)
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert time.perf_counter() - start < 5
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert len(out) + len(err) < 100_000

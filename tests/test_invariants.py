@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lenslinks.braid import BraidWord, concat, free_reduce, garside, permutation, power
 from lenslinks.invariants import (
     AlexanderPoly,
+    _norm_bound,
+    _updates,
     alexander_of_closure,
     burau_reduced,
     equal_up_to_unit,
@@ -139,6 +141,41 @@ class TestBurauAgainstProducts:
     def test_power_and_twists(self, w, e, k):
         full = concat(power(w, e), power(garside(w.strands), 2 * k))
         assert burau_reduced(w, e, k) == burau_by_products(full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=6, max_len=16), st.integers(1, 3))
+    def test_inverse_heavy_words(self, w, e):
+        # Every letter but the first is an inverse: the column offsets keep growing.
+        w = BraidWord(w.strands, tuple(-abs(letter) if i else letter for i, letter in enumerate(w.letters)))
+        assert burau_reduced(w, e) == burau_by_products(power(w, e))
+
+    @settings(max_examples=30, deadline=None)
+    @given(words(max_strands=5, max_len=8), st.integers(0, 3))
+    def test_power_zero_is_the_twist_alone(self, w, k):
+        assert burau_reduced(w, 0, k) == scalar(w.strands, w.strands * k)
+
+    @pytest.mark.parametrize("e, k", [(0, 0), (1, 0), (3, 1), (5, 2)])
+    def test_two_strands_with_twists(self, e, k):
+        w = BraidWord(2, (1, -1, -1, 1, 1, 1))
+        full = concat(power(w, e), power(garside(2), 2 * k))
+        assert burau_reduced(w, e, k) == burau_by_products(full)
+
+    def test_entries_beyond_64_bits(self):
+        # s1 s2^-1 is pseudo-Anosov: its coefficients grow like 2.618^60.
+        w = BraidWord(3, (1, -2))
+        matrix = burau_reduced(w, 60)
+        assert matrix == burau_by_products(power(w, 60))
+        top = max(abs(c) for row in matrix.rows for entry in row for _, c in entry.terms)
+        assert top > 2**64
+
+    @settings(max_examples=40, deadline=None)
+    @given(words(max_strands=6, max_len=10), st.integers(0, 4))
+    def test_norm_bound_holds(self, w, e):
+        d = w.strands - 1
+        steps = [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
+        bound = _norm_bound(d, steps, e)
+        matrix = burau_reduced(w, e)
+        assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix.rows for entry in row)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

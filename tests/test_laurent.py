@@ -5,11 +5,15 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lenslinks.laurent as laurent
 from lenslinks.laurent import (
     DivisibilityError,
     LaurentMatrix,
     LaurentPoly,
+    _kronecker,
+    _pack,
     divide_exact,
+    slot_bits,
 )
 
 
@@ -26,6 +30,33 @@ def matrices(size, entry_polys=None):
         entry_polys = polys(max_terms=3, exp_range=2, coeff_range=3)
     row = st.tuples(*[entry_polys] * size)
     return st.tuples(*[row] * size).map(LaurentMatrix)
+
+
+def spread_polys(min_terms, max_terms, spread, max_bits):
+    """Polynomials of min_terms..max_terms terms spanning up to ``spread`` exponents per term.
+
+    The lowest exponent ranges over negative values too, and the
+    coefficients have mixed signs and up to ``max_bits`` bits.
+    """
+
+    def build(count, data):
+        span = data.draw(st.integers(count, spread * count))
+        exps = data.draw(st.lists(st.integers(0, span - 1), min_size=count, max_size=count, unique=True))
+        low = data.draw(st.integers(-60, 60))
+        coeff = st.integers(-(2**max_bits), 2**max_bits).filter(bool)
+        coeffs = data.draw(st.lists(coeff, min_size=count, max_size=count))
+        return LaurentPoly.from_dict({low + e: c for e, c in zip(exps, coeffs)})
+
+    return st.builds(build, st.integers(min_terms, max_terms), st.data())
+
+
+def schoolbook(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Reference product: every pair of terms, summed in a dict."""
+    coeffs: dict[int, int] = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly.from_dict(coeffs)
 
 
 T = LaurentPoly.monomial
@@ -106,6 +137,69 @@ class TestLaurentPoly:
         # be canonical, so re-validating them succeeds and changes nothing.
         for result in (a + b, a - b, a * b, -a, a.shift(-2)):
             assert LaurentPoly(result.terms) == result
+
+
+class TestKronecker:
+    @settings(max_examples=80, deadline=None)
+    @given(spread_polys(8, 40, 6, 80), spread_polys(8, 40, 6, 80))
+    def test_products_across_the_cutover(self, a, b):
+        # 8..40 terms and up to 6 exponents per term: both routes are taken.
+        assert a * b == schoolbook(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spread_polys(1, 12, 20, 70), spread_polys(1, 12, 20, 70))
+    def test_packed_route_on_small_and_sparse_operands(self, a, b):
+        # The gate keeps these on the schoolbook loop; the packed route
+        # itself must still be exact on them.
+        assert LaurentPoly(_kronecker(a.terms, b.terms)) == schoolbook(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spread_polys(16, 60, 4, 200), spread_polys(16, 60, 4, 3))
+    def test_coefficients_beyond_64_bits(self, a, b):
+        assert a * b == schoolbook(a, b)
+
+    def test_cancelling_product(self):
+        # (1 - t)(1 + t + ... + t^39) = 1 - t^40: every inner digit is zero.
+        ones = LaurentPoly.from_dict({e: 1 for e in range(-20, 20)})
+        assert ones * LaurentPoly.from_dict({0: 1, 1: -1}) == LaurentPoly.from_dict({-20: 1, 20: -1})
+        big = LaurentPoly.from_dict({e: 2**70 for e in range(20)})
+        alternating = LaurentPoly.from_dict({e: (-1) ** e for e in range(20)})
+        assert big * alternating == schoolbook(big, alternating)
+
+    @pytest.mark.parametrize(
+        "a_terms, b_terms, packed",
+        [
+            (16, 16, True),
+            (15, 40, False),
+            (40, 15, False),
+        ],
+    )
+    def test_route_follows_term_count(self, monkeypatch, a_terms, b_terms, packed):
+        calls = []
+        monkeypatch.setattr(laurent, "_kronecker", lambda a, b: calls.append(1) or _kronecker(a, b))
+        a = LaurentPoly.from_dict({e: e + 1 for e in range(a_terms)})
+        b = LaurentPoly.from_dict({-e: 2 * e - 7 for e in range(b_terms)})
+        assert a * b == schoolbook(a, b)
+        assert bool(calls) == packed
+
+    def test_route_follows_spread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(laurent, "_kronecker", lambda a, b: calls.append(1) or _kronecker(a, b))
+        dense = LaurentPoly.from_dict({e: 1 for e in range(20)})
+        gappy = LaurentPoly.from_dict({5 * e: -3 for e in range(20)})  # 96 exponents for 20 terms
+        assert dense * gappy == schoolbook(dense, gappy)
+        assert not calls
+        assert dense * dense == schoolbook(dense, dense)
+        assert calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), spread_polys(1, 20, 3, 300))
+    def test_pack_round_trip(self, bits, a):
+        k = slot_bits(max(bits, max(abs(c) for _, c in a.terms).bit_length() + 1))
+        assert LaurentPoly.from_packed(_pack(a.terms, k), k, a.min_exp()) == a
+
+    def test_slot_widths(self):
+        assert [slot_bits(b) for b in (1, 8, 9, 16, 17, 33, 64, 65, 129)] == [8, 8, 16, 16, 32, 64, 64, 128, 192]
 
 
 class TestDivideExact:
