@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``invariance``, ``lift``, ``torus-test``, ``genus``,
-``alexander``, ``puiseux``, ``homology``, ``nullhomologous``.  Every
-subcommand accepts ``--json``; the JSON field names are a stability
-contract for scripting, pinned by the golden outputs in
+``alexander``, ``puiseux``, ``homology``, ``nullhomologous``.  Each
+subcommand's handler returns its JSON fields and its text lines, and
+``run`` prints one or the other: every subcommand accepts ``--json``.  The
+JSON field names are a stability contract for scripting; they, the text
+output and the ``--help`` pages are pinned by the golden outputs in
 ``tests/fixtures/cli_golden.json``.
 
 Exit codes: 0 success, 1 domain error, 2 usage or parse error, 3 internal
@@ -18,7 +20,7 @@ import math
 import shlex
 import sys
 
-from .braid import closure_components, parse_braid_word
+from .braid import parse_braid_word
 from .curves import (
     PuiseuxData,
     invariance_class,
@@ -28,12 +30,11 @@ from .curves import (
     torus_lift_class,
 )
 from .errors import ParseError
-from .genus import bennequin_fiber, quotient_genus, torus_quotient_genus
+from .genus import bennequin_fiber, quotient_genus
 from .invariants import alexander_of_closure, equal_up_to_unit, torus_braid
 from .laurent import DivisibilityError
 from .lens import (
     ConsistencyError,
-    components,
     homology_classes,
     lift,
     lifted_component_count,
@@ -48,15 +49,6 @@ _LIFT_LETTER_LIMIT = 1_000_000
 # The strand count n of a band or braid: closure permutations take O(n)
 # memory and Burau matrices (n-1)^2 entries.
 _STRAND_LIMIT = 256
-
-
-def _emit(args, fields: dict, text_lines: list[str]) -> int:
-    if args.json:
-        print(json.dumps(fields))
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
 
 
 def _check_size(size: int, what: str, unit: str = "letters", limit: int = _LIFT_LETTER_LIMIT) -> None:
@@ -87,27 +79,25 @@ def _check_torus_size(a: int, b: int) -> None:
     _check_size(max(a, 0) * max(b - 1, 0), f"torus braid T({a},{b})")
 
 
-def _cmd_invariance(args) -> int:
+def _band_fields(diagram) -> dict:
+    return {"p": diagram.space.p, "q": diagram.space.q, "n": diagram.word.strands}
+
+
+def _cmd_invariance(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.poly)
     k = invariance_class(f, args.p, args.q)
     fields = {"poly": str(f), "p": args.p, "q": args.q, "invariant": k is not None, "k": k}
     text = [f"k = {k}"] if k is not None else ["no invariance class"]
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> tuple[dict, list[str]]:
     diagram = parse_band_diagram(args.band, _check_lift_size)
     if args.compare_torus:
         _check_torus_size(*args.compare_torus)
     lifted = lift(diagram)
-    count = len(closure_components(lifted))
-    fields = {
-        "p": diagram.space.p,
-        "q": diagram.space.q,
-        "n": diagram.word.strands,
-        "lifted_word": list(lifted.letters),
-        "components": count,
-    }
+    count = lifted_component_count(diagram)
+    fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "components": count}
     text = [f"lifted word: {lifted}", f"components: {count}"]
     if args.compare_torus:
         a, b = args.compare_torus
@@ -127,10 +117,10 @@ def _cmd_lift(args) -> int:
             )
             fields["equal_up_to_unit"] = same
             text.append(f"equal_up_to_unit: {'true' if same else 'false'}")
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_torus_test(args) -> int:
+def _cmd_torus_test(args) -> tuple[dict, list[str]]:
     if args.q is not None:
         k = torus_lift_class(args.a, args.b, args.p, args.q)
         fields = {
@@ -150,16 +140,16 @@ def _cmd_torus_test(args) -> int:
         fields = {"a": args.a, "b": args.b, "p": args.p, "lift_of_knot": ok}
         verdict = "is" if ok else "is not"
         text = [f"T({args.a},{args.b}) {verdict} the lift of a knot in L({args.p},q)"]
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_genus(args) -> int:
+def _cmd_genus(args) -> tuple[dict, list[str]]:
     if args.torus:
         a, b = args.torus
         _check_torus_size(a, b)
         p = math.gcd(a, b)
         fiber = bennequin_fiber(torus_braid(a, b))
-        g = torus_quotient_genus(a, b)
+        g = quotient_genus(p, 0, fiber.genus)
         fields = {
             "p": p,
             "lift_genus": fiber.genus,
@@ -185,10 +175,10 @@ def _cmd_genus(args) -> int:
         text = [f"quotient genus = {g}"]
         if k != 0:
             text.append("warning: k != 0 is an unvalidated regime")
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args) -> tuple[dict, list[str]]:
     if args.braid is not None:
         if args.strands is None:
             raise ValueError("--braid requires --strands")
@@ -201,18 +191,12 @@ def _cmd_alexander(args) -> int:
         diagram = parse_band_diagram(args.band, _check_lift_size)
         lifted = lift(diagram)
         poly = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
-        fields = {
-            "p": diagram.space.p,
-            "q": diagram.space.q,
-            "n": diagram.word.strands,
-            "lifted_word": list(lifted.letters),
-            "alexander": str(poly),
-        }
+        fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "alexander": str(poly)}
         text = [f"lifted word: {lifted}", f"alexander: {poly}"]
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_puiseux(args) -> int:
+def _cmd_puiseux(args) -> tuple[dict, list[str]]:
     data = PuiseuxData(args.m, tuple(args.exponents))
     seq = puiseux_pairs(data, characteristic_only=args.characteristic_only)
     fields = {
@@ -220,44 +204,31 @@ def _cmd_puiseux(args) -> int:
         "exponents": list(args.exponents),
         "pairs": [list(pair) for pair in seq.pairs],
     }
-    return _emit(args, fields, [f"pairs: {seq}"])
+    return fields, [f"pairs: {seq}"]
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> tuple[dict, list[str]]:
     diagram = parse_band_diagram(args.band, _check_lift_size)
     classes = [c.value for c in homology_classes(diagram)]
     lifted = lifted_component_count(diagram)
-    fields = {
-        "p": diagram.space.p,
-        "q": diagram.space.q,
-        "n": diagram.word.strands,
-        "components": len(components(diagram)),
-        "classes": classes,
-        "lifted_components": lifted,
-    }
+    fields = {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
     text = [
         f"classes: {' '.join(str(c) for c in classes)}",
         f"lifted components: {lifted}",
     ]
-    return _emit(args, fields, text)
+    return fields, text
 
 
-def _cmd_nullhomologous(args) -> int:
+def _cmd_nullhomologous(args) -> tuple[dict, list[str]]:
     diagram = parse_band_diagram(args.band, _check_orientation_table)
     signs = nullhomologous_orientation(diagram)
     rendered = None if signs is None else ["+" if s > 0 else "-" for s in signs]
-    fields = {
-        "p": diagram.space.p,
-        "q": diagram.space.q,
-        "n": diagram.word.strands,
-        "exists": signs is not None,
-        "orientation": rendered,
-    }
+    fields = {**_band_fields(diagram), "exists": signs is not None, "orientation": rendered}
     if rendered is None:
         text = ["no nullhomologous orientation (the diagram is not an algebraic link)"]
     else:
         text = [f"orientation: {' '.join(rendered)}"]
-    return _emit(args, fields, text)
+    return fields, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,14 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-
     p = sub.add_parser("invariance", help="invariance class of a polynomial under the L(p,q) action")
     p.add_argument("--poly", required=True, help="polynomial text, e.g. 'x^8 + y^2'")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    add_json(p)
     p.set_defaults(func=_cmd_invariance)
 
     p = sub.add_parser("lift", help="lift a band diagram to a closed braid in the 3-sphere")
@@ -286,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("A", "B"),
         help="compare the lift's Alexander polynomial with T(A,B)",
     )
-    add_json(p)
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("torus-test", help="is T(a,b) the lift of an algebraic link/knot?")
@@ -294,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, help="test a specific L(p,q); omit to test the knot criterion")
-    add_json(p)
     p.set_defaults(func=_cmd_torus_test)
 
     p = sub.add_parser("genus", help="Seifert genus of the quotient knot")
@@ -307,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("P", "K", "LIFT_GENUS"),
         help="apply the quotient-genus formula directly",
     )
-    add_json(p)
     p.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("alexander", help="Alexander polynomial of a closure or lifted band diagram")
@@ -315,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--braid", help="braid word, e.g. '1 1 1'")
     group.add_argument("--band", help="band diagram 'p q n : letters'")
     p.add_argument("--strands", type=int, help="strand count for --braid")
-    add_json(p)
     p.set_defaults(func=_cmd_alexander)
 
     p = sub.add_parser("puiseux", help="rewrite Puiseux exponents into cable pairs")
@@ -327,24 +290,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated numerators, e.g. 6,7",
     )
     p.add_argument("--characteristic-only", action="store_true")
-    add_json(p)
     p.set_defaults(func=_cmd_puiseux)
 
     p = sub.add_parser("homology", help="homology classes of a band diagram's components")
     p.add_argument("--band", required=True)
-    add_json(p)
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("nullhomologous", help="search for a nullhomologous orientation")
     p.add_argument("--band", required=True)
-    add_json(p)
     p.set_defaults(func=_cmd_nullhomologous)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit one JSON object")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` and execute; returns the process exit code."""
+    """Parse ``argv``, execute, and print the result; returns the process exit code.
+
+    This is the one place that writes output: the handler's fields as one
+    JSON object with ``--json``, else its text lines.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
@@ -353,7 +319,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        fields, text = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -366,6 +332,8 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(fields) if args.json else "\n".join(text))
+    return 0
 
 
 def main() -> None:

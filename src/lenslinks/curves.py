@@ -262,10 +262,27 @@ def torus_lift_class(a: int, b: int, p: int, q: int) -> int | None:
 
 
 def is_torus_knot_lift(a: int, b: int, p: int) -> bool:
-    """Whether T(a,b) is the lift of an algebraic KNOT in L(p,q): gcd(a,b) = p."""
+    """Whether T(a,b) is the lift of an algebraic KNOT in L(p,q) for some q coprime to p.
+
+    The action (x, y) -> (zeta x, zeta^q y) moves the d = gcd(a,b)
+    components x^(a/d) = w y^(b/d) of x^a + y^b by w -> w zeta^m with
+    m = q b/d - a/d.  Each orbit has p/gcd(m,p) components, so the quotient
+    has d gcd(m,p)/p of them, and it is a knot exactly when d gcd(m,p) = p;
+    that also forces a = qb (mod p), the invariance of the polynomial.
+
+    Some q coprime to p passes exactly when d divides p, e = p/d is coprime
+    to a'b' (a' = a/d, b' = b/d), and not (d even, e odd and a'b' odd).
+    Prime by prime of p: where r divides e, q = a'/b' (mod r) must be a
+    unit; where 2 divides d but not e, m = q b' - a' must be odd for an odd
+    q, which fails when a' and b' are both odd.
+    """
     if a < 1 or b < 1 or p < 1:
         raise ValueError("arguments must be positive")
-    return math.gcd(a, b) == p
+    d = math.gcd(a, b)
+    if p % d != 0:
+        return False
+    e, ab = p // d, (a // d) * (b // d)
+    return math.gcd(e, ab) == 1 and not (d % 2 == 0 and e % 2 == 1 and ab % 2 == 1)
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,7 @@ def torus_quotient_genus(a: int, b: int) -> int:
     """Seifert genus of the knot in L(p,q) lifting to T(a,b), where p = gcd(a,b).
 
     The lift genus comes from the Bennequin fiber of the standard positive
-    torus braid, and the quotient genus is (g~ + p - 1)/p.
+    torus braid, and the quotient genus is ``quotient_genus(p, 0, g~)``,
+    which is (g~ + p - 1)/p.
     """
-    p = math.gcd(a, b)
-    lift_genus = bennequin_fiber(torus_braid(a, b)).genus
-    if (lift_genus + p - 1) % p != 0:
-        raise ValueError(
-            f"({lift_genus} + {p} - 1)/{p} is not an integer; inconsistent torus data"
-        )
-    return (lift_genus + p - 1) // p
+    return quotient_genus(math.gcd(a, b), 0, bennequin_fiber(torus_braid(a, b)).genus)

@@ -191,19 +191,11 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no minimum exponent")
         return self.terms[0][0]
 
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no maximum exponent")
-        return self.terms[-1][0]
-
     def coefficient(self, exponent: int) -> int:
         for e, c in self.terms:
             if e == exponent:
                 return c
         return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the unit t^k."""

@@ -25,7 +25,16 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, concat, garside, parse_braid_word, permutation, power
+from .braid import (
+    BraidWord,
+    StrandPermutation,
+    closure_components,
+    concat,
+    garside,
+    parse_braid_word,
+    permutation,
+    power,
+)
 from .errors import ParseError
 
 
@@ -116,16 +125,29 @@ def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
     )
 
 
+def _permutation_power(perm: StrandPermutation, e: int) -> StrandPermutation:
+    """``perm`` composed with itself e >= 0 times, by repeated squaring."""
+    result = StrandPermutation.identity(perm.n)
+    while e:
+        if e & 1:
+            result = result.then(perm)
+        perm = perm.then(perm)
+        e >>= 1
+    return result
+
+
 def lifted_component_count(d: BandDiagram) -> int:
     """Number of components of the lift, as sum_i gcd(delta_i, p).
 
-    The count is recomputed from the cycles of the lifted word's closure;
-    disagreement raises :class:`ConsistencyError` because the two routes
-    must coincide for every band diagram.
+    The count is recomputed from the cycles of the lift's closure
+    permutation, perm(word)^p (the closing twist garside(n)^(2q) is a pure
+    braid), composed without building the lifted word; disagreement raises
+    :class:`ConsistencyError` because the two routes must coincide for
+    every band diagram.
     """
     p = d.space.p
     from_classes = sum(math.gcd(c.value, p) for c in homology_classes(d))
-    from_lift = len(closure_components(lift(d)))
+    from_lift = len(_permutation_power(permutation(d.word), p).cycles())
     if from_classes != from_lift:
         raise ConsistencyError(
             f"homology predicts {from_classes} lifted components, "

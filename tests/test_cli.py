@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -43,15 +44,36 @@ def run_fresh(argv):
     return done.returncode, done.stdout, done.stderr
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN])
+# Every case pins its text output; the subcommand cases pin their JSON too,
+# and the --help cases (recorded with COLUMNS=80) only their text.
+JSON_CASES = [case for case in GOLDEN if "json" in case]
+
+
+def _ids(cases):
+    return [" ".join(case["argv"]) for case in cases]
+
+
+@pytest.mark.parametrize("case", JSON_CASES, ids=_ids(JSON_CASES))
 def test_golden_json(capsys, case):
     code, out, err = run(capsys, case["argv"] + ["--json"])
     assert (code, err) == (0, "")
     assert json.loads(out) == case["json"]
 
 
+@pytest.mark.parametrize("case", GOLDEN, ids=_ids(GOLDEN))
+def test_golden_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, case["argv"]) == (0, case["text"], "")
+
+
+def test_golden_covers_every_help():
+    helps = {tuple(case["argv"]) for case in GOLDEN if "json" not in case}
+    subcommands = {case["argv"][0] for case in JSON_CASES}
+    assert helps == {("--help",)} | {(name, "--help") for name in subcommands}
+
+
 def test_golden_covers_both_alexander_inputs():
-    flags = {case["argv"][1] for case in GOLDEN if case["argv"][0] == "alexander"}
+    flags = {case["argv"][1] for case in JSON_CASES if case["argv"][0] == "alexander"}
     assert flags == {"--band", "--braid"}
 
 
@@ -129,6 +151,17 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "argv", ["lenslinks", "alexander", "--band", "3 1 2 : 1 1"])
         assert cli.run() == 3
         assert capsys.readouterr().err.endswith("lenslinks alexander --band '3 1 2 : 1 1'\n")
+
+
+def test_torus_test_agrees_with_genus(capsys):
+    # With p = gcd(a,b), T(a,b) lifts a knot exactly when the quotient genus
+    # (g~ + p - 1)/p is an integer.
+    for a in range(1, 25):
+        for b in range(1, 25):
+            p = math.gcd(a, b)
+            _, out, _ = run(capsys, ["torus-test", "--a", str(a), "--b", str(b), "--p", str(p), "--json"])
+            knot = json.loads(out)["lift_of_knot"]
+            assert run(capsys, ["genus", "--torus", str(a), str(b)])[0] == (0 if knot else 1), (a, b)
 
 
 class TestSizeLimits:
@@ -237,7 +270,7 @@ class TestStrandLimit:
             raise AssertionError("built before the strand check")
 
         monkeypatch.setattr(lenslinks.lens, "closure_components", forbidden)
-        for name in ("alexander_of_closure", "closure_components", "components", "lift"):
+        for name in ("alexander_of_closure", "lift"):
             monkeypatch.setattr(cli, name, forbidden)
         for argv in (
             ["alexander", "--braid", "", "--strands", "100000"],
@@ -335,16 +368,31 @@ _SOUP = st.builds(
 _ARGV = st.one_of(_COMMANDS, _COMMANDS.map(lambda argv: argv + ["--json"]), _SOUP)
 
 
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process call, outside pytest's capture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestArgvFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_ARGV)
     def test_any_argv_exits_cleanly(self, argv):
-        out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
+        code, out, err = run_captured(argv)
         assert time.perf_counter() - start < 5
-        out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert len(out) + len(err) < 100_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(_COMMANDS)
+    def test_text_and_json_agree(self, argv):
+        code, text, err = run_captured(argv)
+        json_code, out, json_err = run_captured(argv + ["--json"])
+        assert (json_code, json_err) == (code, err)
+        if code == 0:
+            assert text.strip()
+            assert isinstance(json.loads(out), dict)

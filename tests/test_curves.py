@@ -19,6 +19,7 @@ from lenslinks.curves import (
     torus_poly,
 )
 from lenslinks.errors import ParseError
+from lenslinks.lens import components, lifted_component_count, parse_band_diagram
 
 
 class TestParsePoly:
@@ -144,6 +145,13 @@ class TestSubstitutePowers:
             assert invariance_class(g, p, q) == 0
 
 
+def _knot_lift_in(a, b, p, q):
+    # Reference rule for one action: the quotient of T(a,b) by
+    # (zeta x, zeta^q y) has d gcd(q b/d - a/d, p)/p components, d = gcd(a,b).
+    d = math.gcd(a, b)
+    return d * math.gcd(q * (b // d) - a // d, p) == p
+
+
 class TestTorusCriteria:
     def test_witness_for_8_2_in_l31(self):
         assert torus_lift_class(8, 2, 3, 1) == 2
@@ -158,6 +166,39 @@ class TestTorusCriteria:
         assert is_torus_knot_lift(9, 3, 3)
         assert is_torus_knot_lift(4, 2, 2)
         assert not is_torus_knot_lift(6, 4, 3)
+
+    def test_knot_lift_depends_on_the_action(self):
+        # T(6,2) lifts only a two-component link from L(2,1); the knot T(5,2)
+        # is the lift of a knot in L(3,1) although gcd(5,2) = 1.
+        assert not is_torus_knot_lift(6, 2, 2)
+        assert is_torus_knot_lift(5, 2, 3)
+        assert _knot_lift_in(5, 2, 3, 1)
+        assert not _knot_lift_in(5, 2, 3, 2)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
+    def test_some_q_matches_search(self, a, b, p):
+        units = [q for q in range(p) if math.gcd(p, q) == 1]
+        passing = [q for q in units if _knot_lift_in(a, b, p, q)]
+        assert is_torus_knot_lift(a, b, p) == bool(passing)
+        # a knot's defining polynomial is invariant
+        assert all(torus_lift_class(a, b, p, q) is not None for q in passing)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda p: st.tuples(st.just(p), st.sampled_from([q for q in range(p) if math.gcd(p, q) == 1]))
+        ),
+        st.integers(1, 6),
+        st.integers(1, 6),
+    )
+    def test_matches_band_diagram(self, space, n, j):
+        # p q n : (n-1 ... 1)^j lifts to T(jp + qn, n); it is a knot in
+        # L(p,q) exactly when its closure has one cycle.
+        p, q = space
+        letters = " ".join(map(str, range(n - 1, 0, -1))) + " "
+        diagram = parse_band_diagram(f"{p} {q} {n} : {letters * j}")
+        a = j * p + q * n
+        assert lifted_component_count(diagram) == math.gcd(a, n)
+        assert _knot_lift_in(a, n, p, q) == (len(components(diagram)) == 1)
 
     def test_matches_polynomial_invariance(self):
         for a in range(1, 9):
