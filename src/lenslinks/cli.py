@@ -15,6 +15,7 @@ consistency fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -231,6 +232,8 @@ def _cmd_nullhomologous(args) -> tuple[dict, list[str]]:
     return fields, text
 
 
+# One parser serves every call in a process: parse_args does not change it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lenslinks",

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import lenslinks.cli as cli
 import lenslinks.lens
 from lenslinks.laurent import DivisibilityError
 from lenslinks.lens import ConsistencyError
+from modp import P, det_mod, random_point
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
 SRC = str(Path(lenslinks.__file__).resolve().parent.parent)
@@ -164,6 +166,39 @@ def test_torus_test_agrees_with_genus(capsys):
             assert run(capsys, ["genus", "--torus", str(a), str(b)])[0] == (0 if knot else 1), (a, b)
 
 
+def alexander_mod(strands, letters, r):
+    """det(burau - id) / (1 + t + ... + t^(n-1)) at t = r mod P, from the generator matrices.
+
+    The product is kept as columns: right-multiplying by the generator of
+    ``letter`` replaces column i = |letter| - 1 by the combination of columns
+    i - 1, i, i + 1 that the generator's column i holds.
+    """
+    d = strands - 1
+    cols = [[int(row == col) for row in range(d)] for col in range(d)]
+    inverse = pow(r, -1, P)
+    for letter in letters:
+        i = abs(letter) - 1
+        weights = (r, -r, 1) if letter > 0 else (1, -inverse, inverse)
+        new = [0] * d
+        for j, weight in zip((i - 1, i, i + 1), weights):
+            if 0 <= j < d:
+                new = [(x + weight * y) % P for x, y in zip(new, cols[j])]
+        cols[i] = new
+    numerator = det_mod([[cols[c][row] - (row == c) for c in range(d)] for row in range(d)])
+    return numerator * pow(sum(pow(r, k, P) for k in range(strands)), -1, P) % P
+
+
+def printed_mod(text, r):
+    """The value at t = r mod P of a polynomial as ``LaurentPoly.__str__`` prints it."""
+    total = 0
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coeff, var, power = term.lstrip("-").partition("t")
+        exponent = int(power.lstrip("^") or 1) if var else 0
+        total += sign * int(coeff.rstrip("*") or 1) * pow(r, exponent, P)
+    return total % P
+
+
 class TestSizeLimits:
     @pytest.mark.parametrize(
         "argv, size",
@@ -224,6 +259,22 @@ class TestSizeLimits:
         assert code == 0
         assert json.loads(out)["exists"] is False
 
+    @pytest.mark.parametrize("n", [24, 28, 32])
+    def test_long_dense_braids_answered_quickly(self, capsys, n):
+        # 8n mixed-sign letters on n strands: a cofactor determinant of the
+        # (n-1)x(n-1) Burau matrix would take tens of seconds.
+        rng = random.Random(n)
+        letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(8 * n)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["alexander", "--braid", " ".join(map(str, letters)), "--strands", str(n), "--json"])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        r = random_point(n)
+        printed, expected = printed_mod(json.loads(out)["alexander"], r), alexander_mod(n, letters, r)
+        # Equal up to a unit +-t^k; the normalized polynomial starts at t^0.
+        units = {sign * pow(r, k, P) % P for sign in (1, -1) for k in range(-9 * n, 9 * n + 1)}
+        assert any(printed * unit % P == expected for unit in units)
+
 
 class TestRepeatedCalls:
     @pytest.mark.parametrize(
@@ -237,6 +288,13 @@ class TestRepeatedCalls:
         second = run(capsys, valid)
         assert first == run_fresh(failing)
         assert second == run_fresh(valid)
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        run(capsys, ["frobnicate"])
+        run(capsys, ["torus-test", "--a", "3", "--b", "2", "--p", "5"])
+        run(capsys, ["genus", "--help"])
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_help_unchanged_by_reuse(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -295,8 +353,8 @@ class TestStrandLimit:
 
 # Tokens chosen to reach every refusal and parse error: huge and negative
 # integers, unicode digits, separators, and band diagrams whose p, q, n and
-# letters are drawn from the same mix.  Words stay short: on a dense word of
-# a few dozen strands the cofactor determinant takes minutes.
+# letters are drawn from the same mix.  Words stay short so that each draw
+# is fast; TestSizeLimits covers long dense words on many strands.
 _INTS = st.one_of(
     st.integers(-3, 20),
     st.sampled_from([10**6, 10**9, 10**18, 2**64, 10**40, -(10**18)]),

@@ -1,5 +1,6 @@
 """Exact Laurent polynomial and matrix arithmetic."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from lenslinks.laurent import (
     divide_exact,
     slot_bits,
 )
+from modp import det_mod, poly_mod, random_point
 
 
 def polys(max_terms=5, exp_range=4, coeff_range=5):
@@ -317,3 +319,88 @@ class TestDetAgainstLeibniz:
     def test_sparse(self, m):
         # Entries are often zero, and so are many minors.
         assert m.det() == leibniz_det(m)
+
+
+def random_matrix(d, seed, density=1.0, terms=(1, 3)):
+    """A d x d matrix of random polynomials with exponents in -2..2.
+
+    Each entry is nonzero with probability ``density`` and then has a number
+    of terms drawn from the range ``terms``.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() >= density:
+            return ZERO
+        exponents = rng.sample(range(-2, 3), rng.randint(*terms))
+        return LaurentPoly.from_dict({e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in exponents})
+
+    return LaurentMatrix.from_rows([[entry() for _ in range(d)] for _ in range(d)])
+
+
+def with_entries(m: LaurentMatrix, entries: dict) -> LaurentMatrix:
+    rows = [list(row) for row in m.rows]
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return LaurentMatrix.from_rows(rows)
+
+
+class TestBareiss:
+    @pytest.mark.parametrize("d", range(5, 15))
+    @pytest.mark.parametrize("density", [1.0, 0.4])
+    def test_against_elimination_mod_p(self, d, density):
+        m = random_matrix(d, seed=f"{d} {density}", density=density)
+        r = random_point(f"{d} {density}")
+        values = [[poly_mod(entry, r) for entry in row] for row in m.rows]
+        assert poly_mod(m.det(), r) == det_mod(values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(5, 8).flatmap(matrices))
+    def test_against_laplace(self, m):
+        assert m.det() == m._laplace_det()
+
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize(
+        "cell",
+        [(0, 0), (2, 0), (0, 3), (2, 3), (4, 4), (3, 1)],
+        ids=["diagonal", "row swap", "column swap", "row and column swap", "late cell", "off diagonal"],
+    )
+    def test_pivot_off_the_diagonal(self, d, cell):
+        # Every other entry has three terms, so the monomial is the first pivot.
+        m = with_entries(random_matrix(d, seed=d, terms=(3, 3)), {cell: T(1, -2)})
+        assert m.det() == m._laplace_det() == leibniz_det(m)
+        assert not m.det().is_zero
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_zero_column_mid_elimination(self, d):
+        # The monomial at (0, 0) is the first pivot, and column 2 is t times
+        # column 0: after the first step, column 2 of the remaining block is
+        # zero and the pivot search must pass over it.
+        m = with_entries(random_matrix(d, seed=d, terms=(3, 3)), {(0, 0): T(1, 3)})
+        m = with_entries(m, {(i, 2): T(1) * m.rows[i][0] for i in range(d)})
+        assert m.det() == leibniz_det(m) == ZERO
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_singular(self, d):
+        m = random_matrix(d, seed=d)
+        # The last row is the sum of the first two, scaled by 1 - t.
+        scale = LaurentPoly.from_dict({0: 1, 1: -1})
+        last = tuple(scale * (a + b) for a, b in zip(m.rows[0], m.rows[1]))
+        s = LaurentMatrix(m.rows[:-1] + (last,))
+        assert s.det() == leibniz_det(s) == ZERO
+
+    def test_rank_one_block_is_zero(self):
+        u = [T(i - 2, i + 1) for i in range(6)]
+        v = [LaurentPoly.from_dict({0: 1, j: -j - 1}) for j in range(6)]
+        m = LaurentMatrix.from_rows([[a * b for b in v] for a in u])
+        assert m.det() == ZERO
+
+    def test_products_cubic_in_size(self, monkeypatch):
+        d = 10
+        m = random_matrix(d, seed="dense")
+        calls = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        m.det()
+        # Laplace expansion makes d * 2^(d-1) = 5,120 products here.
+        assert len(calls) <= d**3
