@@ -13,8 +13,6 @@ from .braid import (
     StrandPermutation,
     closure_components,
     concat,
-    exponent_sum,
-    free_reduce,
     garside,
     parse_braid_word,
     permutation,
@@ -28,17 +26,13 @@ from .curves import (
     is_torus_knot_lift,
     parse_poly,
     puiseux_pairs,
-    substitute_powers,
-    torus_lift_class,
     torus_poly,
 )
 from .errors import ParseError
 from .genus import (
     FiberData,
     bennequin_fiber,
-    fiber_multiplicity,
     quotient_genus,
-    torus_quotient_genus,
 )
 from .invariants import (
     AlexanderPoly,
@@ -87,9 +81,6 @@ __all__ = [
     "concat",
     "divide_exact",
     "equal_up_to_unit",
-    "exponent_sum",
-    "fiber_multiplicity",
-    "free_reduce",
     "garside",
     "homology_classes",
     "invariance_class",
@@ -104,9 +95,6 @@ __all__ = [
     "power",
     "puiseux_pairs",
     "quotient_genus",
-    "substitute_powers",
     "torus_braid",
-    "torus_lift_class",
     "torus_poly",
-    "torus_quotient_genus",
 ]

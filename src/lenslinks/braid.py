@@ -57,18 +57,11 @@ class StrandPermutation:
     def identity(n: int) -> StrandPermutation:
         return StrandPermutation(n, tuple(range(1, n + 1)))
 
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
     def then(self, other: StrandPermutation) -> StrandPermutation:
         """Composite permutation: apply ``self`` first, then ``other``."""
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different sizes")
         return StrandPermutation(self.n, tuple(other.image[j - 1] for j in self.image))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(self.image[i] == i + 1 for i in range(self.n))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; cycles start at their minimum and are sorted by it."""
@@ -132,21 +125,6 @@ def permutation(w: BraidWord) -> StrandPermutation:
 def closure_components(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Cycles of the underlying permutation = components of the closed braid."""
     return permutation(w).cycles()
-
-
-def exponent_sum(w: BraidWord) -> int:
-    return sum(1 if letter > 0 else -1 for letter in w.letters)
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    stack: list[int] = []
-    for letter in w.letters:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(w.strands, tuple(stack))
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:

@@ -28,7 +28,7 @@ from .curves import (
     is_torus_knot_lift,
     parse_poly,
     puiseux_pairs,
-    torus_lift_class,
+    torus_poly,
 )
 from .errors import ParseError
 from .genus import bennequin_fiber, quotient_genus
@@ -44,8 +44,8 @@ from .lens import (
 )
 
 # Printed lifts and torus braids are materialized words; refuse absurd sizes
-# instead of exhausting memory on garbage input.  Every command checks its
-# sizes with _check_size before it builds anything.
+# instead of exhausting memory on garbage input.  Each command checks the
+# sizes of what it builds, and only those, before it builds anything.
 _LIFT_LETTER_LIMIT = 1_000_000
 # The strand count n of a band or braid: closure permutations take O(n)
 # memory and Burau matrices (n-1)^2 entries.
@@ -61,18 +61,16 @@ def _check_strands(n: int, what: str) -> None:
     _check_size(n, what, "strands", _STRAND_LIMIT)
 
 
+def _check_band_strands(space, word) -> None:
+    # What homology and nullhomologous build (closure permutations, perm^p by
+    # squaring, the orientation table) grows with n and only with log p.
+    _check_strands(word.strands, "band diagram")
+
+
 def _check_lift_size(space, word) -> None:
     n = word.strands
     _check_size(space.p * len(word) + space.q * n * (n - 1), "lifted word")
-    _check_strands(n, "band diagram")
-
-
-def _check_orientation_table(space, word) -> None:
-    # The search keeps one mask of min(p, n + 1) bits for each of the at
-    # most n components, whose count needs the closure permutation.
-    n = word.strands
-    _check_size(n * min(space.p, n + 1), "orientation table", "bits")
-    _check_strands(n, "band diagram")
+    _check_band_strands(space, word)
 
 
 def _check_torus_size(a: int, b: int) -> None:
@@ -123,7 +121,7 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
 
 def _cmd_torus_test(args) -> tuple[dict, list[str]]:
     if args.q is not None:
-        k = torus_lift_class(args.a, args.b, args.p, args.q)
+        k = invariance_class(torus_poly(args.a, args.b), args.p, args.q)
         fields = {
             "a": args.a,
             "b": args.b,
@@ -209,7 +207,7 @@ def _cmd_puiseux(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_homology(args) -> tuple[dict, list[str]]:
-    diagram = parse_band_diagram(args.band, _check_lift_size)
+    diagram = parse_band_diagram(args.band, _check_band_strands)
     classes = [c.value for c in homology_classes(diagram)]
     lifted = lifted_component_count(diagram)
     fields = {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
@@ -221,7 +219,7 @@ def _cmd_homology(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_nullhomologous(args) -> tuple[dict, list[str]]:
-    diagram = parse_band_diagram(args.band, _check_orientation_table)
+    diagram = parse_band_diagram(args.band, _check_band_strands)
     signs = nullhomologous_orientation(diagram)
     rendered = None if signs is None else ["+" if s > 0 else "-" for s in signs]
     fields = {**_band_fields(diagram), "exists": signs is not None, "orientation": rendered}

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+from .lens import LensSpace
 
 
 @dataclass(frozen=True)
@@ -57,29 +58,6 @@ class SupportPoly:
 
     def support(self) -> tuple[tuple[int, int], ...]:
         return tuple(k for k, _ in self.terms)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        for key, c in self.terms:
-            if key == (i, j):
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: SupportPoly) -> SupportPoly:
-        coeffs = dict(self.terms)
-        for key, c in other.terms:
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        return SupportPoly.from_dict(coeffs)
-
-    def __neg__(self) -> SupportPoly:
-        return SupportPoly(tuple((k, -c) for k, c in self.terms))
-
-    def __mul__(self, other: SupportPoly) -> SupportPoly:
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                key = (i1 + i2, j1 + j2)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
-        return SupportPoly.from_dict(coeffs)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -210,12 +188,10 @@ def invariance_class(f: SupportPoly, p: int, q: int) -> int | None:
     """The residue k with f(zeta x, zeta^q y) = zeta^k f(x, y), or None.
 
     Exists exactly when all support pairs (i, j) share one residue
-    i + q*j mod p.  Requires gcd(p,q) = 1 and f != 0.
+    i + q*j mod p.  Requires f != 0 and a lens space L(p,q), validated by
+    :class:`LensSpace`.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p} and q={q} must be coprime")
+    LensSpace(p, q)
     if f.is_zero:
         raise ValueError("the zero polynomial has no invariance class")
     residues = {(i + q * j) % p for i, j in f.support()}
@@ -224,41 +200,12 @@ def invariance_class(f: SupportPoly, p: int, q: int) -> int | None:
     return None
 
 
-def substitute_powers(f: SupportPoly, p: int) -> SupportPoly:
-    """The polynomial f(x^p, y^p); its invariance class is 0 for every valid q.
-
-    Requires f(0,0) = 0, so the result still vanishes at the origin and
-    defines a link there.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if f.coefficient(0, 0) != 0:
-        raise ValueError("the polynomial must vanish at the origin")
-    return SupportPoly(tuple(((p * i, p * j), c) for (i, j), c in f.terms))
-
-
 def torus_poly(a: int, b: int) -> SupportPoly:
     """x^a + y^b, whose zero set meets a small sphere in the torus link T(a,b)."""
     if a < 1 or b < 1:
         raise ValueError("torus parameters must be positive")
-    return SupportPoly.from_dict({(a, 0): 1, (0, b): 1})
-
-
-def torus_lift_class(a: int, b: int, p: int, q: int) -> int | None:
-    """Invariance witness for x^a + y^b in L(p,q): a mod p if a = qb (mod p), else None.
-
-    T(a,b) is the lift of an algebraic link in L(p,q) exactly when the
-    witness exists.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("torus parameters must be positive")
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p} and q={q} must be coprime")
-    if (a - q * b) % p == 0:
-        return a % p
-    return None
+    one = Fraction(1)
+    return SupportPoly((((0, b), one), ((a, 0), one)))
 
 
 def is_torus_knot_lift(a: int, b: int, p: int) -> bool:

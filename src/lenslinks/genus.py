@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .braid import BraidWord, closure_components
-from .invariants import torus_braid
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,6 @@ def bennequin_fiber(w: BraidWord) -> FiberData:
     return FiberData.from_euler(euler, len(closure_components(w)))
 
 
-def fiber_multiplicity(p: int, k: int) -> int:
-    """p / gcd(k, p): how many fibers of the sphere fibration make one quotient fiber."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if not 0 <= k < p:
-        raise ValueError(f"the invariance class must satisfy 0 <= k < p, got {k}")
-    return p // math.gcd(k, p)
-
-
 def quotient_genus(p: int, k: int, lift_genus: int) -> int:
     """Seifert genus of an algebraic knot in L(p,q) from the genus of its lift.
 
@@ -97,13 +87,3 @@ def quotient_genus(p: int, k: int, lift_genus: int) -> int:
     if g < 0:
         raise ValueError("negative quotient genus; inconsistent inputs")
     return g
-
-
-def torus_quotient_genus(a: int, b: int) -> int:
-    """Seifert genus of the knot in L(p,q) lifting to T(a,b), where p = gcd(a,b).
-
-    The lift genus comes from the Bennequin fiber of the standard positive
-    torus braid, and the quotient genus is ``quotient_genus(p, 0, g~)``,
-    which is (g~ + p - 1)/p.
-    """
-    return quotient_genus(math.gcd(a, b), 0, bennequin_fiber(torus_braid(a, b)).genus)

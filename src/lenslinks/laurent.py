@@ -172,13 +172,6 @@ class LaurentPoly:
     def one() -> LaurentPoly:
         return LaurentPoly(((0, 1),))
 
-    @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> LaurentPoly:
-        """The monomial ``coefficient * t^exponent``."""
-        if coefficient == 0:
-            return LaurentPoly()
-        return LaurentPoly(((exponent, coefficient),))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -314,27 +307,6 @@ class LaurentMatrix:
         return LaurentMatrix(
             tuple([tuple([one if i == j else zero for j in range(size)]) for i in range(size)])
         )
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        """0-based access."""
-        return self.rows[i][j]
-
-    def __matmul__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        d = self.size
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = LaurentPoly()
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(tuple(new_row))
-        return LaurentMatrix(tuple(out))
 
     def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
         if self.size != other.size:

@@ -60,9 +60,6 @@ class LensSpace:
         elif math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p={self.p} and q={self.q} must be coprime")
 
-    def __str__(self) -> str:
-        return f"L({self.p},{self.q})"
-
 
 @dataclass(frozen=True)
 class HomologyClass:

@@ -1,0 +1,50 @@
+"""Reference routes that tests compare the library against.
+
+The library itself never needs them: the Burau product is built by column
+updates, and no subcommand multiplies bivariate polynomials or reduces
+braid words.
+"""
+
+from fractions import Fraction
+
+from lenslinks.braid import BraidWord
+from lenslinks.curves import SupportPoly
+from lenslinks.laurent import LaurentMatrix, LaurentPoly
+
+
+def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """The matrix product a * b, entry by entry."""
+    if a.size != b.size:
+        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
+    cols = list(zip(*b.rows))
+    rows = []
+    for row in a.rows:
+        new_row = []
+        for col in cols:
+            acc = LaurentPoly()
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            new_row.append(acc)
+        rows.append(new_row)
+    return LaurentMatrix.from_rows(rows)
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse pairs until none remain."""
+    stack: list[int] = []
+    for letter in w.letters:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return BraidWord(w.strands, tuple(stack))
+
+
+def support_mul(f: SupportPoly, g: SupportPoly) -> SupportPoly:
+    """The product f * g of two bivariate polynomials."""
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in f.terms:
+        for (i2, j2), c2 in g.terms:
+            key = (i1 + i2, j1 + j2)
+            coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
+    return SupportPoly.from_dict(coeffs)

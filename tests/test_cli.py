@@ -79,6 +79,57 @@ def test_golden_covers_both_alexander_inputs():
     assert flags == {"--band", "--braid"}
 
 
+# Public code that no subcommand needs, each with the reason it stays.
+REACH_EXEMPT = {
+    "LaurentMatrix.from_rows": "the benchmark's kernel rows build their matrices with it",
+}
+
+
+def _public_code():
+    """Code object -> name of each exported function, and of each method,
+    property and operator written in an exported non-exception class."""
+    codes = {}
+    for name in lenslinks.__all__:
+        obj = getattr(lenslinks, name)
+        if not isinstance(obj, type):
+            codes[obj.__code__] = name
+            continue
+        if issubclass(obj, BaseException):
+            continue
+        source = sys.modules[obj.__module__].__file__
+        for attr, value in vars(obj).items():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            elif isinstance(value, property):
+                value = value.fget
+            code = getattr(value, "__code__", None)
+            # Methods that @dataclass generates have no source file.
+            if code is not None and code.co_filename == source:
+                codes[code] = f"{name}.{attr}"
+    return codes
+
+
+def test_every_public_name_is_reached():
+    # Public code is either entered by some golden argv or exempt: code that
+    # only tests call belongs in the tests.
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for case in GOLDEN:
+            for extra in ([], ["--json"]) if "json" in case else ([],):
+                run_captured(case["argv"] + extra)
+    finally:
+        sys.setprofile(previous)
+    unreached = sorted(name for code, name in _public_code().items() if code not in entered)
+    assert unreached == sorted(REACH_EXEMPT), f"no golden argv enters {unreached}"
+
+
 def test_text_output(capsys):
     code, out, _ = run(capsys, ["alexander", "--braid", "1 1 1", "--strands", "2"])
     assert (code, out) == (0, "alexander: 1 - t + t^2\n")
@@ -207,7 +258,7 @@ class TestSizeLimits:
             (["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "1000001", "2"], 1000001),
             (["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "1001", "1001"], 1001 * 1000),
             (["alexander", "--band", "3 1 1001 :"], 1001 * 1000),
-            (["homology", "--band", "3 2 1000 :"], 2 * 1000 * 999),
+            (["lift", "--band", "3 2 1000 :"], 2 * 1000 * 999),
         ],
     )
     def test_refused_with_size(self, capsys, argv, size):
@@ -229,9 +280,32 @@ class TestSizeLimits:
             assert run(capsys, argv)[0] == 1
 
     def test_orientation_table_refused(self, capsys):
+        # The strand limit bounds the table at 256 masks of 257 bits.
         code, _, err = run(capsys, ["nullhomologous", "--band", "1009 1 1200 :"])
         assert code == 1
-        assert f"orientation table would have {1200 * 1009} bits; refusing" in err
+        assert "band diagram would have 1200 strands; refusing" in err
+
+    def test_homology_does_not_count_the_lift(self, capsys):
+        # Neither command builds the 2,000,000-letter lift of this diagram.
+        code, out, _ = run(capsys, ["homology", "--band", "2000000 1 2 : 1", "--json"])
+        assert code == 0
+        assert json.loads(out)["classes"] == [2]
+        assert json.loads(out)["lifted_components"] == 2
+        code, out, _ = run(capsys, ["nullhomologous", "--band", "2000000 1 2 : 1", "--json"])
+        assert code == 0
+        assert json.loads(out)["orientation"] is None
+
+    @pytest.mark.parametrize("p", [1_000_003, 2**61 - 1, 2**200 + 1])
+    def test_homology_of_large_p_answered_quickly(self, capsys, p):
+        # 2,000 letters on 256 strands: perm(word)^p takes log2(p) squarings.
+        rng = random.Random(p)
+        letters = " ".join(str(rng.choice([-1, 1]) * rng.randint(1, 255)) for _ in range(2000))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["homology", "--band", f"{p} 1 256 : {letters}", "--json"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        fields = json.loads(out)
+        assert fields["components"] == len(fields["classes"]) >= 1
 
     def test_power_of_empty_word_answered_quickly(self, capsys):
         # Only the closing twist is left of the lift; no pass over the
@@ -316,6 +390,7 @@ class TestStrandLimit:
             (["lift", "--band", "1 0 1000000 : 1 | +"], "band diagram", 1000000),
             (["homology", "--band", "2 1 300 :"], "band diagram", 300),
             (["nullhomologous", "--band", "2 1 300 : | +"], "band diagram", 300),
+            (["homology", "--band", "3 2 1000 :"], "band diagram", 1000),
         ],
     )
     def test_refused_with_strand_count(self, capsys, argv, what, n):

@@ -14,12 +14,11 @@ from lenslinks.curves import (
     is_torus_knot_lift,
     parse_poly,
     puiseux_pairs,
-    substitute_powers,
-    torus_lift_class,
     torus_poly,
 )
 from lenslinks.errors import ParseError
-from lenslinks.lens import components, lifted_component_count, parse_band_diagram
+from lenslinks.lens import LensSpace, components, lifted_component_count, parse_band_diagram
+from reference import support_mul
 
 
 class TestParsePoly:
@@ -36,7 +35,7 @@ class TestParsePoly:
 
     def test_rational_coefficient(self):
         f = parse_poly("1/2*x*y^3")
-        assert f.coefficient(1, 3) == Fraction(1, 2)
+        assert dict(f.terms) == {(1, 3): Fraction(1, 2)}
 
     def test_leading_minus(self):
         f = parse_poly("-x + y")
@@ -86,6 +85,15 @@ class TestInvarianceClass:
         with pytest.raises(ValueError):
             invariance_class(parse_poly("x"), 0, 1)
 
+    @pytest.mark.parametrize("p, q", [(5, 7), (5, 0), (3, -1), (1, 1), (0, 1), (4, 2)])
+    def test_validated_as_a_lens_space(self, p, q):
+        # The same (p, q) that LensSpace refuses, with its message.
+        with pytest.raises(ValueError) as expected:
+            LensSpace(p, q)
+        with pytest.raises(ValueError) as refused:
+            invariance_class(parse_poly("x"), p, q)
+        assert str(refused.value) == str(expected.value)
+
     @given(st.integers(1, 7), st.data())
     def test_multiplicative(self, p, data):
         qs = [q for q in range(p)] if p == 1 else [q for q in range(1, p) if math.gcd(p, q) == 1]
@@ -106,28 +114,14 @@ class TestInvarianceClass:
         f, g = invariant_poly(k1), invariant_poly(k2)
         assert invariance_class(f, p, q) == k1
         assert invariance_class(g, p, q) == k2
-        assert invariance_class(f * g, p, q) == (k1 + k2) % p
+        assert invariance_class(support_mul(f, g), p, q) == (k1 + k2) % p
 
 
 class TestSubstitutePowers:
-    def test_cube(self):
-        f = parse_poly("x + y^2")
-        assert substitute_powers(f, 3) == parse_poly("x^3 + y^6")
-
-    def test_identity(self):
-        f = parse_poly("x^2*y - y^3")
-        assert substitute_powers(f, 1) == f
-
+    # f(x^p, y^p) has invariance class 0 in every L(p,q).
     def test_square_and_class(self):
-        f = parse_poly("x^2 + x*y + y^3")
-        g = substitute_powers(f, 2)
-        assert g == parse_poly("x^4 + x^2*y^2 + y^6")
-        assert invariance_class(g, 2, 1) == 0
-
-    def test_constant_term_rejected(self):
-        f = SupportPoly.from_dict({(0, 0): 1, (1, 0): 1})
-        with pytest.raises(ValueError):
-            substitute_powers(f, 2)
+        # f = x^2 + x*y + y^3 with p = 2
+        assert invariance_class(parse_poly("x^4 + x^2*y^2 + y^6"), 2, 1) == 0
 
     @given(st.integers(1, 7), st.data())
     def test_result_class_is_zero_for_all_q(self, p, data):
@@ -138,8 +132,7 @@ class TestSubstitutePowers:
             if (i, j) == (0, 0):
                 i = 1
             terms[(i, j)] = data.draw(st.integers(1, 9))
-        f = SupportPoly.from_dict(terms)
-        g = substitute_powers(f, p)
+        g = SupportPoly.from_dict({(p * i, p * j): c for (i, j), c in terms.items()})
         qs = [0] if p == 1 else [q for q in range(1, p) if math.gcd(p, q) == 1]
         for q in qs:
             assert invariance_class(g, p, q) == 0
@@ -154,13 +147,13 @@ def _knot_lift_in(a, b, p, q):
 
 class TestTorusCriteria:
     def test_witness_for_8_2_in_l31(self):
-        assert torus_lift_class(8, 2, 3, 1) == 2
+        assert invariance_class(torus_poly(8, 2), 3, 1) == 2
 
     def test_9_3_in_l32(self):
-        assert torus_lift_class(9, 3, 3, 2) is not None
+        assert invariance_class(torus_poly(9, 3), 3, 2) is not None
 
     def test_5_1_in_l31_fails(self):
-        assert torus_lift_class(5, 1, 3, 1) is None
+        assert invariance_class(torus_poly(5, 1), 3, 1) is None
 
     def test_knot_lift_gcd(self):
         assert is_torus_knot_lift(9, 3, 3)
@@ -181,7 +174,7 @@ class TestTorusCriteria:
         passing = [q for q in units if _knot_lift_in(a, b, p, q)]
         assert is_torus_knot_lift(a, b, p) == bool(passing)
         # a knot's defining polynomial is invariant
-        assert all(torus_lift_class(a, b, p, q) is not None for q in passing)
+        assert all(invariance_class(torus_poly(a, b), p, q) is not None for q in passing)
 
     @given(
         st.integers(1, 12).flatmap(
@@ -201,15 +194,15 @@ class TestTorusCriteria:
         assert _knot_lift_in(a, n, p, q) == (len(components(diagram)) == 1)
 
     def test_matches_polynomial_invariance(self):
+        # x^a + y^b is invariant exactly when a = qb (mod p), with k = a mod p.
         for a in range(1, 9):
             for b in range(1, 9):
                 for p in range(2, 6):
                     for q in range(1, p):
                         if math.gcd(p, q) != 1:
                             continue
-                        k = torus_lift_class(a, b, p, q)
-                        via_poly = invariance_class(torus_poly(a, b), p, q)
-                        assert k == via_poly
+                        k = a % p if (a - q * b) % p == 0 else None
+                        assert invariance_class(torus_poly(a, b), p, q) == k
 
 
 class TestTorusPoly:

@@ -1,18 +1,27 @@
 """Fiber surface combinatorics and quotient-genus formulas."""
 
+import contextlib
+import io
+import json
 import math
 
 import pytest
 
+import lenslinks.cli as cli
 from lenslinks.braid import BraidWord
-from lenslinks.genus import (
-    FiberData,
-    bennequin_fiber,
-    fiber_multiplicity,
-    quotient_genus,
-    torus_quotient_genus,
-)
+from lenslinks.genus import FiberData, bennequin_fiber, quotient_genus
 from lenslinks.invariants import torus_braid
+
+
+def torus_genus(a, b):
+    """``genus --torus a b``: the quotient genus, or ValueError with the refusal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["genus", "--torus", str(a), str(b), "--json"])
+    if code == 1:
+        raise ValueError(err.getvalue())
+    assert code == 0
+    return json.loads(out.getvalue())["quotient_genus"]
 
 
 class TestFiberData:
@@ -57,25 +66,13 @@ class TestBennequinFiber:
         assert fd.euler == 1 - (a - 1) * (b - 1)
 
 
-class TestFiberMultiplicity:
-    def test_coprime_class(self):
-        assert fiber_multiplicity(3, 2) == 3
-
-    def test_invariant_class_zero(self):
-        for p in range(1, 9):
-            assert fiber_multiplicity(p, 0) == 1
-
-    def test_shared_factor(self):
-        assert fiber_multiplicity(6, 4) == 3
-
+class TestQuotientGenus:
     def test_range_check(self):
         with pytest.raises(ValueError):
-            fiber_multiplicity(3, 3)
+            quotient_genus(3, 3, 0)
         with pytest.raises(ValueError):
-            fiber_multiplicity(3, -1)
+            quotient_genus(3, -1, 0)
 
-
-class TestQuotientGenus:
     def test_torus_8_2_quotient(self):
         assert quotient_genus(2, 0, 3) == 2
 
@@ -113,7 +110,7 @@ class TestQuotientGenus:
                         g = quotient_genus(p, k, lift_genus)
                     except ValueError:
                         continue
-                    pbar = fiber_multiplicity(p, k)
+                    pbar = p // math.gcd(k, p)
                     assert pbar * (2 - 2 * lift_genus - p) == p * (1 - 2 * g)
                     checked += 1
         assert checked > 100
@@ -121,28 +118,28 @@ class TestQuotientGenus:
 
 class TestTorusQuotientGenus:
     def test_table(self):
-        assert torus_quotient_genus(9, 3) == 3
-        assert torus_quotient_genus(3, 3) == 1
-        assert torus_quotient_genus(4, 2) == 1
-        assert torus_quotient_genus(8, 2) == 2
+        assert torus_genus(9, 3) == 3
+        assert torus_genus(3, 3) == 1
+        assert torus_genus(4, 2) == 1
+        assert torus_genus(8, 2) == 2
 
     def test_coprime_case_is_lift_genus(self):
-        assert torus_quotient_genus(5, 2) == bennequin_fiber(torus_braid(5, 2)).genus
+        assert torus_genus(5, 2) == bennequin_fiber(torus_braid(5, 2)).genus
 
     def test_nonorientable_quotient_rejected(self):
         # For even p with both a/p and b/p odd the quotient fiber is not an
         # orientable surface and the formula goes non-integral; hard error.
         for a, b in [(2, 2), (4, 4), (2, 6), (6, 6)]:
             with pytest.raises(ValueError):
-                torus_quotient_genus(a, b)
+                torus_genus(a, b)
 
     @pytest.mark.parametrize("a", range(2, 9))
     @pytest.mark.parametrize("b", range(2, 9))
     def test_symmetry(self, a, b):
         try:
-            lhs = torus_quotient_genus(a, b)
+            lhs = torus_genus(a, b)
         except ValueError:
             with pytest.raises(ValueError):
-                torus_quotient_genus(b, a)
+                torus_genus(b, a)
             return
-        assert lhs == torus_quotient_genus(b, a)
+        assert lhs == torus_genus(b, a)

@@ -35,7 +35,8 @@ def random_diagram(rng, max_strands=6, max_len=12, max_p=7):
 
 class TestLensSpace:
     def test_sphere(self):
-        assert str(LensSpace(1, 0)) == "L(1,0)"
+        space = LensSpace(1, 0)
+        assert (space.p, space.q) == (1, 0)
 
     @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 0), (3, 3), (4, 2), (6, 3)])
     def test_invalid_parameters(self, p, q):
