@@ -14,17 +14,19 @@ No normal form is computed here; braid-level equality certificates live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in the Artin generators of the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.strands < 1:
@@ -42,12 +44,15 @@ class BraidWord:
         return " ".join(str(letter) for letter in self.letters)
 
 
-@dataclass(frozen=True)
-class StrandPermutation:
+class StrandPermutation(Value):
     """A bijection of {1..n}; ``image[i-1]`` is where strand i ends."""
 
-    n: int
-    image: tuple[int, ...]
+    __slots__ = ("n", "image")
+
+    def __init__(self, n: int, image: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "image", image)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1 or len(self.image) != self.n or set(self.image) != set(range(1, self.n + 1)):

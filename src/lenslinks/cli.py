@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import shlex
 import sys
 
 from .braid import parse_braid_word
@@ -54,7 +53,10 @@ _STRAND_LIMIT = 256
 
 def _check_size(size: int, what: str, unit: str = "letters", limit: int = _LIFT_LETTER_LIMIT) -> None:
     if size > limit:
-        raise ValueError(f"{what} would have {size} {unit}; refusing")
+        # A size past 64 bits is shown by its leading power of two: its
+        # digits say nothing more, and past 4,300 of them str() raises.
+        shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+        raise ValueError(f"{what} would have {shown} {unit}; refusing")
 
 
 def _check_strands(n: int, what: str) -> None:
@@ -325,6 +327,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, DivisibilityError) as exc:
+        import shlex  # only this rare message needs it
+
         print(
             f"internal consistency fault: {exc}; reproduce with: lenslinks {shlex.join(argv)}",
             file=sys.stderr,

@@ -19,23 +19,39 @@ m_i = e_{i-1}/e_i, n_i = N_i/e_i, stopping at the first e_k = 1.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._value import Value
 from .errors import ParseError
 from .lens import LensSpace
 
 
-@dataclass(frozen=True)
-class SupportPoly:
+@functools.cache
+def _fraction_type() -> type:
+    """``fractions.Fraction``, imported on first use.
+
+    fractions loads decimal and numbers, which most CLI calls never need.
+    An import statement in each function that builds a Fraction would cost
+    about 2 us per call on CPython 3.11; this cached lookup, under 0.1 us.
+    """
+    from fractions import Fraction
+
+    return Fraction
+
+
+class SupportPoly(Value):
     """A polynomial in x, y with exact rational coefficients, stored by support.
 
     ``terms`` maps exponent pairs (i, j) to nonzero coefficients, kept as a
     sorted tuple of ((i, j), Fraction) pairs.
     """
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[tuple[int, int], Fraction], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         keys = [k for k, _ in self.terms]
@@ -49,6 +65,7 @@ class SupportPoly:
 
     @staticmethod
     def from_dict(coeffs: dict[tuple[int, int], Fraction | int]) -> SupportPoly:
+        Fraction = _fraction_type()
         items = sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0)
         return SupportPoly(tuple(items))
 
@@ -118,6 +135,7 @@ class _PolyParser:
         return sign
 
     def parse(self) -> SupportPoly:
+        Fraction = _fraction_type()
         coeffs: dict[tuple[int, int], Fraction] = {}
         self.skip_ws()
         if not self.peek():
@@ -134,6 +152,7 @@ class _PolyParser:
         return SupportPoly.from_dict(coeffs)
 
     def parse_term(self) -> tuple[tuple[int, int], Fraction]:
+        Fraction = _fraction_type()
         coef = Fraction(1)
         if self.peek().isdigit():
             num = self.take_uint()
@@ -204,7 +223,7 @@ def torus_poly(a: int, b: int) -> SupportPoly:
     """x^a + y^b, whose zero set meets a small sphere in the torus link T(a,b)."""
     if a < 1 or b < 1:
         raise ValueError("torus parameters must be positive")
-    one = Fraction(1)
+    one = _fraction_type()(1)
     return SupportPoly((((0, b), one), ((a, 0), one)))
 
 
@@ -232,16 +251,19 @@ def is_torus_knot_lift(a: int, b: int, p: int) -> bool:
     return math.gcd(e, ab) == 1 and not (d % 2 == 0 and e % 2 == 1 and ab % 2 == 1)
 
 
-@dataclass(frozen=True)
-class PuiseuxData:
+class PuiseuxData(Value):
     """Exponent data of a fractional power series y = sum a_i x^(N_i/m).
 
     ``m`` is the common denominator and ``exponents`` the strictly
     increasing numerators with m <= N_1.
     """
 
-    m: int
-    exponents: tuple[int, ...]
+    __slots__ = ("m", "exponents")
+
+    def __init__(self, m: int, exponents: tuple[int, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "exponents", exponents)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.m < 1:
@@ -254,14 +276,17 @@ class PuiseuxData:
             raise ValueError("the first exponent must be at least m")
 
 
-@dataclass(frozen=True)
-class CableSequence:
+class CableSequence(Value):
     """Coprime pairs (m_i, n_i) of an iterated torus knot.
 
     Invariants: gcd(m_i, n_i) = 1, m_1 <= n_1, and n_i m_{i+1} < n_{i+1}.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         for m, n in self.pairs:

@@ -20,18 +20,21 @@ class is k = 0 and the formula collapses to g = (g~ + p - 1)/p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .braid import BraidWord, closure_components
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(Value):
     """Euler characteristic, boundary components and genus of a fiber surface."""
 
-    euler: int
-    boundary_components: int
-    genus: int
+    __slots__ = ("euler", "boundary_components", "genus")
+
+    def __init__(self, euler: int, boundary_components: int, genus: int):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "boundary_components", boundary_components)
+        object.__setattr__(self, "genus", genus)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.boundary_components < 1:

@@ -29,14 +29,12 @@ a strong necessary condition, not a proof of braid equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .braid import BraidWord
 from .laurent import LaurentMatrix, LaurentPoly, divide_exact, slot_bits
 
 
-@dataclass(frozen=True)
-class AlexanderPoly:
+class AlexanderPoly(Value):
     """A unit-normalized Alexander polynomial.
 
     Either zero, or the minimum stored exponent is 0 with a positive
@@ -44,7 +42,11 @@ class AlexanderPoly:
     when their normalized forms are equal.
     """
 
-    poly: LaurentPoly
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: LaurentPoly):
+        object.__setattr__(self, "poly", poly)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.poly.is_zero:

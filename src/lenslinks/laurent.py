@@ -15,16 +15,18 @@ product coefficient, so the digits never overlap.  Small or sparse operands
 stay on the schoolbook loop, where packing costs more than it saves.
 ``LaurentPoly.from_packed`` decodes such an integer for other modules.
 
-All values are immutable; operations return new objects and never mutate.
-Only the public constructor ``LaurentPoly(terms)`` validates its input; the
-results of arithmetic are canonical by construction and skip the check.
+All values are immutable, with slots, on the :class:`~lenslinks._value.Value`
+base; operations return new objects and never mutate.  Only the public
+constructor ``LaurentPoly(terms)`` validates its input; the results of
+arithmetic are canonical by construction and skip the check.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+
+from ._value import Value
 
 
 class DivisibilityError(ArithmeticError):
@@ -132,8 +134,7 @@ def _trusted(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Value):
     """An element of Z[t, t^-1].
 
     ``terms`` holds (exponent, coefficient) pairs in strictly increasing
@@ -141,7 +142,11 @@ class LaurentPoly:
     empty tuple.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         exps = [e for e, _ in self.terms]
@@ -280,11 +285,14 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 _LAPLACE_MAX_SIZE = 4
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
+class LaurentMatrix(Value):
     """A square matrix over Z[t, t^-1], stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[LaurentPoly, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
         d = len(self.rows)

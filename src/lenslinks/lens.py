@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from ._value import Value
 from .braid import (
     BraidWord,
     StrandPermutation,
@@ -42,12 +42,15 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; this signals a modeling bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Value):
     """L(p,q) with p >= 1, gcd(p,q) = 1; L(1,0) is the 3-sphere."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.p < 1:
@@ -61,20 +64,22 @@ class LensSpace:
             raise ValueError(f"p={self.p} and q={self.q} must be coprime")
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Value):
     """An element of H_1(L(p,q)) = Z_p, stored as a residue 0 <= value < p."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.modulus < 1 or not 0 <= self.value < self.modulus:
             raise ValueError(f"{self.value} is not a residue mod {self.modulus}")
 
 
-@dataclass(frozen=True)
-class BandDiagram:
+class BandDiagram(Value):
     """A link in a lens space: a braid-form tangle between n band endpoints.
 
     ``orientations`` optionally assigns a sign to each closure component,
@@ -82,9 +87,13 @@ class BandDiagram:
     minimum strand); omitted means all positive.
     """
 
-    space: LensSpace
-    word: BraidWord
-    orientations: tuple[int, ...] | None = None
+    __slots__ = ("space", "word", "orientations")
+
+    def __init__(self, space: LensSpace, word: BraidWord, orientations: tuple[int, ...] | None = None):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "orientations", orientations)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.orientations is not None:

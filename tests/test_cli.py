@@ -79,6 +79,27 @@ def test_golden_covers_both_alexander_inputs():
     assert flags == {"--band", "--braid"}
 
 
+def test_import_leaves_out_dataclasses_inspect_and_fractions():
+    # Each CLI call is a new process, so what the import loads is paid on
+    # every call; -S keeps site's own imports out of the check.
+    source = (
+        "import sys\n"
+        "import lenslinks.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions'} & set(sys.modules)))\n"
+        "f = lenslinks.cli.parse_poly('1/2*x^2 + y^3')\n"
+        "print([type(c).__name__ for _, c in f.terms], f)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", source],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n['Fraction', 'Fraction'] 1/2*x^2 + y^3\n"
+
+
 # Public code that no subcommand needs, each with the reason it stays.
 REACH_EXEMPT = {
     "LaurentMatrix.from_rows": "the benchmark's kernel rows build their matrices with it",
@@ -96,15 +117,13 @@ def _public_code():
             continue
         if issubclass(obj, BaseException):
             continue
-        source = sys.modules[obj.__module__].__file__
         for attr, value in vars(obj).items():
             if isinstance(value, (staticmethod, classmethod)):
                 value = value.__func__
             elif isinstance(value, property):
                 value = value.fget
             code = getattr(value, "__code__", None)
-            # Methods that @dataclass generates have no source file.
-            if code is not None and code.co_filename == source:
+            if code is not None:
                 codes[code] = f"{name}.{attr}"
     return codes
 
@@ -250,6 +269,10 @@ def printed_mod(text, r):
     return total % P
 
 
+# A p of 4,300 digits, the most that int() reads from text.
+HUGE_P = 9 * 10**4299 + 1
+
+
 class TestSizeLimits:
     @pytest.mark.parametrize(
         "argv, size",
@@ -294,6 +317,25 @@ class TestSizeLimits:
         code, out, _ = run(capsys, ["nullhomologous", "--band", "2000000 1 2 : 1", "--json"])
         assert code == 0
         assert json.loads(out)["orientation"] is None
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["lift", "--band", f"{HUGE_P} 1 2 : " + "1 " * 20], "lifted word"),
+            (["genus", "--torus", str(HUGE_P), "20"], f"torus braid T({HUGE_P},20)"),
+            (["alexander", "--band", f"{HUGE_P} 1 2 : 1"], "lifted word"),
+        ],
+        ids=["lift", "genus", "alexander"],
+    )
+    def test_huge_size_refused_quickly(self, capsys, argv, what):
+        # The sizes run past 4,300 digits, which str() refuses; the message
+        # gives the leading power of two instead.
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} would have at least 2^")
+        assert err.endswith(" letters; refusing\n")
 
     @pytest.mark.parametrize("p", [1_000_003, 2**61 - 1, 2**200 + 1])
     def test_homology_of_large_p_answered_quickly(self, capsys, p):
