@@ -39,7 +39,7 @@ from .invariants import (
     alexander_of_closure,
     burau_reduced,
     equal_up_to_unit,
-    torus_braid,
+    torus_closure,
 )
 from .laurent import DivisibilityError, LaurentMatrix, LaurentPoly, divide_exact
 from .lens import (
@@ -47,7 +47,6 @@ from .lens import (
     ConsistencyError,
     HomologyClass,
     LensSpace,
-    components,
     homology_classes,
     lift,
     lifted_component_count,
@@ -77,7 +76,6 @@ __all__ = [
     "bennequin_fiber",
     "burau_reduced",
     "closure_components",
-    "components",
     "concat",
     "divide_exact",
     "equal_up_to_unit",
@@ -95,6 +93,6 @@ __all__ = [
     "power",
     "puiseux_pairs",
     "quotient_genus",
-    "torus_braid",
+    "torus_closure",
     "torus_poly",
 ]

@@ -127,9 +127,21 @@ def permutation(w: BraidWord) -> StrandPermutation:
     return StrandPermutation(w.strands, tuple(image))
 
 
-def closure_components(w: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the underlying permutation = components of the closed braid."""
-    return permutation(w).cycles()
+def closure_components(w: BraidWord, power: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Cycles of perm(w)^power = components of the closure of w^power.
+
+    The power is taken by squaring, in O(n log power), without building w^power.
+    """
+    if power < 0:
+        raise ValueError("negative powers are not defined for words")
+    perm, result = permutation(w), None
+    while power:
+        if power & 1:
+            result = perm if result is None else result.then(perm)
+        power >>= 1
+        if power:
+            perm = perm.then(perm)
+    return (result or StrandPermutation.identity(w.strands)).cycles()
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:

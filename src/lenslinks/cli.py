@@ -31,7 +31,7 @@ from .curves import (
 )
 from .errors import ParseError
 from .genus import bennequin_fiber, quotient_genus
-from .invariants import alexander_of_closure, equal_up_to_unit, torus_braid
+from .invariants import alexander_of_closure, equal_up_to_unit, torus_closure
 from .laurent import DivisibilityError
 from .lens import (
     ConsistencyError,
@@ -42,9 +42,10 @@ from .lens import (
     parse_band_diagram,
 )
 
-# Printed lifts and torus braids are materialized words; refuse absurd sizes
-# instead of exhausting memory on garbage input.  Each command checks the
-# sizes of what it builds, and only those, before it builds anything.
+# Printed lifts are materialized words; refuse absurd sizes instead of
+# exhausting memory on garbage input.  Each command checks the sizes of what
+# it builds, and only those, before it builds anything.  The torus bound also
+# keeps lift_genus, about a*b/2, under the 4,300 digits that str() prints.
 _LIFT_LETTER_LIMIT = 1_000_000
 # The strand count n of a band or braid: closure permutations take O(n)
 # memory and Burau matrices (n-1)^2 entries.
@@ -76,7 +77,7 @@ def _check_lift_size(space, word) -> None:
 
 
 def _check_torus_size(a: int, b: int) -> None:
-    # torus_braid itself rejects a < 1 or b < 1.
+    # torus_closure itself rejects a < 1 or b < 1.
     _check_size(max(a, 0) * max(b - 1, 0), f"torus braid T({a},{b})")
 
 
@@ -102,19 +103,19 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
     text = [f"lifted word: {lifted}", f"components: {count}"]
     if args.compare_torus:
         a, b = args.compare_torus
-        reference = torus_braid(a, b)
         fields["compare_torus"] = [a, b]
-        if reference.strands != lifted.strands:
+        # T(a,b) is on b strands; torus_closure refuses a < 1 or b < 1 first.
+        if b != lifted.strands and min(a, b) >= 1:
             fields["equal_up_to_unit"] = None
             fields["note"] = "incomparable presentations"
             text.append(
                 f"incomparable presentations: lift on {lifted.strands} strands, "
-                f"torus braid on {reference.strands}"
+                f"torus braid on {b}"
             )
         else:
             p, q = diagram.space.p, diagram.space.q
             same = equal_up_to_unit(
-                alexander_of_closure(diagram.word, p, q), alexander_of_closure(reference)
+                alexander_of_closure(*torus_closure(a, b)), alexander_of_closure(diagram.word, p, q)
             )
             fields["equal_up_to_unit"] = same
             text.append(f"equal_up_to_unit: {'true' if same else 'false'}")
@@ -149,7 +150,7 @@ def _cmd_genus(args) -> tuple[dict, list[str]]:
         a, b = args.torus
         _check_torus_size(a, b)
         p = math.gcd(a, b)
-        fiber = bennequin_fiber(torus_braid(a, b))
+        fiber = bennequin_fiber(*torus_closure(a, b))
         g = quotient_genus(p, 0, fiber.genus)
         fields = {
             "p": p,

@@ -2,7 +2,10 @@
 
 The Bennequin surface of a positive braid closure is a fiber surface, so
 its Euler characteristic is simply  strands - letters  and its genus
-follows from  chi = 2 - 2g - r.  That combinatorial count is the genus
+follows from  chi = 2 - 2g - r.  The full twist Delta^2 is a positive word
+of n(n-1) letters, so the closure of  w^power . Delta^{2*twists}  has
+chi = n - power*|w| - twists*n(n-1) and r = #cycles of perm(w)^power,
+with neither w^power nor the twists spelled out.  That combinatorial count is the genus
 oracle used throughout: the quotient-genus formulas below are always fed
 (and tested against) values derived from it rather than from a closed-form
 torus-knot genus formula.
@@ -57,12 +60,15 @@ class FiberData(Value):
         return FiberData(euler, boundary_components, double_genus // 2)
 
 
-def bennequin_fiber(w: BraidWord) -> FiberData:
-    """Fiber surface data of a positive braid closure: chi = strands - letters."""
+def bennequin_fiber(w: BraidWord, power: int = 1, twists: int = 0) -> FiberData:
+    """Fiber surface data of the positive closure of  w^power . Delta^{2*twists}."""
     if any(letter < 0 for letter in w.letters):
         raise ValueError("the Bennequin fiber count needs a positive braid word")
-    euler = w.strands - len(w.letters)
-    return FiberData.from_euler(euler, len(closure_components(w)))
+    if power < 0 or twists < 0:
+        raise ValueError("power and twists must be non-negative")
+    n = w.strands
+    euler = n - power * len(w.letters) - twists * n * (n - 1)
+    return FiberData.from_euler(euler, len(closure_components(w, power)))
 
 
 def quotient_genus(p: int, k: int, lift_genus: int) -> int:

@@ -25,6 +25,11 @@ to 4x4 and fraction-free elimination above, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
+
+A lift in L(p,q) is the triple (word, p, q).  The run s_{b-1} ... s_1 on
+b strands has run^b = Delta^2, so T(a,b) is the closure of
+run^(a mod b) . Delta^{2*floor(a/b)}: :func:`torus_closure` gives that
+triple, and its a(b-1) letters are never spelled out.
 """
 
 from __future__ import annotations
@@ -148,19 +153,21 @@ def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatri
 def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:
     """The one-variable Alexander polynomial of the closure of  w^power . Delta^{2*twists}.
 
-    Computed as det(burau - id) divided exactly by 1 + t + ... + t^{n-1},
-    then unit-normalized.  The lift of a band diagram in L(p,q) is the
-    closure of word^p . Delta^{2q}, so its polynomial is
-    ``alexander_of_closure(word, p, q)`` without the lifted word ever being
-    built.  Split links (in particular unlinks on >= 2 strands) give the
-    zero polynomial.
+    Computed as det(burau - id), unit-normalized, divided exactly by
+    1 + t + ... + t^{n-1}; the divisor starts at 1, so the quotient comes
+    out normalized and is never copied to shift it.  The lift of a band
+    diagram in L(p,q) is the closure of word^p . Delta^{2q}, so its
+    polynomial is ``alexander_of_closure(word, p, q)`` without the lifted
+    word ever being built.  Split links (in particular unlinks on >= 2
+    strands) give the zero polynomial; one strand closes to the unknot,
+    whose polynomial is 1.
     """
     n = w.strands
+    if n == 1:
+        return AlexanderPoly(LaurentPoly.one())
     numerator = (burau_reduced(w, power, twists) - LaurentMatrix.identity(n - 1)).det()
-    if numerator.is_zero:
-        return AlexanderPoly(LaurentPoly.zero())
     cyclic_sum = LaurentPoly.from_dict({k: 1 for k in range(n)})
-    return AlexanderPoly.from_laurent(divide_exact(numerator, cyclic_sum))
+    return AlexanderPoly(divide_exact(AlexanderPoly.from_laurent(numerator).poly, cyclic_sum))
 
 
 def equal_up_to_unit(a: AlexanderPoly, b: AlexanderPoly) -> bool:
@@ -168,9 +175,8 @@ def equal_up_to_unit(a: AlexanderPoly, b: AlexanderPoly) -> bool:
     return a.poly == b.poly
 
 
-def torus_braid(a: int, b: int) -> BraidWord:
-    """The standard positive braid (s_{b-1} ... s_1)^a on b strands, closing to T(a,b)."""
+def torus_closure(a: int, b: int) -> tuple[BraidWord, int, int]:
+    """(run, a mod b, a // b) with run = s_{b-1} ... s_1 on b strands: T(a,b) as (word, power, twists)."""
     if a < 1 or b < 1:
         raise ValueError("torus parameters must be positive")
-    run = tuple(range(b - 1, 0, -1))
-    return BraidWord(b, run * a if run else ())
+    return BraidWord(b, tuple(range(b - 1, 0, -1))), a % b, a // b

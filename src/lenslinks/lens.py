@@ -16,7 +16,8 @@ count mod p.  The component count of the lift is tied to these classes by
 
     sum_i gcd(delta_i, p)  =  (number of lifted components),
 
-which this module recomputes both ways as a permanent cross-check.
+which this module recomputes both ways as a permanent cross-check.  The
+second route, perm(word)^p, is ``braid.closure_components(word, p)``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ import math
 from collections.abc import Callable
 
 from ._value import Value
-from .braid import (
-    BraidWord,
-    StrandPermutation,
-    closure_components,
-    concat,
-    garside,
-    parse_braid_word,
-    permutation,
-    power,
-)
+from .braid import BraidWord, closure_components, concat, garside, parse_braid_word, power
 from .errors import ParseError
 
 
@@ -83,8 +75,8 @@ class BandDiagram(Value):
     """A link in a lens space: a braid-form tangle between n band endpoints.
 
     ``orientations`` optionally assigns a sign to each closure component,
-    listed in the order of :func:`components` (cycles sorted by their
-    minimum strand); omitted means all positive.
+    listed in the order of ``closure_components(word)`` (cycles sorted by
+    their minimum strand); omitted means all positive.
     """
 
     __slots__ = ("space", "word", "orientations")
@@ -116,30 +108,14 @@ def lift(d: BandDiagram) -> BraidWord:
     return concat(lifted, power(garside(d.word.strands), 2 * d.space.q))
 
 
-def components(d: BandDiagram) -> tuple[tuple[int, ...], ...]:
-    """Cycle partition of the band endpoints; one cycle per component of the link."""
-    return closure_components(d.word)
-
-
 def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
     """The class of each component: its signed strand count mod p."""
     p = d.space.p
-    cycles = components(d)
+    cycles = closure_components(d.word)
     signs = d.orientations or (1,) * len(cycles)
     return tuple(
         HomologyClass((sign * len(cycle)) % p, p) for sign, cycle in zip(signs, cycles)
     )
-
-
-def _permutation_power(perm: StrandPermutation, e: int) -> StrandPermutation:
-    """``perm`` composed with itself e >= 0 times, by repeated squaring."""
-    result = StrandPermutation.identity(perm.n)
-    while e:
-        if e & 1:
-            result = result.then(perm)
-        perm = perm.then(perm)
-        e >>= 1
-    return result
 
 
 def lifted_component_count(d: BandDiagram) -> int:
@@ -153,7 +129,7 @@ def lifted_component_count(d: BandDiagram) -> int:
     """
     p = d.space.p
     from_classes = sum(math.gcd(c.value, p) for c in homology_classes(d))
-    from_lift = len(_permutation_power(permutation(d.word), p).cycles())
+    from_lift = len(closure_components(d.word, p))
     if from_classes != from_lift:
         raise ConsistencyError(
             f"homology predicts {from_classes} lifted components, "
@@ -175,7 +151,7 @@ def nullhomologous_orientation(d: BandDiagram) -> tuple[int, ...] | None:
     held as m-bit masks, costs O(r * m); the signs are then chosen greedily
     from the front, taking +1 whenever the rest can still reach zero.
     """
-    lengths = [len(cycle) for cycle in components(d)]
+    lengths = [len(cycle) for cycle in closure_components(d.word)]
     m = min(d.space.p, d.word.strands + 1)
     full = (1 << m) - 1
 

@@ -1,8 +1,8 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates, and no subcommand multiplies bivariate polynomials or reduces
-braid words.
+updates, a torus link is a (word, power, twists) triple, and no subcommand
+multiplies bivariate polynomials or reduces braid words.
 """
 
 from fractions import Fraction
@@ -27,6 +27,14 @@ def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             new_row.append(acc)
         rows.append(new_row)
     return LaurentMatrix.from_rows(rows)
+
+
+def torus_braid(a: int, b: int) -> BraidWord:
+    """The standard positive braid (s_{b-1} ... s_1)^a on b strands, closing to T(a,b), spelled out."""
+    if a < 1 or b < 1:
+        raise ValueError("torus parameters must be positive")
+    run = tuple(range(b - 1, 0, -1))
+    return BraidWord(b, run * a if run else ())
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

@@ -26,11 +26,11 @@ from lenslinks.invariants import (
     alexander_of_closure,
     burau_reduced,
     equal_up_to_unit,
-    torus_braid,
 )
 from lenslinks.laurent import LaurentPoly, divide_exact
 from lenslinks.lens import BandDiagram, LensSpace, homology_classes, lift, lifted_component_count
 from lenslinks.curves import parse_poly
+from reference import torus_braid
 
 
 def report(number, label):

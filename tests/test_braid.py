@@ -1,7 +1,7 @@
 """Braid words: construction, permutations, closures, free reduction."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lenslinks.braid import (
     BraidWord,
@@ -166,6 +166,18 @@ class TestClosureComponents:
     @given(braid_words())
     def test_invariant_under_free_reduction(self, w):
         assert closure_components(free_reduce(w)) == closure_components(w)
+
+    @given(braid_words(), st.integers(0, 40))
+    @example(BraidWord(1), 0)
+    @example(BraidWord(1), 40)
+    @example(BraidWord(4), 7)
+    @example(BraidWord(3, (2, 1)), 0)
+    def test_power_matches_spelled_out_power(self, w, e):
+        assert closure_components(w, e) == closure_components(power(w, e))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            closure_components(BraidWord(2, (1,)), -1)
 
     @given(braid_words(), st.integers(0, 11))
     def test_cycle_structure_invariant_under_rotation(self, w, shift):

@@ -225,6 +225,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith("lenslinks alexander --band '3 1 2 : 1 1'\n")
 
 
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["alexander", "--braid", "", "--strands", "1"], "alexander: 1"),
+        (["alexander", "--band", "3 1 1 :"], "alexander: 1"),
+        (["lift", "--band", "3 1 1 :", "--compare-torus", "5", "1"], "equal_up_to_unit: true"),
+    ],
+)
+def test_single_strand_closure_is_unknot(capsys, argv, last_line):
+    # homology --band "3 1 1 :" and genus --torus 5 1 answer the unknot too.
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line
+
+
 def test_torus_test_agrees_with_genus(capsys):
     # With p = gcd(a,b), T(a,b) lifts a knot exactly when the quotient genus
     # (g~ + p - 1)/p is an integer.
@@ -293,7 +308,7 @@ class TestSizeLimits:
         def forbidden(*args):
             raise AssertionError("built before the size check")
 
-        for name in ("torus_braid", "lift", "homology_classes", "bennequin_fiber"):
+        for name in ("torus_closure", "lift", "homology_classes", "bennequin_fiber"):
             monkeypatch.setattr(cli, name, forbidden)
         for argv in (
             ["genus", "--torus", "1200", "1200"],
@@ -301,6 +316,24 @@ class TestSizeLimits:
             ["homology", "--band", "3 2 1000 :"],
         ):
             assert run(capsys, argv)[0] == 1
+
+    def test_torus_link_never_spelled_out(self, capsys):
+        # T(333333, 4) enters as run^1 . Delta^(2*83333): spelled out, its
+        # 999,999 letters took minutes and hundreds of MB.
+        argv = ["lift", "--band", "3 1 4 : 1 2 3", "--compare-torus", "333333", "4", "--json"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out)["equal_up_to_unit"] is False
+
+    def test_torus_genus_answered_quickly(self, capsys):
+        # 999,000 letters spelled out; as a triple, one run of 999 letters.
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["genus", "--torus", "1000", "1000"])
+        assert time.perf_counter() - start < 0.05
+        assert code == 1
+        assert "is not an integer" in err
 
     def test_orientation_table_refused(self, capsys):
         # The strand limit bounds the table at 256 masks of 257 bits.

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lenslinks.braid import closure_components
 from lenslinks.curves import (
     CableSequence,
     PuiseuxData,
@@ -17,7 +18,7 @@ from lenslinks.curves import (
     torus_poly,
 )
 from lenslinks.errors import ParseError
-from lenslinks.lens import LensSpace, components, lifted_component_count, parse_band_diagram
+from lenslinks.lens import LensSpace, lifted_component_count, parse_band_diagram
 from reference import support_mul
 
 
@@ -191,7 +192,7 @@ class TestTorusCriteria:
         diagram = parse_band_diagram(f"{p} {q} {n} : {letters * j}")
         a = j * p + q * n
         assert lifted_component_count(diagram) == math.gcd(a, n)
-        assert _knot_lift_in(a, n, p, q) == (len(components(diagram)) == 1)
+        assert _knot_lift_in(a, n, p, q) == (len(closure_components(diagram.word)) == 1)
 
     def test_matches_polynomial_invariance(self):
         # x^a + y^b is invariant exactly when a = qb (mod p), with k = a mod p.

@@ -10,7 +10,8 @@ import pytest
 import lenslinks.cli as cli
 from lenslinks.braid import BraidWord
 from lenslinks.genus import FiberData, bennequin_fiber, quotient_genus
-from lenslinks.invariants import torus_braid
+from lenslinks.invariants import torus_closure
+from reference import torus_braid
 
 
 def torus_genus(a, b):
@@ -57,6 +58,17 @@ class TestBennequinFiber:
     def test_negative_letter_rejected(self):
         with pytest.raises(ValueError):
             bennequin_fiber(BraidWord(2, (-1,)))
+
+    def test_negative_power_or_twists_rejected(self):
+        for power, twists in ((-1, 0), (1, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                bennequin_fiber(BraidWord(3, (2, 1)), power, twists)
+
+    @pytest.mark.parametrize("b", range(1, 31))
+    def test_triple_matches_spelled_out_braid(self, b):
+        # chi = n - power*|w| - twists*n(n-1) and r from perm(w)^power.
+        for a in range(1, 31):
+            assert bennequin_fiber(*torus_closure(a, b)) == bennequin_fiber(torus_braid(a, b)), a
 
     @pytest.mark.parametrize("a", range(2, 11))
     @pytest.mark.parametrize("b", range(2, 11))

@@ -13,11 +13,11 @@ from lenslinks.invariants import (
     alexander_of_closure,
     burau_reduced,
     equal_up_to_unit,
-    torus_braid,
+    torus_closure,
 )
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 from lenslinks.lens import BandDiagram, LensSpace, lift
-from reference import free_reduce, matmul
+from reference import free_reduce, matmul, torus_braid
 
 
 def signed_letters(n):
@@ -192,7 +192,7 @@ class TestAlexanderOfLift:
 
     def test_torus_9_3_from_l31(self):
         word = BraidWord(3, (2, 1, 2, 1))
-        assert alexander_of_closure(word, 3, 1) == alexander_of_closure(torus_braid(9, 3))
+        assert alexander_of_closure(word, 3, 1) == alexander_of_closure(*torus_closure(9, 3))
 
 
 class TestAlexanderPoly:
@@ -230,9 +230,10 @@ class TestAlexanderOfClosure:
     def test_hopf_link(self):
         assert str(alexander_of_closure(BraidWord(2, (1, 1)))) == "1 - t"
 
-    def test_single_strand_rejected(self):
-        with pytest.raises(ValueError):
-            alexander_of_closure(BraidWord(1))
+    def test_single_strand_is_unknot(self):
+        # An empty determinant over the cyclic sum 1, whatever the power.
+        for power, twists in ((1, 0), (0, 5), (7, 3)):
+            assert str(alexander_of_closure(BraidWord(1), power, twists)) == "1"
 
     @settings(max_examples=40, deadline=None)
     @given(words(max_len=8))
@@ -261,22 +262,34 @@ class TestAlexanderOfClosure:
 
 
 class TestTorusBraid:
+    """T(a,b) as the triple (run, a mod b, a // b), against the reference braid spelled out."""
+
     def test_9_3(self):
+        assert torus_closure(9, 3) == (BraidWord(3, (2, 1)), 0, 3)
         assert torus_braid(9, 3) == BraidWord(3, (2, 1) * 9)
 
     def test_8_2(self):
+        assert torus_closure(8, 2) == (BraidWord(2, (1,)), 0, 4)
         assert torus_braid(8, 2) == BraidWord(2, (1,) * 8)
 
     def test_single_strand(self):
+        assert torus_closure(5, 1) == (BraidWord(1), 0, 5)
         assert torus_braid(5, 1) == BraidWord(1)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            torus_braid(0, 2)
+        for a, b in ((0, 2), (2, 0), (-3, 4)):
+            with pytest.raises(ValueError, match="torus parameters must be positive"):
+                torus_closure(a, b)
 
     @pytest.mark.parametrize("a", range(2, 7))
     @pytest.mark.parametrize("b", range(2, 7))
     def test_symmetry(self, a, b):
-        lhs = alexander_of_closure(torus_braid(a, b))
-        rhs = alexander_of_closure(torus_braid(b, a))
+        lhs = alexander_of_closure(*torus_closure(a, b))
+        rhs = alexander_of_closure(*torus_closure(b, a))
         assert equal_up_to_unit(lhs, rhs)
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_matches_spelled_out_braid(self, b):
+        # a = b*m leaves run^0: only the full twists remain.
+        for a in range(1, 41):
+            assert alexander_of_closure(*torus_closure(a, b)) == alexander_of_closure(torus_braid(a, b)), a
