@@ -12,11 +12,9 @@ from .braid import (
     BraidWord,
     StrandPermutation,
     closure_components,
-    concat,
     garside,
     parse_braid_word,
     permutation,
-    power,
 )
 from .curves import (
     CableSequence,
@@ -28,7 +26,7 @@ from .curves import (
     puiseux_pairs,
     torus_poly,
 )
-from .errors import ParseError
+from .errors import ConsistencyError, DivisibilityError, ParseError
 from .genus import (
     FiberData,
     bennequin_fiber,
@@ -38,13 +36,11 @@ from .invariants import (
     AlexanderPoly,
     alexander_of_closure,
     burau_reduced,
-    equal_up_to_unit,
     torus_closure,
 )
-from .laurent import DivisibilityError, LaurentMatrix, LaurentPoly, divide_exact
+from .laurent import LaurentMatrix, LaurentPoly, divide_exact
 from .lens import (
     BandDiagram,
-    ConsistencyError,
     HomologyClass,
     LensSpace,
     homology_classes,
@@ -76,9 +72,7 @@ __all__ = [
     "bennequin_fiber",
     "burau_reduced",
     "closure_components",
-    "concat",
     "divide_exact",
-    "equal_up_to_unit",
     "garside",
     "homology_classes",
     "invariance_class",
@@ -90,7 +84,6 @@ __all__ = [
     "parse_braid_word",
     "parse_poly",
     "permutation",
-    "power",
     "puiseux_pairs",
     "quotient_genus",
     "torus_closure",

@@ -68,6 +68,20 @@ class StrandPermutation(Value):
             raise ValueError("cannot compose permutations of different sizes")
         return StrandPermutation(self.n, tuple(other.image[j - 1] for j in self.image))
 
+    def __pow__(self, e: int) -> StrandPermutation:
+        """``self`` composed with itself e times (e >= 0), by squaring in O(n log e)."""
+        if e < 0:
+            raise ValueError("negative powers are not defined for words")
+        # Start from the first factor, not the identity: e = 1 builds nothing.
+        square, result = self, None
+        while e:
+            if e & 1:
+                result = square if result is None else result.then(square)
+            e >>= 1
+            if e:
+                square = square.then(square)
+        return result or StrandPermutation.identity(self.n)
+
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; cycles start at their minimum and are sorted by it."""
         seen = [False] * self.n
@@ -101,20 +115,6 @@ def garside(n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def concat(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.strands != b.strands:
-        raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
-
-
-def power(w: BraidWord, e: int) -> BraidWord:
-    """The e-fold concatenation of ``w`` with itself (e >= 0)."""
-    if e < 0:
-        raise ValueError("negative powers are not defined for words")
-    # Repeating an empty tuple still checks that e fits a machine index.
-    return BraidWord(w.strands, w.letters * e if w.letters else ())
-
-
 def permutation(w: BraidWord) -> StrandPermutation:
     """The underlying permutation: strand start position -> end position."""
     content = list(range(1, w.strands + 1))
@@ -130,18 +130,10 @@ def permutation(w: BraidWord) -> StrandPermutation:
 def closure_components(w: BraidWord, power: int = 1) -> tuple[tuple[int, ...], ...]:
     """Cycles of perm(w)^power = components of the closure of w^power.
 
-    The power is taken by squaring, in O(n log power), without building w^power.
+    One walk over the letters gives perm(w), and ``StrandPermutation.__pow__``
+    squares it, so w^power is never built.
     """
-    if power < 0:
-        raise ValueError("negative powers are not defined for words")
-    perm, result = permutation(w), None
-    while power:
-        if power & 1:
-            result = perm if result is None else result.then(perm)
-        power >>= 1
-        if power:
-            perm = perm.then(perm)
-    return (result or StrandPermutation.identity(w.strands)).cycles()
+    return (permutation(w) ** power).cycles()
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:

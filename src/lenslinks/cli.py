@@ -29,12 +29,10 @@ from .curves import (
     puiseux_pairs,
     torus_poly,
 )
-from .errors import ParseError
+from .errors import ConsistencyError, DivisibilityError, ParseError
 from .genus import bennequin_fiber, quotient_genus
-from .invariants import alexander_of_closure, equal_up_to_unit, torus_closure
-from .laurent import DivisibilityError
+from .invariants import alexander_of_closure, torus_closure
 from .lens import (
-    ConsistencyError,
     homology_classes,
     lift,
     lifted_component_count,
@@ -114,9 +112,9 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
             )
         else:
             p, q = diagram.space.p, diagram.space.q
-            same = equal_up_to_unit(
-                alexander_of_closure(*torus_closure(a, b)), alexander_of_closure(diagram.word, p, q)
-            )
+            torus = alexander_of_closure(*torus_closure(a, b))
+            # Both polynomials are unit-normalized: == is equality up to a unit.
+            same = torus == alexander_of_closure(diagram.word, p, q)
             fields["equal_up_to_unit"] = same
             text.append(f"equal_up_to_unit: {'true' if same else 'false'}")
     return fields, text

@@ -1,4 +1,8 @@
-"""Shared exception types for the text parsers."""
+"""The exception types that the CLI maps to its exit codes.
+
+:class:`ParseError` is malformed input (exit 2); :class:`ConsistencyError`
+and :class:`DivisibilityError` are internal faults (exit 3).
+"""
 
 from __future__ import annotations
 
@@ -11,3 +15,11 @@ class ParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; this signals a modeling bug, not bad input."""
+
+
+class DivisibilityError(ArithmeticError):
+    """Exact division failed: the divisor does not divide the dividend in Z[t, t^-1]."""

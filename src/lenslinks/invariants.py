@@ -155,7 +155,8 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
 
     Computed as det(burau - id), unit-normalized, divided exactly by
     1 + t + ... + t^{n-1}; the divisor starts at 1, so the quotient comes
-    out normalized and is never copied to shift it.  The lift of a band
+    out normalized and is never copied to shift it.  Subtracting the
+    identity touches only the d diagonal entries.  The lift of a band
     diagram in L(p,q) is the closure of word^p . Delta^{2q}, so its
     polynomial is ``alexander_of_closure(word, p, q)`` without the lifted
     word ever being built.  Split links (in particular unlinks on >= 2
@@ -165,14 +166,13 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    numerator = (burau_reduced(w, power, twists) - LaurentMatrix.identity(n - 1)).det()
+    one = LaurentPoly.one()
+    rows = burau_reduced(w, power, twists).rows
+    numerator = LaurentMatrix(
+        tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)])
+    ).det()
     cyclic_sum = LaurentPoly.from_dict({k: 1 for k in range(n)})
     return AlexanderPoly(divide_exact(AlexanderPoly.from_laurent(numerator).poly, cyclic_sum))
-
-
-def equal_up_to_unit(a: AlexanderPoly, b: AlexanderPoly) -> bool:
-    """Whether a = +-t^k b; after normalization this is plain equality."""
-    return a.poly == b.poly
 
 
 def torus_closure(a: int, b: int) -> tuple[BraidWord, int, int]:

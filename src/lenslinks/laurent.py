@@ -27,10 +27,7 @@ import sys
 from array import array
 
 from ._value import Value
-
-
-class DivisibilityError(ArithmeticError):
-    """Exact division failed: the divisor does not divide the dividend in Z[t, t^-1]."""
+from .errors import DivisibilityError
 
 
 # Tuples here are built from lists, never from generators: tuple(<generator>)
@@ -170,10 +167,6 @@ class LaurentPoly(Value):
         return _trusted(_unpack(x, k, low))
 
     @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> LaurentPoly:
         return LaurentPoly(((0, 1),))
 
@@ -308,20 +301,6 @@ class LaurentMatrix(Value):
     @staticmethod
     def from_rows(rows) -> LaurentMatrix:
         return LaurentMatrix(tuple([tuple(row) for row in rows]))
-
-    @staticmethod
-    def identity(size: int) -> LaurentMatrix:
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return LaurentMatrix(
-            tuple([tuple([one if i == j else zero for j in range(size)]) for i in range(size)])
-        )
-
-    def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return LaurentMatrix(
-            tuple([tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.rows, other.rows)])
-        )
 
     def det(self) -> LaurentPoly:
         """Determinant: Laplace expansion up to 4x4, Bareiss elimination above.

@@ -8,7 +8,8 @@ torus, closed by joining endpoint i on top to endpoint i on bottom.
 
 Lifting a band diagram to the 3-sphere juxtaposes p copies of the tangle
 and closes with the square of the half-twist raised to q, so the lifted
-word is  word^p  followed by  garside(n)^{2q}.
+word is  word^p  followed by  garside(n)^{2q}.  :func:`lift` repeats the
+two letter tuples and builds that word once.
 
 H_1(L(p,q)) is cyclic of order p, generated by a single strand passing
 once through the band; a component's homology class is its signed strand
@@ -16,8 +17,9 @@ count mod p.  The component count of the lift is tied to these classes by
 
     sum_i gcd(delta_i, p)  =  (number of lifted components),
 
-which this module recomputes both ways as a permanent cross-check.  The
-second route, perm(word)^p, is ``braid.closure_components(word, p)``.
+which this module recomputes both ways as a permanent cross-check.  Both
+routes read one permutation, perm(word): the classes from its cycles, the
+lifted components from the cycles of perm(word)^p.
 """
 
 from __future__ import annotations
@@ -26,12 +28,8 @@ import math
 from collections.abc import Callable
 
 from ._value import Value
-from .braid import BraidWord, closure_components, concat, garside, parse_braid_word, power
-from .errors import ParseError
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed; this signals a modeling bug, not bad input."""
+from .braid import BraidWord, closure_components, garside, parse_braid_word, permutation
+from .errors import ConsistencyError, ParseError
 
 
 class LensSpace(Value):
@@ -99,13 +97,17 @@ class BandDiagram(Value):
 
 
 def lift(d: BandDiagram) -> BraidWord:
-    """The braid word whose closure is the lift of ``d`` in the 3-sphere."""
-    lifted = power(d.word, d.space.p)
-    if d.space.q == 0:
-        # L(1,0) has no closing twist; building garside(n) anyway would cost
-        # n(n-1)/2 letters that the size checks do not count.
-        return lifted
-    return concat(lifted, power(garside(d.word.strands), 2 * d.space.q))
+    """The braid word  word^p . garside(n)^{2q}  whose closure is the lift of ``d``."""
+    p, q = d.space.p, d.space.q
+    # An empty tuple repeats nothing, so a huge p or q never reaches
+    # tuple * int, which refuses counts past a machine index.
+    letters = d.word.letters * p if d.word.letters else ()
+    # L(1,0) has no closing twist; building garside(n) anyway would cost
+    # n(n-1)/2 letters that the size checks do not count.
+    twist = garside(d.word.strands).letters if q else ()
+    if twist:
+        letters += twist * (2 * q)
+    return BraidWord(d.word.strands, letters)
 
 
 def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
@@ -123,13 +125,15 @@ def lifted_component_count(d: BandDiagram) -> int:
 
     The count is recomputed from the cycles of the lift's closure
     permutation, perm(word)^p (the closing twist garside(n)^(2q) is a pure
-    braid), composed without building the lifted word; disagreement raises
-    :class:`ConsistencyError` because the two routes must coincide for
-    every band diagram.
+    braid), without building the lifted word.  Both routes read the one
+    permutation perm(word): delta_i is +-len(cycle_i) mod p, and its sign
+    does not change the gcd.  Disagreement raises :class:`ConsistencyError`
+    because the two routes must coincide for every band diagram.
     """
     p = d.space.p
-    from_classes = sum(math.gcd(c.value, p) for c in homology_classes(d))
-    from_lift = len(closure_components(d.word, p))
+    perm = permutation(d.word)
+    from_classes = sum([math.gcd(len(cycle), p) for cycle in perm.cycles()])
+    from_lift = len((perm**p).cycles())
     if from_classes != from_lift:
         raise ConsistencyError(
             f"homology predicts {from_classes} lifted components, "

@@ -1,13 +1,14 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates, a torus link is a (word, power, twists) triple, and no subcommand
-multiplies bivariate polynomials or reduces braid words.
+updates, burau - id changes only the diagonal, a lift or a torus link is a
+(word, power, twists) triple, and no subcommand multiplies bivariate
+polynomials or reduces braid words.
 """
 
 from fractions import Fraction
 
-from lenslinks.braid import BraidWord
+from lenslinks.braid import BraidWord, garside
 from lenslinks.curves import SupportPoly
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 
@@ -27,6 +28,17 @@ def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             new_row.append(acc)
         rows.append(new_row)
     return LaurentMatrix.from_rows(rows)
+
+
+def identity(size: int) -> LaurentMatrix:
+    """The identity matrix of the given size."""
+    one, zero = LaurentPoly.one(), LaurentPoly()
+    return LaurentMatrix.from_rows([[one if r == c else zero for c in range(size)] for r in range(size)])
+
+
+def spelled_out(w: BraidWord, power: int = 1, twists: int = 0) -> BraidWord:
+    """The word w^power . Delta^{2*twists}, every letter written out."""
+    return BraidWord(w.strands, w.letters * power + garside(w.strands).letters * (2 * twists))
 
 
 def torus_braid(a: int, b: int) -> BraidWord:

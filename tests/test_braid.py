@@ -7,11 +7,9 @@ from lenslinks.braid import (
     BraidWord,
     StrandPermutation,
     closure_components,
-    concat,
     garside,
     parse_braid_word,
     permutation,
-    power,
 )
 from lenslinks.errors import ParseError
 from lenslinks.invariants import burau_reduced
@@ -76,7 +74,7 @@ class TestGarside:
         assert garside(3).letters == (2, 1, 2)
 
     def test_square_equals_full_twist_permutation(self):
-        lhs = permutation(power(garside(3), 2))
+        lhs = permutation(BraidWord(3, garside(3).letters * 2))
         rhs = permutation(BraidWord(3, (2, 1) * 3))
         assert lhs == rhs
         assert lhs == StrandPermutation.identity(3)
@@ -93,43 +91,7 @@ class TestGarside:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_square_is_pure(self, n):
-        assert permutation(power(garside(n), 2)) == StrandPermutation.identity(n)
-
-
-class TestConcatAndPower:
-    def test_concat_letters(self):
-        w = BraidWord(2, (1,))
-        assert concat(w, w).letters == (1, 1)
-
-    def test_concat_identity(self):
-        w = BraidWord(3, (2, 1, -2))
-        assert concat(w, BraidWord(3)) == w
-
-    def test_concat_garside_squared_is_pure(self):
-        # Composing the order-reversing permutation with itself by hand gives
-        # the identity; the concatenated word must agree.
-        w = concat(garside(3), garside(3))
-        assert len(w) == 6
-        assert permutation(w) == StrandPermutation.identity(3)
-
-    def test_concat_strand_mismatch(self):
-        with pytest.raises(ValueError):
-            concat(BraidWord(2), BraidWord(3))
-
-    def test_power_repeats(self):
-        assert power(BraidWord(2, (1,)), 8).letters == (1,) * 8
-
-    def test_power_zero_is_identity(self):
-        assert power(BraidWord(4, (3, -2)), 0) == BraidWord(4)
-
-    def test_power_of_garside(self):
-        w = power(garside(3), 2)
-        assert len(w) == 6
-        assert all(letter > 0 for letter in w.letters)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            power(BraidWord(2, (1,)), -1)
+        assert permutation(BraidWord(n, garside(n).letters * 2)) == StrandPermutation.identity(n)
 
 
 class TestPermutation:
@@ -150,7 +112,36 @@ class TestPermutation:
     @given(braid_word_pairs())
     def test_homomorphism(self, pair):
         a, b = pair
-        assert permutation(concat(a, b)) == permutation(a).then(permutation(b))
+        assert permutation(BraidWord(a.strands, a.letters + b.letters)) == permutation(a).then(permutation(b))
+
+
+class TestPermutationPower:
+    @given(braid_words(), st.integers(0, 20))
+    def test_matches_repeated_composition(self, w, e):
+        perm = permutation(w)
+        expected = StrandPermutation.identity(w.strands)
+        for _ in range(e):
+            expected = expected.then(perm)
+        assert perm**e == expected
+
+    def test_zero_is_identity(self):
+        assert permutation(BraidWord(4, (3, -2))) ** 0 == StrandPermutation.identity(4)
+
+    def test_positive_powers_build_no_identity(self, monkeypatch):
+        # Squaring starts from the permutation itself: a power of 1 is free.
+        perm = permutation(BraidWord(4, (1, 2, 3)))
+
+        def forbidden(n):
+            raise AssertionError("identity built for a positive power")
+
+        monkeypatch.setattr(StrandPermutation, "identity", staticmethod(forbidden))
+        assert perm**1 is perm
+        assert perm**5 == perm
+        assert perm**4 == StrandPermutation(4, (1, 2, 3, 4))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            permutation(BraidWord(2, (1,))) ** -1
 
 
 class TestClosureComponents:
@@ -173,7 +164,7 @@ class TestClosureComponents:
     @example(BraidWord(4), 7)
     @example(BraidWord(3, (2, 1)), 0)
     def test_power_matches_spelled_out_power(self, w, e):
-        assert closure_components(w, e) == closure_components(power(w, e))
+        assert closure_components(w, e) == closure_components(BraidWord(w.strands, w.letters * e))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

@@ -438,6 +438,22 @@ class TestRepeatedCalls:
         assert first == run_fresh(failing)
         assert second == run_fresh(valid)
 
+    @pytest.mark.parametrize("command, walks", [("homology", 2), ("lift", 1)])
+    def test_permutation_walks(self, capsys, monkeypatch, command, walks):
+        # homology walks the word once for its classes and once for the
+        # lifted count, which reads both of its routes from that one walk.
+        original, calls = lenslinks.braid.permutation, []
+
+        def counted(w):
+            calls.append(w)
+            return original(w)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lenslinks.") and getattr(module, "permutation", None) is original:
+                monkeypatch.setattr(module, "permutation", counted)
+        assert run(capsys, [command, "--band", "5 2 3 : 1 2"])[0] == 0
+        assert len(calls) == walks
+
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()
         run(capsys, ["frobnicate"])

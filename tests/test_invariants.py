@@ -5,19 +5,18 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lenslinks.braid import BraidWord, concat, garside, permutation, power
+from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.invariants import (
     AlexanderPoly,
     _norm_bound,
     _updates,
     alexander_of_closure,
     burau_reduced,
-    equal_up_to_unit,
     torus_closure,
 )
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 from lenslinks.lens import BandDiagram, LensSpace, lift
-from reference import free_reduce, matmul, torus_braid
+from reference import free_reduce, identity, matmul, spelled_out, torus_braid
 
 
 def signed_letters(n):
@@ -51,7 +50,7 @@ def generator_matrix(n, letter):
     """Reference: the reduced Burau matrix of one generator, written out in full."""
     d = n - 1
     col = abs(letter) - 1
-    rows = [[LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(d)] for r in range(d)]
+    rows = [[LaurentPoly.one() if r == c else LaurentPoly() for c in range(d)] for r in range(d)]
     if letter > 0:
         rows[col][col] = LaurentPoly.from_dict({1: -1})
         if col - 1 >= 0:
@@ -69,7 +68,7 @@ def generator_matrix(n, letter):
 
 def burau_by_products(w):
     """Reference: the product of the generator matrices in word order."""
-    acc = LaurentMatrix.identity(w.strands - 1)
+    acc = identity(w.strands - 1)
     for letter in w.letters:
         acc = matmul(acc, generator_matrix(w.strands, letter))
     return acc
@@ -77,7 +76,7 @@ def burau_by_products(w):
 
 def scalar(n, exponent):
     """t^exponent times the identity of size n - 1."""
-    unit, zero = LaurentPoly.from_dict({exponent: 1}), LaurentPoly.zero()
+    unit, zero = LaurentPoly.from_dict({exponent: 1}), LaurentPoly()
     return LaurentMatrix.from_rows([[unit if r == c else zero for c in range(n - 1)] for r in range(n - 1)])
 
 
@@ -92,15 +91,15 @@ def band_diagrams(max_strands=4, max_len=5, max_p=5):
 
 class TestBurauReduced:
     def test_empty_word_is_identity(self):
-        assert burau_reduced(BraidWord(3)) == LaurentMatrix.identity(2)
+        assert burau_reduced(BraidWord(3)) == identity(2)
 
     def test_cancelling_pair_is_identity(self):
-        assert burau_reduced(BraidWord(2, (1, -1))) == LaurentMatrix.identity(1)
+        assert burau_reduced(BraidWord(2, (1, -1))) == identity(1)
 
     def test_full_twist_identity(self):
         # The square of the half twist and the cube of (s2 s1) are the same
         # braid, so their matrices and permutations must agree entrywise.
-        lhs = power(garside(3), 2)
+        lhs = BraidWord(3, garside(3).letters * 2)
         rhs = BraidWord(3, (2, 1) * 3)
         assert burau_reduced(lhs) == burau_reduced(rhs)
         assert permutation(lhs) == permutation(rhs)
@@ -113,13 +112,13 @@ class TestBurauReduced:
     @given(word_pairs())
     def test_multiplicative(self, pair):
         a, b = pair
-        assert burau_reduced(concat(a, b)) == matmul(burau_reduced(a), burau_reduced(b))
+        assert burau_reduced(BraidWord(a.strands, a.letters + b.letters)) == matmul(burau_reduced(a), burau_reduced(b))
 
     @settings(max_examples=60)
     @given(words())
     def test_inverse_word_gives_inverse_matrix(self, w):
         product = matmul(burau_reduced(w), burau_reduced(inverse_word(w)))
-        assert product == LaurentMatrix.identity(w.strands - 1)
+        assert product == identity(w.strands - 1)
 
 
 class TestBurauAgainstProducts:
@@ -135,20 +134,19 @@ class TestBurauAgainstProducts:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_full_twist_is_scalar(self, n):
-        assert burau_reduced(power(garside(n), 2)) == scalar(n, n)
+        assert burau_reduced(BraidWord(n, garside(n).letters * 2)) == scalar(n, n)
 
     @settings(max_examples=40, deadline=None)
     @given(words(max_strands=5, max_len=6), st.integers(0, 3), st.integers(0, 2))
     def test_power_and_twists(self, w, e, k):
-        full = concat(power(w, e), power(garside(w.strands), 2 * k))
-        assert burau_reduced(w, e, k) == burau_by_products(full)
+        assert burau_reduced(w, e, k) == burau_by_products(spelled_out(w, e, k))
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=6, max_len=16), st.integers(1, 3))
     def test_inverse_heavy_words(self, w, e):
         # Every letter but the first is an inverse: the column offsets keep growing.
         w = BraidWord(w.strands, tuple(-abs(letter) if i else letter for i, letter in enumerate(w.letters)))
-        assert burau_reduced(w, e) == burau_by_products(power(w, e))
+        assert burau_reduced(w, e) == burau_by_products(spelled_out(w, e))
 
     @settings(max_examples=30, deadline=None)
     @given(words(max_strands=5, max_len=8), st.integers(0, 3))
@@ -158,14 +156,13 @@ class TestBurauAgainstProducts:
     @pytest.mark.parametrize("e, k", [(0, 0), (1, 0), (3, 1), (5, 2)])
     def test_two_strands_with_twists(self, e, k):
         w = BraidWord(2, (1, -1, -1, 1, 1, 1))
-        full = concat(power(w, e), power(garside(2), 2 * k))
-        assert burau_reduced(w, e, k) == burau_by_products(full)
+        assert burau_reduced(w, e, k) == burau_by_products(spelled_out(w, e, k))
 
     def test_entries_beyond_64_bits(self):
         # s1 s2^-1 is pseudo-Anosov: its coefficients grow like 2.618^60.
         w = BraidWord(3, (1, -2))
         matrix = burau_reduced(w, 60)
-        assert matrix == burau_by_products(power(w, 60))
+        assert matrix == burau_by_products(spelled_out(w, 60))
         top = max(abs(c) for row in matrix.rows for entry in row for _, c in entry.terms)
         assert top > 2**64
 
@@ -212,12 +209,13 @@ class TestAlexanderPoly:
             AlexanderPoly(LaurentPoly.from_dict({0: -1}))
 
     def test_equal_up_to_unit(self):
+        # Normalized forms make == the test for equality up to +-t^k.
         trefoil = AlexanderPoly(LaurentPoly.from_dict({0: 1, 1: -1, 2: 1}))
         other = AlexanderPoly(LaurentPoly.from_dict({0: 1, 1: 1}))
-        assert equal_up_to_unit(trefoil, trefoil)
-        assert not equal_up_to_unit(trefoil, other)
-        shifted = AlexanderPoly.from_laurent(LaurentPoly.from_dict({-2: 1, -1: -1, 0: 1}))
-        assert equal_up_to_unit(shifted, trefoil)
+        assert trefoil == trefoil
+        assert trefoil != other
+        for unit in (LaurentPoly.from_dict({-2: 1}), LaurentPoly.from_dict({5: -1})):
+            assert AlexanderPoly.from_laurent(unit * trefoil.poly) == trefoil
 
 
 class TestAlexanderOfClosure:
@@ -234,6 +232,20 @@ class TestAlexanderOfClosure:
         # An empty determinant over the cyclic sum 1, whatever the power.
         for power, twists in ((1, 0), (0, 5), (7, 3)):
             assert str(alexander_of_closure(BraidWord(1), power, twists)) == "1"
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_subtracts_the_identity_on_the_diagonal_only(self, monkeypatch, n):
+        # Up to 4x4 the determinant subtracts nothing, so each call of
+        # __sub__ is one diagonal entry of burau - id.
+        sub, calls = LaurentPoly.__sub__, []
+
+        def counted(a, b):
+            calls.append(b)
+            return sub(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__sub__", counted)
+        alexander_of_closure(BraidWord(n, tuple(range(1, n)) * 3))
+        assert calls == [LaurentPoly.one()] * (n - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(words(max_len=8))
@@ -284,9 +296,7 @@ class TestTorusBraid:
     @pytest.mark.parametrize("a", range(2, 7))
     @pytest.mark.parametrize("b", range(2, 7))
     def test_symmetry(self, a, b):
-        lhs = alexander_of_closure(*torus_closure(a, b))
-        rhs = alexander_of_closure(*torus_closure(b, a))
-        assert equal_up_to_unit(lhs, rhs)
+        assert alexander_of_closure(*torus_closure(a, b)) == alexander_of_closure(*torus_closure(b, a))
 
     @pytest.mark.parametrize("b", range(1, 9))
     def test_matches_spelled_out_braid(self, b):

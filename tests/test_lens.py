@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from lenslinks.braid import BraidWord, closure_components
+from lenslinks.braid import BraidWord, StrandPermutation, closure_components, garside, permutation
 from lenslinks.errors import ParseError
 from lenslinks import lens
-from lenslinks.invariants import alexander_of_closure, equal_up_to_unit
+from lenslinks.invariants import alexander_of_closure
 from lenslinks.lens import (
     BandDiagram,
     HomologyClass,
@@ -83,10 +83,42 @@ class TestLift:
 
     def test_lift_in_l32_matches_torus_9_3(self):
         d = BandDiagram(LensSpace(3, 2), BraidWord(3, (2, 1)))
-        lifted = lift(d)
-        assert equal_up_to_unit(
-            alexander_of_closure(lifted), alexander_of_closure(torus_braid(9, 3))
-        )
+        assert alexander_of_closure(lift(d)) == alexander_of_closure(torus_braid(9, 3))
+
+    def test_word_then_twist(self):
+        d = BandDiagram(LensSpace(5, 2), BraidWord(3, (1, -2)))
+        assert lift(d).letters == (1, -2) * 5 + (2, 1, 2) * 4
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closing_twist_is_pure(self, n):
+        # The lift of the empty word is the twist alone: q full twists of
+        # positive letters, each of which brings every strand home.
+        lifted = lift(BandDiagram(LensSpace(5, 3), BraidWord(n)))
+        assert len(lifted) == 3 * n * (n - 1)
+        assert all(letter > 0 for letter in lifted.letters)
+        assert permutation(lifted) == StrandPermutation.identity(n)
+
+    def test_huge_repeats_of_empty_tuples(self):
+        # An empty word or an empty twist is repeated without tuple * int,
+        # which refuses counts past a machine index.
+        huge = LensSpace(2**64 + 1, 2**63 + 1)
+        assert lift(BandDiagram(huge, BraidWord(1))) == BraidWord(1)
+        twist_only = lift(BandDiagram(LensSpace(2**64 + 1, 1), BraidWord(3)))
+        assert twist_only == BraidWord(3, garside(3).letters * 2)
+
+    @pytest.mark.parametrize("p, q, built", [(5, 2, 2), (1, 0, 1)])
+    def test_validates_the_lifted_word_once(self, monkeypatch, p, q, built):
+        # One BraidWord for the lifted word, and one for garside(n) if q > 0.
+        check, calls = BraidWord.__post_init__, []
+
+        def counted(w):
+            calls.append(len(w))
+            return check(w)
+
+        d = BandDiagram(LensSpace(p, q), BraidWord(3, (1, -2)))
+        monkeypatch.setattr(BraidWord, "__post_init__", counted)
+        lift(d)
+        assert len(calls) == built
 
     def test_length_and_strand_count(self):
         rng = random.Random(7)
