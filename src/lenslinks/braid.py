@@ -44,6 +44,14 @@ class BraidWord(Value):
         return " ".join(str(letter) for letter in self.letters)
 
 
+def _trusted_word(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """A BraidWord on letters already known to be generators on ``strands`` strands, without re-validating them."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 class StrandPermutation(Value):
     """A bijection of {1..n}; ``image[i-1]`` is where strand i ends."""
 

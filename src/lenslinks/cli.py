@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from .braid import parse_braid_word
+from .braid import parse_braid_word, permutation
 from .curves import (
     PuiseuxData,
     invariance_class,
@@ -209,8 +209,10 @@ def _cmd_puiseux(args) -> tuple[dict, list[str]]:
 
 def _cmd_homology(args) -> tuple[dict, list[str]]:
     diagram = parse_band_diagram(args.band, _check_band_strands)
-    classes = [c.value for c in homology_classes(diagram)]
-    lifted = lifted_component_count(diagram)
+    # One walk of the word serves the classes and both routes of the count.
+    perm = permutation(diagram.word)
+    classes = [c.value for c in homology_classes(diagram, perm)]
+    lifted = lifted_component_count(diagram, perm)
     fields = {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
     text = [
         f"classes: {' '.join(str(c) for c in classes)}",

@@ -21,7 +21,9 @@ closure is then
 up to a unit +-t^k, and every comparison here happens after normalizing
 away the unit: the lowest exponent is shifted to 0 and the sign fixed so
 its coefficient is positive.  The determinant is a cofactor expansion up
-to 4x4 and fraction-free elimination above, see :meth:`LaurentMatrix.det`.
+to 4x4 and fraction-free elimination above, on the entries packed at
+t = 2^K when they fill their slots densely enough and on the polynomials
+otherwise, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.

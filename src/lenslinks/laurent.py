@@ -4,7 +4,13 @@ Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
 exact.  Determinants up to 4x4 use cofactor expansion memoized over column
 subsets; larger ones use Bareiss fraction-free elimination, O(d^3) products
-with exact division by the previous pivot.
+with exact division by the previous pivot, on one of two entry types.  When
+the entries' terms fill at least a tenth of their packed slots and the
+determinant packs into at most 2^14 bits, every entry is packed once at
+t = 2^K as in Kronecker substitution (below), the elimination runs on
+plain integers, and the one result is decoded; K comes from the
+Goldstein-Graham bound on the determinant's coefficients.  Sparser or
+larger matrices eliminate on the polynomials.
 
 Large dense products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from math import isqrt
 
 from ._value import Value
 from .errors import DivisibilityError
@@ -277,6 +284,79 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 # Up to this size LaurentMatrix.det expands by minors, above it eliminates.
 _LAPLACE_MAX_SIZE = 4
 
+# LaurentMatrix.det eliminates on packed integers when the stored terms fill
+# at least this share of the packed slots and the determinant packs into at
+# most this many bits; sparser or larger matrices eliminate on polynomials.
+_PACKED_MIN_FILL = 0.1
+_PACKED_MAX_BITS = 1 << 14
+
+
+def _bareiss(a: list[list], size, divide, zero):
+    """Determinant of the square matrix ``a`` (a list of row lists, overwritten) by Bareiss elimination.
+
+    Bareiss fraction-free elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) makes O(d^3) products, each entry divided exactly by the previous
+    pivot.  Each step pivots on the entry of least nonzero ``size``, which
+    keeps the products small; ``size`` is 0 only on a zero entry.  The
+    entries are packed ``int`` values or :class:`LaurentPoly` values,
+    ``divide`` is exact division in their ring, and ``zero`` is returned
+    for a singular matrix.
+    """
+    d = len(a)
+    negate = False
+    previous = None
+    for k in range(d - 1):
+        best = None
+        for i in range(k, d):
+            row = a[i]
+            for j in range(k, d):
+                s = size(row[j])
+                if s and (best is None or s < best[0]):
+                    best = (s, i, j)
+        if best is None:
+            return zero
+        _, i, j = best
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            negate = not negate
+        if j != k:
+            # Rows above k no longer take part, so only rows k.. swap.
+            for row in a[k:]:
+                row[k], row[j] = row[j], row[k]
+            negate = not negate
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, d):
+                entry = pivot * row[j]
+                if lead and pivot_row[j]:
+                    entry = entry - lead * pivot_row[j]
+                row[j] = divide(entry, previous) if k else entry
+        previous = pivot
+    result = a[-1][-1]
+    return -result if negate else result
+
+
+def _term_count(poly: LaurentPoly) -> int:
+    return len(poly.terms)
+
+
+def _coefficient_bound(columns) -> int:
+    """A strict bound on |c| for every coefficient c of the determinant of the matrix with these columns.
+
+    Hadamard's inequality at each point of the unit circle bounds every
+    coefficient by sqrt(prod_j sum_r |a_rj|_1^2), the L1 norm being the sum
+    of the absolute coefficients (Goldstein and Graham, "A Hadamard-type
+    bound on the coefficients of a determinant of polynomials", SIAM Review
+    16, 1974).
+    """
+    norms = 1
+    for column in columns:
+        norms *= sum([sum([abs(c) for _, c in entry.terms]) ** 2 for entry in column])
+    return isqrt(norms) + 1
+
 
 class LaurentMatrix(Value):
     """A square matrix over Z[t, t^-1], stored as a tuple of row tuples."""
@@ -305,51 +385,56 @@ class LaurentMatrix(Value):
     def det(self) -> LaurentPoly:
         """Determinant: Laplace expansion up to 4x4, Bareiss elimination above.
 
-        Bareiss fraction-free elimination (Bareiss, "Sylvester's identity
-        and multistep integer-preserving Gaussian elimination", Math. Comp.
-        22, 1968) makes O(d^3) products, each entry divided exactly by the
-        previous pivot.  Each step pivots on the nonzero entry with the
-        fewest terms, which keeps the products small.  Up to 4x4 the
-        expansion's at most 32 products cost less than elimination on
-        entries of many terms, so small matrices keep it.
+        Up to 4x4 the expansion's at most 32 products cost less than
+        elimination on entries of many terms, so small matrices keep it.
+        Above, :func:`_bareiss` eliminates on one of two entry types.
+
+        Packed: each column is shifted by its lowest exponent, which divides
+        the determinant by the unit t^(sum of the lows), and every entry is
+        packed once at t = 2^K.  t -> 2^K is a ring homomorphism from Z[t]
+        to Z, so elimination on the packed integers with exact ``//`` gives
+        the determinant's value there, and one ``_unpack`` reads back its
+        coefficients.  K leaves room for :func:`_coefficient_bound` as a
+        signed digit, so they never overlap.
+
+        Polynomial: the same elimination on the :class:`LaurentPoly`
+        entries, dividing with :func:`divide_exact`.
+
+        The packed route replaces each polynomial product by one integer
+        product; the packed determinant has at most K * (sum of column
+        spans + 1) bits, and the minors that elimination builds no more.  It
+        runs when the stored terms fill at least ``_PACKED_MIN_FILL`` of the
+        packed slots and that size is at most ``_PACKED_MAX_BITS``: on
+        sparser entries the slots hold mostly zeros that the polynomial
+        route never touches, and on larger integers CPython's quadratic
+        ``//`` costs more than the polynomial products.  A zero column gives
+        0 on either route before any elimination.
         """
         d = self.size
         if d <= _LAPLACE_MAX_SIZE:
             return self._laplace_det()
-        a = [list(row) for row in self.rows]
-        negate = False
-        previous = LaurentPoly.one()
-        for k in range(d - 1):
-            best = None
-            for i in range(k, d):
-                row = a[i]
-                for j in range(k, d):
-                    size = len(row[j].terms)
-                    if size and (best is None or size < best[0]):
-                        best = (size, i, j)
-            if best is None:
+        columns = list(zip(*self.rows))
+        lows, spans, terms = [], 0, 0
+        for column in columns:
+            present = [entry.terms for entry in column if entry.terms]
+            if not present:
                 return LaurentPoly()
-            _, i, j = best
-            if i != k:
-                a[k], a[i] = a[i], a[k]
-                negate = not negate
-            if j != k:
-                # Rows above k no longer take part, so only rows k.. swap.
-                for row in a[k:]:
-                    row[k], row[j] = row[j], row[k]
-                negate = not negate
-            pivot_row = a[k]
-            pivot = pivot_row[k]
-            for row in a[k + 1 :]:
-                lead = row[k]
-                for j in range(k + 1, d):
-                    entry = pivot * row[j]
-                    if lead and pivot_row[j]:
-                        entry = entry - lead * pivot_row[j]
-                    row[j] = divide_exact(entry, previous) if k else entry
-            previous = pivot
-        result = a[-1][-1]
-        return -result if negate else result
+            low = min([t[0][0] for t in present])
+            lows.append(low)
+            spans += max([t[-1][0] for t in present]) - low
+            terms += sum([len(t) for t in present])
+        # Column j packs into d * (span_j + 1) slots.
+        if terms >= _PACKED_MIN_FILL * d * (spans + d):
+            k = slot_bits(_coefficient_bound(columns).bit_length() + 1)
+            if k * (spans + 1) <= _PACKED_MAX_BITS:
+                # Each |coefficient| of an entry is at most its column's norm,
+                # below the bound too, so every entry packs at width k.
+                packed = [
+                    [_pack(e.terms, k) << k * (e.terms[0][0] - low) if e.terms else 0 for e, low in zip(row, lows)]
+                    for row in self.rows
+                ]
+                return _trusted(_unpack(_bareiss(packed, int.bit_length, int.__floordiv__, 0), k, sum(lows)))
+        return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())
 
     def _laplace_det(self) -> LaurentPoly:
         """Determinant by Laplace expansion, memoized over column subsets.

@@ -28,7 +28,15 @@ import math
 from collections.abc import Callable
 
 from ._value import Value
-from .braid import BraidWord, closure_components, garside, parse_braid_word, permutation
+from .braid import (
+    BraidWord,
+    StrandPermutation,
+    _trusted_word,
+    closure_components,
+    garside,
+    parse_braid_word,
+    permutation,
+)
 from .errors import ConsistencyError, ParseError
 
 
@@ -97,7 +105,11 @@ class BandDiagram(Value):
 
 
 def lift(d: BandDiagram) -> BraidWord:
-    """The braid word  word^p . garside(n)^{2q}  whose closure is the lift of ``d``."""
+    """The braid word  word^p . garside(n)^{2q}  whose closure is the lift of ``d``.
+
+    Every letter comes from the validated ``d.word`` or from ``garside(n)``,
+    so the lifted word is built without checking its letters again.
+    """
     p, q = d.space.p, d.space.q
     # An empty tuple repeats nothing, so a huge p or q never reaches
     # tuple * int, which refuses counts past a machine index.
@@ -107,20 +119,23 @@ def lift(d: BandDiagram) -> BraidWord:
     twist = garside(d.word.strands).letters if q else ()
     if twist:
         letters += twist * (2 * q)
-    return BraidWord(d.word.strands, letters)
+    return _trusted_word(d.word.strands, letters)
 
 
-def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
-    """The class of each component: its signed strand count mod p."""
+def homology_classes(d: BandDiagram, perm: StrandPermutation | None = None) -> tuple[HomologyClass, ...]:
+    """The class of each component: its signed strand count mod p.
+
+    ``perm``, if given, is ``permutation(d.word)``, already walked by the caller.
+    """
     p = d.space.p
-    cycles = closure_components(d.word)
+    cycles = (permutation(d.word) if perm is None else perm).cycles()
     signs = d.orientations or (1,) * len(cycles)
     return tuple(
         HomologyClass((sign * len(cycle)) % p, p) for sign, cycle in zip(signs, cycles)
     )
 
 
-def lifted_component_count(d: BandDiagram) -> int:
+def lifted_component_count(d: BandDiagram, perm: StrandPermutation | None = None) -> int:
     """Number of components of the lift, as sum_i gcd(delta_i, p).
 
     The count is recomputed from the cycles of the lift's closure
@@ -128,10 +143,12 @@ def lifted_component_count(d: BandDiagram) -> int:
     braid), without building the lifted word.  Both routes read the one
     permutation perm(word): delta_i is +-len(cycle_i) mod p, and its sign
     does not change the gcd.  Disagreement raises :class:`ConsistencyError`
-    because the two routes must coincide for every band diagram.
+    because the two routes must coincide for every band diagram.  ``perm``,
+    if given, is ``permutation(d.word)``, already walked by the caller.
     """
     p = d.space.p
-    perm = permutation(d.word)
+    if perm is None:
+        perm = permutation(d.word)
     from_classes = sum([math.gcd(len(cycle), p) for cycle in perm.cycles()])
     from_lift = len((perm**p).cycles())
     if from_classes != from_lift:

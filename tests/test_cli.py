@@ -438,10 +438,10 @@ class TestRepeatedCalls:
         assert first == run_fresh(failing)
         assert second == run_fresh(valid)
 
-    @pytest.mark.parametrize("command, walks", [("homology", 2), ("lift", 1)])
+    @pytest.mark.parametrize("command, walks", [("homology", 1), ("lift", 1)])
     def test_permutation_walks(self, capsys, monkeypatch, command, walks):
-        # homology walks the word once for its classes and once for the
-        # lifted count, which reads both of its routes from that one walk.
+        # homology reads its classes and both routes of the lifted count
+        # from one walk of the word; lift walks it for the count alone.
         original, calls = lenslinks.braid.permutation, []
 
         def counted(w):

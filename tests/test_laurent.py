@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenslinks.laurent as laurent
+from lenslinks.braid import BraidWord
+from lenslinks.invariants import burau_reduced
 from lenslinks.laurent import (
     DivisibilityError,
     LaurentMatrix,
     LaurentPoly,
+    _bareiss,
+    _coefficient_bound,
     _kronecker,
     _pack,
+    _term_count,
     divide_exact,
     slot_bits,
 )
+from lenslinks.lens import parse_band_diagram
 from modp import det_mod, poly_mod, random_point
 from reference import identity, matmul
 
@@ -94,6 +100,36 @@ def zero_leading_pivot(m: LaurentMatrix) -> LaurentMatrix:
     rows = [list(row) for row in m.rows]
     rows[0][0] = ZERO
     return LaurentMatrix.from_rows(rows)
+
+
+def poly_det(m: LaurentMatrix) -> LaurentPoly:
+    """_bareiss on the LaurentPoly entries, whatever route det() would take."""
+    return _bareiss([list(row) for row in m.rows], _term_count, divide_exact, ZERO)
+
+
+def packed_det(m: LaurentMatrix) -> LaurentPoly:
+    """_bareiss on the entries' values at t = 2^k, whatever route det() would take.
+
+    Column j is shifted by its lowest exponent low_j first, so the result
+    is the determinant times t^-(sum of the lows); k leaves room for the
+    coefficient bound of the nonzero columns as a signed digit.
+    """
+    columns = list(zip(*m.rows))
+    lows = [min([e.min_exp() for e in column if e], default=0) for column in columns]
+    k = slot_bits(_coefficient_bound([column for column in columns if any(column)]).bit_length() + 1)
+    packed = [[_pack(e.terms, k) << k * (e.min_exp() - low) if e else 0 for e, low in zip(row, lows)] for row in m.rows]
+    return LaurentPoly.from_packed(_bareiss(packed, int.bit_length, int.__floordiv__, 0), k, sum(lows))
+
+
+def dets(m: LaurentMatrix) -> list[LaurentPoly]:
+    """The determinant by det() and by _bareiss on each of its two entry types."""
+    return [m.det(), packed_det(m), poly_det(m)]
+
+
+def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
+    """burau - id for the closure of w^power . Delta^{2*twists}, the matrix alexander_of_closure reduces."""
+    rows = burau_reduced(w, power, twists).rows
+    return LaurentMatrix(tuple([row[:i] + (row[i] - ONE,) + row[i + 1 :] for i, row in enumerate(rows)]))
 
 
 class TestLaurentPoly:
@@ -298,28 +334,31 @@ class TestLaurentMatrix:
 
 
 class TestDetAgainstLeibniz:
+    # det() sends small random matrices on one route only, so each test also
+    # runs _bareiss on both entry types directly.
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(matrices))
     def test_random(self, m):
-        assert m.det() == leibniz_det(m)
+        assert dets(m) == [leibniz_det(m)] * 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6).flatmap(matrices), polys(max_terms=2))
     def test_singular(self, m, scale):
         s = singular(m, scale)
-        assert s.det() == leibniz_det(s) == ZERO
+        assert dets(s) == [leibniz_det(s)] * 3 == [ZERO] * 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6).flatmap(matrices))
     def test_zero_leading_pivot(self, m):
         z = zero_leading_pivot(m)
-        assert z.det() == leibniz_det(z)
+        assert dets(z) == [leibniz_det(z)] * 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda d: matrices(d, polys(max_terms=2, exp_range=1, coeff_range=1))))
     def test_sparse(self, m):
         # Entries are often zero, and so are many minors.
-        assert m.det() == leibniz_det(m)
+        assert dets(m) == [leibniz_det(m)] * 3
 
 
 def random_matrix(d, seed, density=1.0, terms=(1, 3)):
@@ -353,12 +392,12 @@ class TestBareiss:
         m = random_matrix(d, seed=f"{d} {density}", density=density)
         r = random_point(f"{d} {density}")
         values = [[poly_mod(entry, r) for entry in row] for row in m.rows]
-        assert poly_mod(m.det(), r) == det_mod(values)
+        assert [poly_mod(det, r) for det in dets(m)] == [det_mod(values)] * 3
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(5, 8).flatmap(matrices))
     def test_against_laplace(self, m):
-        assert m.det() == m._laplace_det()
+        assert dets(m) == [m._laplace_det()] * 3
 
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize(
@@ -369,7 +408,7 @@ class TestBareiss:
     def test_pivot_off_the_diagonal(self, d, cell):
         # Every other entry has three terms, so the monomial is the first pivot.
         m = with_entries(random_matrix(d, seed=d, terms=(3, 3)), {cell: T(1, -2)})
-        assert m.det() == m._laplace_det() == leibniz_det(m)
+        assert dets(m) == [m._laplace_det()] * 3 == [leibniz_det(m)] * 3
         assert not m.det().is_zero
 
     @pytest.mark.parametrize("d", [5, 6])
@@ -379,7 +418,7 @@ class TestBareiss:
         # zero and the pivot search must pass over it.
         m = with_entries(random_matrix(d, seed=d, terms=(3, 3)), {(0, 0): T(1, 3)})
         m = with_entries(m, {(i, 2): T(1) * m.rows[i][0] for i in range(d)})
-        assert m.det() == leibniz_det(m) == ZERO
+        assert dets(m) == [leibniz_det(m)] * 3 == [ZERO] * 3
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_singular(self, d):
@@ -388,13 +427,13 @@ class TestBareiss:
         scale = LaurentPoly.from_dict({0: 1, 1: -1})
         last = tuple(scale * (a + b) for a, b in zip(m.rows[0], m.rows[1]))
         s = LaurentMatrix(m.rows[:-1] + (last,))
-        assert s.det() == leibniz_det(s) == ZERO
+        assert dets(s) == [leibniz_det(s)] * 3 == [ZERO] * 3
 
     def test_rank_one_block_is_zero(self):
         u = [T(i - 2, i + 1) for i in range(6)]
         v = [LaurentPoly.from_dict({0: 1, j: -j - 1}) for j in range(6)]
         m = LaurentMatrix.from_rows([[a * b for b in v] for a in u])
-        assert m.det() == ZERO
+        assert dets(m) == [ZERO] * 3
 
     def test_products_cubic_in_size(self, monkeypatch):
         d = 10
@@ -402,6 +441,87 @@ class TestBareiss:
         calls = []
         mul = LaurentPoly.__mul__
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-        m.det()
+        poly_det(m)
         # Laplace expansion makes d * 2^(d-1) = 5,120 products here.
         assert len(calls) <= d**3
+
+
+# Entries of burau(s1 s2^-1)^60: 118-120 terms, coefficients of 78-79 bits.
+BIG_ENTRIES = [entry for row in burau_reduced(BraidWord(3, (1, -2)), 60).rows for entry in row]
+
+
+@st.composite
+def eliminated_matrices(draw):
+    """5x5 to 8x8 matrices with negative exponents and coefficients past 2^64.
+
+    Some have a zero column, and some a column that is a monomial times
+    another, which becomes zero once that other column has been eliminated.
+    """
+    d = draw(st.integers(5, 8))
+    entry = st.one_of(
+        polys(max_terms=4, exp_range=3, coeff_range=3),
+        polys(max_terms=2, exp_range=3, coeff_range=2**70),
+    )
+    rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BIG_ENTRIES))
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    shape = draw(st.sampled_from(["full", "zero column", "dependent column"]))
+    if shape != "full":
+        scale = ZERO if shape == "zero column" else T(draw(st.integers(-2, 2)), draw(st.sampled_from([-2, -1, 1, 3])))
+        for row in rows:
+            row[j] = scale * row[i]
+    return LaurentMatrix.from_rows(rows)
+
+
+class TestPackedDet:
+    @settings(max_examples=40, deadline=None)
+    @given(eliminated_matrices())
+    def test_packed_equals_polynomial(self, m):
+        assert packed_det(m) == poly_det(m) == m.det()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: matrices(d, polys(max_terms=4, exp_range=3, coeff_range=2**40))))
+    def test_coefficients_below_the_bound(self, m):
+        bound = _coefficient_bound(zip(*m.rows))
+        assert all(abs(c) < bound for _, c in m.det().terms)
+
+    def test_bound_is_attained_by_a_hadamard_matrix(self):
+        # The 8x8 Sylvester matrix of +-t^j has |det| = 8^4 = sqrt(8^8), the bound minus 1.
+        rows = [[T(j, (-1) ** bin(i & j).count("1")) for j in range(8)] for i in range(8)]
+        m = LaurentMatrix.from_rows(rows)
+        assert _coefficient_bound(zip(*m.rows)) == 4097
+        assert [abs(c) for _, c in m.det().terms] == [4096]
+
+    def test_wide_closure_makes_no_polynomial_products(self, monkeypatch):
+        # 11x11 burau - id of 60-66 mixed-sign letters on 12 strands.
+        rng = random.Random("wide")
+        entry_types = []
+        bareiss = laurent._bareiss
+        monkeypatch.setattr(laurent, "_bareiss", lambda a, *rest: entry_types.append(type(a[0][0])) or bareiss(a, *rest))
+        mul, calls = LaurentPoly.__mul__, []
+        r = random_point("wide")
+        for _ in range(5):
+            # A generator missing from the word leaves a zero column, whose
+            # determinant is 0 without elimination.
+            m = closure_matrix(BraidWord(12, ()))
+            while not all(any(column) for column in zip(*m.rows)):
+                letters = [rng.choice((-1, 1)) * rng.randint(1, 11) for _ in range(rng.randint(60, 66))]
+                m = closure_matrix(BraidWord(12, tuple(letters)))
+            values = [[poly_mod(entry, r) for entry in row] for row in m.rows]
+            monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            det = m.det()
+            monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+            assert poly_mod(det, r) == det_mod(values)
+        assert entry_types == [int] * 5
+        assert not calls
+
+    def test_sparse_lift_keeps_polynomial_entries(self, monkeypatch):
+        # The lift of "30 29 6 : 1" fills under 1% of its packed slots.
+        d = parse_band_diagram("30 29 6 : 1")
+        m = closure_matrix(d.word, d.space.p, d.space.q)
+        entry_types = []
+        bareiss = laurent._bareiss
+        monkeypatch.setattr(laurent, "_bareiss", lambda a, *rest: entry_types.append(type(a[0][0])) or bareiss(a, *rest))
+        assert m.det() == packed_det(m)
+        assert entry_types == [LaurentPoly]
