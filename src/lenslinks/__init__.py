@@ -8,14 +8,7 @@ polynomials via the reduced Burau representation, Seifert genus of
 quotient knots, and Puiseux cable pairs of plane curve branches.
 """
 
-from .braid import (
-    BraidWord,
-    StrandPermutation,
-    closure_components,
-    garside,
-    parse_braid_word,
-    permutation,
-)
+from .braid import BraidWord, StrandPermutation, garside, parse_braid_word, permutation
 from .curves import (
     CableSequence,
     PuiseuxData,
@@ -71,7 +64,6 @@ __all__ = [
     "alexander_of_closure",
     "bennequin_fiber",
     "burau_reduced",
-    "closure_components",
     "divide_exact",
     "garside",
     "homology_classes",

@@ -14,8 +14,10 @@ No normal form is computed here; braid-level equality certificates live in
 
 from __future__ import annotations
 
+import math
+
 from ._value import Value
-from .errors import ParseError
+from .errors import ConsistencyError, ParseError
 
 
 class BraidWord(Value):
@@ -106,6 +108,25 @@ class StrandPermutation(Value):
             out.append(tuple(cycle))
         return tuple(out)
 
+    def cycle_count(self, power: int) -> int:
+        """Number of cycles of ``self ** power`` (power >= 0), counted two ways.
+
+        A cycle of length l falls apart under the power into gcd(l, power)
+        cycles, so the count is the sum of those gcds over the cycles of
+        ``self``.  It is compared with the cycles of ``self ** power``, built
+        by squaring.  The routes share only ``self``, so they must agree for
+        every permutation; a disagreement is a fault in the code and raises
+        :class:`ConsistencyError`.
+        """
+        from_cycles = sum([math.gcd(len(cycle), power) for cycle in self.cycles()])
+        from_power = len((self**power).cycles())
+        if from_cycles != from_power:
+            raise ConsistencyError(
+                f"the cycle lengths predict {from_cycles} cycles of the permutation "
+                f"to the power {power}, the power has {from_power}"
+            )
+        return from_cycles
+
 
 def garside(n: int) -> BraidWord:
     """The positive half-twist braid on n strands.
@@ -135,15 +156,6 @@ def permutation(w: BraidWord) -> StrandPermutation:
     return StrandPermutation(w.strands, tuple(image))
 
 
-def closure_components(w: BraidWord, power: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Cycles of perm(w)^power = components of the closure of w^power.
-
-    One walk over the letters gives perm(w), and ``StrandPermutation.__pow__``
-    squares it, so w^power is never built.
-    """
-    return (permutation(w) ** power).cycles()
-
-
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices, e.g. ``"2 1 -2 1"``.
 
@@ -163,4 +175,7 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
             )
         letters.append(letter)
         pos += len(token)
-    return BraidWord(strands, tuple(letters))
+    # Every letter is checked above, with its position.
+    if strands < 1:
+        raise ValueError("a braid needs at least one strand")
+    return _trusted_word(strands, tuple(letters))

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from .braid import parse_braid_word, permutation
+from .braid import parse_braid_word
 from .curves import (
     PuiseuxData,
     invariance_class,
@@ -184,14 +184,14 @@ def _cmd_alexander(args) -> tuple[dict, list[str]]:
             raise ValueError("--braid requires --strands")
         _check_strands(args.strands, "braid")
         word = parse_braid_word(args.braid, args.strands)
-        poly = alexander_of_closure(word)
-        fields = {"strands": word.strands, "word": list(word.letters), "alexander": str(poly)}
+        poly = str(alexander_of_closure(word))
+        fields = {"strands": word.strands, "word": list(word.letters), "alexander": poly}
         text = [f"alexander: {poly}"]
     else:
         diagram = parse_band_diagram(args.band, _check_lift_size)
         lifted = lift(diagram)
-        poly = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
-        fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "alexander": str(poly)}
+        poly = str(alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q))
+        fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "alexander": poly}
         text = [f"lifted word: {lifted}", f"alexander: {poly}"]
     return fields, text
 
@@ -209,10 +209,8 @@ def _cmd_puiseux(args) -> tuple[dict, list[str]]:
 
 def _cmd_homology(args) -> tuple[dict, list[str]]:
     diagram = parse_band_diagram(args.band, _check_band_strands)
-    # One walk of the word serves the classes and both routes of the count.
-    perm = permutation(diagram.word)
-    classes = [c.value for c in homology_classes(diagram, perm)]
-    lifted = lifted_component_count(diagram, perm)
+    classes = [c.value for c in homology_classes(diagram)]
+    lifted = lifted_component_count(diagram)
     fields = {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
     text = [
         f"classes: {' '.join(str(c) for c in classes)}",

@@ -5,7 +5,10 @@ its Euler characteristic is simply  strands - letters  and its genus
 follows from  chi = 2 - 2g - r.  The full twist Delta^2 is a positive word
 of n(n-1) letters, so the closure of  w^power . Delta^{2*twists}  has
 chi = n - power*|w| - twists*n(n-1) and r = #cycles of perm(w)^power,
-with neither w^power nor the twists spelled out.  That combinatorial count is the genus
+with neither w^power nor the twists spelled out.  r is counted by
+:meth:`StrandPermutation.cycle_count`, which cross-checks the gcds of the
+cycle lengths of perm(w) against the cycles of its power, as the lifted
+component count of a band diagram does.  That combinatorial count is the genus
 oracle used throughout: the quotient-genus formulas below are always fed
 (and tested against) values derived from it rather than from a closed-form
 torus-knot genus formula.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 
 from ._value import Value
-from .braid import BraidWord, closure_components
+from .braid import BraidWord, permutation
 
 
 class FiberData(Value):
@@ -68,7 +71,7 @@ def bennequin_fiber(w: BraidWord, power: int = 1, twists: int = 0) -> FiberData:
         raise ValueError("power and twists must be non-negative")
     n = w.strands
     euler = n - power * len(w.letters) - twists * n * (n - 1)
-    return FiberData.from_euler(euler, len(closure_components(w, power)))
+    return FiberData.from_euler(euler, permutation(w).cycle_count(power))
 
 
 def quotient_genus(p: int, k: int, lift_genus: int) -> int:

@@ -17,9 +17,12 @@ count mod p.  The component count of the lift is tied to these classes by
 
     sum_i gcd(delta_i, p)  =  (number of lifted components),
 
-which this module recomputes both ways as a permanent cross-check.  Both
-routes read one permutation, perm(word): the classes from its cycles, the
-lifted components from the cycles of perm(word)^p.
+which this module recomputes both ways as a permanent cross-check.  A
+:class:`BandDiagram` walks its word once, when it is built, and every
+reader of the closure permutation perm(word) shares that walk: the
+orientation check, the classes (its cycles), the lifted components (the
+cycles of perm(word)^p, through :meth:`StrandPermutation.cycle_count`)
+and the nullhomologous orientation search.
 """
 
 from __future__ import annotations
@@ -28,16 +31,8 @@ import math
 from collections.abc import Callable
 
 from ._value import Value
-from .braid import (
-    BraidWord,
-    StrandPermutation,
-    _trusted_word,
-    closure_components,
-    garside,
-    parse_braid_word,
-    permutation,
-)
-from .errors import ConsistencyError, ParseError
+from .braid import BraidWord, _trusted_word, garside, parse_braid_word, permutation
+from .errors import ParseError
 
 
 class LensSpace(Value):
@@ -81,21 +76,23 @@ class BandDiagram(Value):
     """A link in a lens space: a braid-form tangle between n band endpoints.
 
     ``orientations`` optionally assigns a sign to each closure component,
-    listed in the order of ``closure_components(word)`` (cycles sorted by
-    their minimum strand); omitted means all positive.
+    listed in the order of the cycles of perm(word) (sorted by their
+    minimum strand); omitted means all positive.  ``_perm`` is perm(word),
+    walked once here; it is derived from ``word``, so it is not a field.
     """
 
-    __slots__ = ("space", "word", "orientations")
+    __slots__ = ("space", "word", "orientations", "_perm")
 
     def __init__(self, space: LensSpace, word: BraidWord, orientations: tuple[int, ...] | None = None):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "orientations", orientations)
+        object.__setattr__(self, "_perm", permutation(word))
         self.__post_init__()
 
     def __post_init__(self):
         if self.orientations is not None:
-            r = len(closure_components(self.word))
+            r = len(self._perm.cycles())
             if len(self.orientations) != r:
                 raise ValueError(
                     f"{len(self.orientations)} orientations given for {r} components"
@@ -122,41 +119,28 @@ def lift(d: BandDiagram) -> BraidWord:
     return _trusted_word(d.word.strands, letters)
 
 
-def homology_classes(d: BandDiagram, perm: StrandPermutation | None = None) -> tuple[HomologyClass, ...]:
-    """The class of each component: its signed strand count mod p.
-
-    ``perm``, if given, is ``permutation(d.word)``, already walked by the caller.
-    """
+def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
+    """The class of each component: its signed strand count mod p."""
     p = d.space.p
-    cycles = (permutation(d.word) if perm is None else perm).cycles()
+    cycles = d._perm.cycles()
     signs = d.orientations or (1,) * len(cycles)
     return tuple(
         HomologyClass((sign * len(cycle)) % p, p) for sign, cycle in zip(signs, cycles)
     )
 
 
-def lifted_component_count(d: BandDiagram, perm: StrandPermutation | None = None) -> int:
+def lifted_component_count(d: BandDiagram) -> int:
     """Number of components of the lift, as sum_i gcd(delta_i, p).
 
-    The count is recomputed from the cycles of the lift's closure
-    permutation, perm(word)^p (the closing twist garside(n)^(2q) is a pure
-    braid), without building the lifted word.  Both routes read the one
-    permutation perm(word): delta_i is +-len(cycle_i) mod p, and its sign
-    does not change the gcd.  Disagreement raises :class:`ConsistencyError`
-    because the two routes must coincide for every band diagram.  ``perm``,
-    if given, is ``permutation(d.word)``, already walked by the caller.
+    The closing twist garside(n)^(2q) is a pure braid, so the lift's closure
+    permutation is perm(word)^p, and its cycles are the lifted components.
+    :meth:`StrandPermutation.cycle_count` counts them by both routes and
+    raises :class:`ConsistencyError` if they differ: the sum of
+    gcd(len(cycle_i), p), which is sum_i gcd(delta_i, p) since delta_i is
+    +-len(cycle_i) mod p, and the cycles of perm(word)^p built by squaring.
+    Neither route builds the lifted word.
     """
-    p = d.space.p
-    if perm is None:
-        perm = permutation(d.word)
-    from_classes = sum([math.gcd(len(cycle), p) for cycle in perm.cycles()])
-    from_lift = len((perm**p).cycles())
-    if from_classes != from_lift:
-        raise ConsistencyError(
-            f"homology predicts {from_classes} lifted components, "
-            f"the lifted closure has {from_lift}"
-        )
-    return from_classes
+    return d._perm.cycle_count(d.space.p)
 
 
 def nullhomologous_orientation(d: BandDiagram) -> tuple[int, ...] | None:
@@ -172,7 +156,7 @@ def nullhomologous_orientation(d: BandDiagram) -> tuple[int, ...] | None:
     held as m-bit masks, costs O(r * m); the signs are then chosen greedily
     from the front, taking +1 whenever the rest can still reach zero.
     """
-    lengths = [len(cycle) for cycle in closure_components(d.word)]
+    lengths = [len(cycle) for cycle in d._perm.cycles()]
     m = min(d.space.p, d.word.strands + 1)
     full = (1 << m) - 1
 
@@ -203,8 +187,8 @@ def parse_band_diagram(text: str, check: Callable[[LensSpace, BraidWord], None] 
     Examples: ``"3 1 3 : 2 1 2 1"``, ``"3 1 2 : 1 1 | + -"``.
 
     ``check``, if given, sees the parsed space and word before the diagram
-    is built, which for an oriented diagram means before its closure
-    permutation exists; it refuses the input by raising.
+    is built, and so before its word is walked; it refuses the input by
+    raising.
     """
     head, sep, rest = text.partition(":")
     if not sep:

@@ -2,13 +2,13 @@
 
 The library itself never needs them: the Burau product is built by column
 updates, burau - id changes only the diagonal, a lift or a torus link is a
-(word, power, twists) triple, and no subcommand multiplies bivariate
-polynomials or reduces braid words.
+(word, power, twists) triple, a band diagram holds its closure permutation,
+and no subcommand multiplies bivariate polynomials or reduces braid words.
 """
 
 from fractions import Fraction
 
-from lenslinks.braid import BraidWord, garside
+from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 
@@ -39,6 +39,11 @@ def identity(size: int) -> LaurentMatrix:
 def spelled_out(w: BraidWord, power: int = 1, twists: int = 0) -> BraidWord:
     """The word w^power . Delta^{2*twists}, every letter written out."""
     return BraidWord(w.strands, w.letters * power + garside(w.strands).letters * (2 * twists))
+
+
+def closure_components(w: BraidWord, power: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Cycles of perm(w)^power = components of the closure of w^power."""
+    return (permutation(w) ** power).cycles()
 
 
 def torus_braid(a: int, b: int) -> BraidWord:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import lenslinks.cli as cli
-from lenslinks.braid import BraidWord, closure_components, permutation, garside
+from lenslinks.braid import BraidWord, permutation, garside
 from lenslinks.curves import (
     PuiseuxData,
     SupportPoly,
@@ -29,7 +29,7 @@ from lenslinks.invariants import (
 from lenslinks.laurent import LaurentPoly, divide_exact
 from lenslinks.lens import BandDiagram, LensSpace, homology_classes, lift, lifted_component_count
 from lenslinks.curves import parse_poly
-from reference import torus_braid
+from reference import closure_components, torus_braid
 
 
 def report(number, label):

@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 from lenslinks.braid import (
     BraidWord,
     StrandPermutation,
-    closure_components,
     garside,
     parse_braid_word,
     permutation,
@@ -14,7 +13,7 @@ from lenslinks.braid import (
 from lenslinks.errors import ParseError
 from lenslinks.invariants import burau_reduced
 from lenslinks.laurent import LaurentPoly
-from reference import free_reduce
+from reference import closure_components, free_reduce
 
 
 def signed_letters(n):

@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 import lenslinks
 import lenslinks.cli as cli
 import lenslinks.lens
-from lenslinks.laurent import DivisibilityError
-from lenslinks.lens import ConsistencyError
+from lenslinks.errors import ConsistencyError, DivisibilityError
 from modp import P, det_mod, random_point
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
@@ -187,6 +186,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["alexander", "--braid", "", "--strands", "0"], 1, "a braid needs at least one strand"),
+            (["alexander", "--band", "3 1 0 :"], 2, "a braid needs at least one strand"),
+            (
+                ["alexander", "--band", "3 1 -2 : 1"],
+                2,
+                "letter 1 is not a generator index for -2 strands (at position 1)",
+            ),
+        ],
+    )
+    def test_strand_count_checked_after_letters(self, capsys, argv, code, err):
+        # A letter is reported with its position before a bad strand count.
+        assert run(capsys, argv) == (code, "", f"error: {err}\n")
+
     @pytest.mark.parametrize("error", [ConsistencyError, DivisibilityError])
     def test_consistency_fault(self, capsys, monkeypatch, error):
         def broken(*args):
@@ -214,6 +229,27 @@ class TestExitCodes:
         assert code == 3
         reproduce = err.rstrip("\n").split("; reproduce with: lenslinks ", 1)[1]
         assert shlex.split(reproduce) == argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--band", "5 2 3 : 1 2"],
+            ["homology", "--band", "5 2 3 : 1 2"],
+            # Power 8 mod 3 = 2; at power 0 (as for 9 3) both routes give n.
+            ["genus", "--torus", "8", "3"],
+        ],
+    )
+    def test_broken_power_caught(self, capsys, monkeypatch, argv):
+        # Every component count goes through StrandPermutation.cycle_count,
+        # whose gcd route does not use __pow__.
+        def identity(perm, e):
+            return lenslinks.StrandPermutation.identity(perm.n)
+
+        monkeypatch.setattr(lenslinks.StrandPermutation, "__pow__", identity)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal consistency fault: ")
+        assert err.endswith(f"; reproduce with: lenslinks {shlex.join(argv)}\n")
 
     def test_fault_message_from_process_argv(self, capsys, monkeypatch):
         def broken(*args):
@@ -438,10 +474,15 @@ class TestRepeatedCalls:
         assert first == run_fresh(failing)
         assert second == run_fresh(valid)
 
-    @pytest.mark.parametrize("command, walks", [("homology", 1), ("lift", 1)])
+    @pytest.mark.parametrize(
+        "command, walks",
+        [("homology", 1), ("lift", 1), ("nullhomologous", 1), ("alexander", 1), ("genus", 1)],
+    )
     def test_permutation_walks(self, capsys, monkeypatch, command, walks):
-        # homology reads its classes and both routes of the lifted count
-        # from one walk of the word; lift walks it for the count alone.
+        # A band diagram walks its word once, when it is built; the
+        # orientation check, the classes, both routes of the lifted count and
+        # the orientation search read that walk.  genus --torus walks the run
+        # of its (word, power, twists) triple once.
         original, calls = lenslinks.braid.permutation, []
 
         def counted(w):
@@ -451,8 +492,36 @@ class TestRepeatedCalls:
         for name, module in list(sys.modules.items()):
             if name.startswith("lenslinks.") and getattr(module, "permutation", None) is original:
                 monkeypatch.setattr(module, "permutation", counted)
-        assert run(capsys, [command, "--band", "5 2 3 : 1 2"])[0] == 0
-        assert len(calls) == walks
+        if command == "genus":
+            argvs = [["genus", "--torus", "9", "3"]]
+        else:
+            argvs = [[command, "--band", band] for band in ("3 1 2 : 1 1", "3 1 2 : 1 1 | + -")]
+        for argv in argvs:
+            calls.clear()
+            assert run(capsys, argv)[0] == 0, argv
+            assert len(calls) == walks, argv
+
+    @pytest.mark.parametrize(
+        "argv, validations",
+        [
+            (["alexander", "--braid", "1 -2 1", "--strands", "3"], 0),
+            (["alexander", "--band", "5 2 3 : 1 2"], 1),
+        ],
+        ids=["braid", "band"],
+    )
+    def test_validates_the_parsed_word_once(self, capsys, monkeypatch, argv, validations):
+        # parse_braid_word checks each letter with its position and builds
+        # the word without checking it again; only garside(n), for the
+        # closing twist of a band's lift, goes through BraidWord's own check.
+        check, calls = lenslinks.braid.BraidWord.__post_init__, []
+
+        def counted(w):
+            calls.append(len(w))
+            return check(w)
+
+        monkeypatch.setattr(lenslinks.braid.BraidWord, "__post_init__", counted)
+        assert run(capsys, argv)[0] == 0
+        assert len(calls) == validations
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()
@@ -493,7 +562,7 @@ class TestStrandLimit:
         def forbidden(*args, **kwargs):
             raise AssertionError("built before the strand check")
 
-        monkeypatch.setattr(lenslinks.lens, "closure_components", forbidden)
+        monkeypatch.setattr(lenslinks.lens, "permutation", forbidden)
         for name in ("alexander_of_closure", "lift"):
             monkeypatch.setattr(cli, name, forbidden)
         for argv in (

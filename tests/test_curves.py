@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lenslinks.braid import closure_components
 from lenslinks.curves import (
     CableSequence,
     PuiseuxData,
@@ -19,7 +18,7 @@ from lenslinks.curves import (
 )
 from lenslinks.errors import ParseError
 from lenslinks.lens import LensSpace, lifted_component_count, parse_band_diagram
-from reference import support_mul
+from reference import closure_components, support_mul
 
 
 class TestParsePoly:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lenslinks.braid import BraidWord, StrandPermutation, closure_components, garside, permutation
+from lenslinks.braid import BraidWord, StrandPermutation, garside, permutation
 from lenslinks.errors import ParseError
 from lenslinks import lens
 from lenslinks.invariants import alexander_of_closure
@@ -20,7 +20,7 @@ from lenslinks.lens import (
     nullhomologous_orientation,
     parse_band_diagram,
 )
-from reference import torus_braid
+from reference import closure_components, torus_braid
 
 
 def random_diagram(rng, max_strands=6, max_len=12, max_p=7):
