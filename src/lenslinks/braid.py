@@ -42,9 +42,6 @@ class BraidWord(Value):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return " ".join(str(letter) for letter in self.letters)
-
 
 def _trusted_word(strands: int, letters: tuple[int, ...]) -> BraidWord:
     """A BraidWord on letters already known to be generators on ``strands`` strands, without re-validating them."""

@@ -2,8 +2,10 @@
 
 Subcommands: ``invariance``, ``lift``, ``torus-test``, ``genus``,
 ``alexander``, ``puiseux``, ``homology``, ``nullhomologous``.  Each
-subcommand's handler returns its JSON fields and its text lines, and
-``run`` prints one or the other: every subcommand accepts ``--json``.  The
+subcommand's handler returns only its JSON fields.  ``run`` prints them as
+one JSON object under ``--json``, which every subcommand accepts, and
+otherwise as the text that ``_text`` renders from those fields alone: the
+text says nothing the JSON does not, and ``--json`` builds no text.  The
 JSON field names are a stability contract for scripting; they, the text
 output and the ``--help`` pages are pinned by the golden outputs in
 ``tests/fixtures/cli_golden.json``.
@@ -83,22 +85,19 @@ def _band_fields(diagram) -> dict:
     return {"p": diagram.space.p, "q": diagram.space.q, "n": diagram.word.strands}
 
 
-def _cmd_invariance(args) -> tuple[dict, list[str]]:
+def _cmd_invariance(args) -> dict:
     f = parse_poly(args.poly)
     k = invariance_class(f, args.p, args.q)
-    fields = {"poly": str(f), "p": args.p, "q": args.q, "invariant": k is not None, "k": k}
-    text = [f"k = {k}"] if k is not None else ["no invariance class"]
-    return fields, text
+    return {"poly": str(f), "p": args.p, "q": args.q, "invariant": k is not None, "k": k}
 
 
-def _cmd_lift(args) -> tuple[dict, list[str]]:
+def _cmd_lift(args) -> dict:
     diagram = parse_band_diagram(args.band, _check_lift_size)
     if args.compare_torus:
         _check_torus_size(*args.compare_torus)
     lifted = lift(diagram)
     count = lifted_component_count(diagram)
-    fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "components": count}
-    text = [f"lifted word: {lifted}", f"components: {count}"]
+    fields = {**_band_fields(diagram), "lifted_word": lifted.letters, "components": count}
     if args.compare_torus:
         a, b = args.compare_torus
         fields["compare_torus"] = [a, b]
@@ -106,129 +105,124 @@ def _cmd_lift(args) -> tuple[dict, list[str]]:
         if b != lifted.strands and min(a, b) >= 1:
             fields["equal_up_to_unit"] = None
             fields["note"] = "incomparable presentations"
-            text.append(
-                f"incomparable presentations: lift on {lifted.strands} strands, "
-                f"torus braid on {b}"
-            )
         else:
             p, q = diagram.space.p, diagram.space.q
             torus = alexander_of_closure(*torus_closure(a, b))
             # Both polynomials are unit-normalized: == is equality up to a unit.
-            same = torus == alexander_of_closure(diagram.word, p, q)
-            fields["equal_up_to_unit"] = same
-            text.append(f"equal_up_to_unit: {'true' if same else 'false'}")
-    return fields, text
+            fields["equal_up_to_unit"] = torus == alexander_of_closure(diagram.word, p, q)
+    return fields
 
 
-def _cmd_torus_test(args) -> tuple[dict, list[str]]:
-    if args.q is not None:
-        k = invariance_class(torus_poly(args.a, args.b), args.p, args.q)
-        fields = {
-            "a": args.a,
-            "b": args.b,
-            "p": args.p,
-            "q": args.q,
-            "lift_of_link": k is not None,
-            "k": k,
-        }
-        if k is not None:
-            text = [f"T({args.a},{args.b}) lifts from L({args.p},{args.q}); k = {k}"]
-        else:
-            text = [f"T({args.a},{args.b}) is not a lift from L({args.p},{args.q})"]
-    else:
+def _cmd_torus_test(args) -> dict:
+    if args.q is None:
         ok = is_torus_knot_lift(args.a, args.b, args.p)
-        fields = {"a": args.a, "b": args.b, "p": args.p, "lift_of_knot": ok}
-        verdict = "is" if ok else "is not"
-        text = [f"T({args.a},{args.b}) {verdict} the lift of a knot in L({args.p},q)"]
-    return fields, text
+        return {"a": args.a, "b": args.b, "p": args.p, "lift_of_knot": ok}
+    k = invariance_class(torus_poly(args.a, args.b), args.p, args.q)
+    return {"a": args.a, "b": args.b, "p": args.p, "q": args.q, "lift_of_link": k is not None, "k": k}
 
 
-def _cmd_genus(args) -> tuple[dict, list[str]]:
+def _cmd_genus(args) -> dict:
     if args.torus:
         a, b = args.torus
         _check_torus_size(a, b)
         p = math.gcd(a, b)
         fiber = bennequin_fiber(*torus_closure(a, b))
-        g = quotient_genus(p, 0, fiber.genus)
-        fields = {
+        return {
             "p": p,
             "lift_genus": fiber.genus,
             "lift_components": fiber.boundary_components,
-            "quotient_genus": g,
+            "quotient_genus": quotient_genus(p, 0, fiber.genus),
         }
-        text = [
-            f"p = {p}",
-            f"lift genus = {fiber.genus}",
-            f"lift components = {fiber.boundary_components}",
-            f"quotient genus = {g}",
-        ]
-    else:
-        p, k, lift_genus = args.quotient
-        g = quotient_genus(p, k, lift_genus)
-        fields = {
-            "p": p,
-            "k": k,
-            "lift_genus": lift_genus,
-            "quotient_genus": g,
-            "unvalidated_regime": k != 0,
-        }
-        text = [f"quotient genus = {g}"]
-        if k != 0:
-            text.append("warning: k != 0 is an unvalidated regime")
-    return fields, text
+    p, k, lift_genus = args.quotient
+    return {
+        "p": p,
+        "k": k,
+        "lift_genus": lift_genus,
+        "quotient_genus": quotient_genus(p, k, lift_genus),
+        "unvalidated_regime": k != 0,
+    }
 
 
-def _cmd_alexander(args) -> tuple[dict, list[str]]:
+def _cmd_alexander(args) -> dict:
     if args.braid is not None:
         if args.strands is None:
             raise ValueError("--braid requires --strands")
         _check_strands(args.strands, "braid")
         word = parse_braid_word(args.braid, args.strands)
-        poly = str(alexander_of_closure(word))
-        fields = {"strands": word.strands, "word": list(word.letters), "alexander": poly}
-        text = [f"alexander: {poly}"]
-    else:
-        diagram = parse_band_diagram(args.band, _check_lift_size)
-        lifted = lift(diagram)
-        poly = str(alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q))
-        fields = {**_band_fields(diagram), "lifted_word": list(lifted.letters), "alexander": poly}
-        text = [f"lifted word: {lifted}", f"alexander: {poly}"]
-    return fields, text
+        poly = alexander_of_closure(word)
+        return {"strands": word.strands, "word": word.letters, "alexander": str(poly)}
+    diagram = parse_band_diagram(args.band, _check_lift_size)
+    poly = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
+    return {**_band_fields(diagram), "lifted_word": lift(diagram).letters, "alexander": str(poly)}
 
 
-def _cmd_puiseux(args) -> tuple[dict, list[str]]:
+def _cmd_puiseux(args) -> dict:
     data = PuiseuxData(args.m, tuple(args.exponents))
     seq = puiseux_pairs(data, characteristic_only=args.characteristic_only)
-    fields = {
-        "m": args.m,
-        "exponents": list(args.exponents),
-        "pairs": [list(pair) for pair in seq.pairs],
-    }
-    return fields, [f"pairs: {seq}"]
+    return {"m": args.m, "exponents": args.exponents, "pairs": seq.pairs}
 
 
-def _cmd_homology(args) -> tuple[dict, list[str]]:
+def _cmd_homology(args) -> dict:
     diagram = parse_band_diagram(args.band, _check_band_strands)
     classes = [c.value for c in homology_classes(diagram)]
     lifted = lifted_component_count(diagram)
-    fields = {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
-    text = [
-        f"classes: {' '.join(str(c) for c in classes)}",
-        f"lifted components: {lifted}",
-    ]
-    return fields, text
+    return {**_band_fields(diagram), "components": len(classes), "classes": classes, "lifted_components": lifted}
 
 
-def _cmd_nullhomologous(args) -> tuple[dict, list[str]]:
+def _cmd_nullhomologous(args) -> dict:
     diagram = parse_band_diagram(args.band, _check_band_strands)
     signs = nullhomologous_orientation(diagram)
     rendered = None if signs is None else ["+" if s > 0 else "-" for s in signs]
-    fields = {**_band_fields(diagram), "exists": signs is not None, "orientation": rendered}
-    if rendered is None:
-        text = ["no nullhomologous orientation (the diagram is not an algebraic link)"]
-    else:
-        text = [f"orientation: {' '.join(rendered)}"]
-    return fields, text
+    return {**_band_fields(diagram), "exists": signs is not None, "orientation": rendered}
+
+
+def _text(command: str, f: dict) -> str:
+    """The text output of ``command``, read from its JSON fields ``f`` alone."""
+    if command == "invariance":
+        lines = [f"k = {f['k']}" if f["invariant"] else "no invariance class"]
+    elif command == "torus-test":
+        # Without --q there is no q field, and the knot test names L(p,q).
+        link, space = f"T({f['a']},{f['b']})", f"L({f['p']},{f.get('q', 'q')})"
+        if "lift_of_knot" in f:
+            lines = [f"{link} {'is' if f['lift_of_knot'] else 'is not'} the lift of a knot in {space}"]
+        elif f["lift_of_link"]:
+            lines = [f"{link} lifts from {space}; k = {f['k']}"]
+        else:
+            lines = [f"{link} is not a lift from {space}"]
+    elif command == "genus" and "lift_components" in f:
+        lines = [
+            f"p = {f['p']}",
+            f"lift genus = {f['lift_genus']}",
+            f"lift components = {f['lift_components']}",
+            f"quotient genus = {f['quotient_genus']}",
+        ]
+    elif command == "genus":
+        lines = [f"quotient genus = {f['quotient_genus']}"]
+        if f["unvalidated_regime"]:
+            lines.append("warning: k != 0 is an unvalidated regime")
+    elif command == "puiseux":
+        lines = ["pairs: {" + "; ".join(f"({m},{n})" for m, n in f["pairs"]) + "}"]
+    elif command == "homology":
+        lines = [f"classes: {' '.join(map(str, f['classes']))}", f"lifted components: {f['lifted_components']}"]
+    elif command == "nullhomologous":
+        if f["exists"]:
+            lines = [f"orientation: {' '.join(f['orientation'])}"]
+        else:
+            lines = ["no nullhomologous orientation (the diagram is not an algebraic link)"]
+    elif command == "alexander":
+        # A band's lift comes before its polynomial; a braid shows only the polynomial.
+        lines = [f"lifted word: {' '.join(map(str, f['lifted_word']))}"] if "lifted_word" in f else []
+        lines.append(f"alexander: {f['alexander']}")
+    else:  # lift
+        lines = [f"lifted word: {' '.join(map(str, f['lifted_word']))}", f"components: {f['components']}"]
+        if "note" in f:
+            lines.append(
+                f"incomparable presentations: lift on {f['n']} strands, "
+                f"torus braid on {f['compare_torus'][1]}"
+            )
+        elif "equal_up_to_unit" in f:
+            lines.append(f"equal_up_to_unit: {'true' if f['equal_up_to_unit'] else 'false'}")
+    return "\n".join(lines)
 
 
 # One parser serves every call in a process: parse_args does not change it.
@@ -236,9 +230,12 @@ def _cmd_nullhomologous(args) -> tuple[dict, list[str]]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lenslinks",
+        # argparse spells the subcommand choices out on this line, and 3.13
+        # wraps them differently; the subcommands keep their own usage lines.
+        usage="%(prog)s [-h] COMMAND ...",
         description="Exact computations for algebraic links in lens spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="lenslinks")
 
     p = sub.add_parser("invariance", help="invariance class of a polynomial under the L(p,q) action")
     p.add_argument("--poly", required=True, help="polynomial text, e.g. 'x^8 + y^2'")
@@ -310,8 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute, and print the result; returns the process exit code.
 
-    This is the one place that writes output: the handler's fields as one
-    JSON object with ``--json``, else its text lines.
+    This is the one place that writes output.  The handler's fields are the
+    only result: they are printed as one JSON object with ``--json``, else
+    rendered to text by ``_text``.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -321,7 +319,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        fields, text = args.func(args)
+        fields = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -336,7 +334,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(fields) if args.json else "\n".join(text))
+    print(json.dumps(fields) if args.json else _text(args.command, fields))
     return 0
 
 

@@ -118,12 +118,16 @@ class _PolyParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take_uint(self) -> int:
+        # isdecimal, not isdigit: int() rejects digits such as superscripts.
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError(f"a number of {self.pos - start} digits is too long", start) from None
 
     def take_sign(self) -> int:
         sign = 1
@@ -154,7 +158,7 @@ class _PolyParser:
     def parse_term(self) -> tuple[tuple[int, int], Fraction]:
         Fraction = _fraction_type()
         coef = Fraction(1)
-        if self.peek().isdigit():
+        if self.peek().isdecimal():
             num = self.take_uint()
             self.skip_ws()
             if self.peek() == "/":
@@ -299,9 +303,6 @@ class CableSequence(Value):
         for (_, n1), (m2, n2) in zip(self.pairs, self.pairs[1:]):
             if n1 * m2 >= n2:
                 raise ValueError(f"cable condition n_i*m_(i+1) < n_(i+1) fails at {(n1, m2, n2)}")
-
-    def __str__(self) -> str:
-        return "{" + "; ".join(f"({m},{n})" for m, n in self.pairs) + "}"
 
 
 def puiseux_pairs(data: PuiseuxData, characteristic_only: bool = False) -> CableSequence:

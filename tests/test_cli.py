@@ -67,6 +67,23 @@ def test_golden_text(capsys, monkeypatch, case):
     assert run(capsys, case["argv"]) == (0, case["text"], "")
 
 
+@pytest.mark.parametrize("case", JSON_CASES, ids=_ids(JSON_CASES))
+def test_golden_text_renders_from_golden_json(case):
+    # The text is a function of the JSON fields alone.
+    assert cli._text(case["argv"][0], case["json"]) + "\n" == case["text"]
+
+
+@pytest.mark.parametrize("case", JSON_CASES, ids=_ids(JSON_CASES))
+def test_json_builds_no_text(capsys, monkeypatch, case):
+    def refuse(command, fields):
+        raise AssertionError("text rendered under --json")
+
+    monkeypatch.setattr(cli, "_text", refuse)
+    code, out, err = run(capsys, case["argv"] + ["--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == case["json"]
+
+
 def test_golden_covers_every_help():
     helps = {tuple(case["argv"]) for case in GOLDEN if "json" not in case}
     subcommands = {case["argv"][0] for case in JSON_CASES}
@@ -201,6 +218,27 @@ class TestExitCodes:
     def test_strand_count_checked_after_letters(self, capsys, argv, code, err):
         # A letter is reported with its position before a bad strand count.
         assert run(capsys, argv) == (code, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "poly, err",
+        [
+            # A superscript is a digit but not a decimal, and int() refuses it.
+            ("x^\u00b2", "expected a number (at position 2)"),
+            ("\u00b2*x + y", "expected a variable, got '\u00b2' (at position 0)"),
+            # Past 4,300 digits int() refuses a decimal string.
+            ("x^" + "9" * 5000 + " + y", "a number of 5000 digits is too long (at position 2)"),
+            ("1/" + "9" * 5000 + "*x", "a number of 5000 digits is too long (at position 2)"),
+        ],
+        ids=["superscript-exponent", "superscript-coefficient", "long-exponent", "long-denominator"],
+    )
+    def test_malformed_poly_number(self, capsys, poly, err):
+        assert run(capsys, ["invariance", "--poly", poly, "--p", "3", "--q", "1"]) == (2, "", f"error: {err}\n")
+
+    def test_poly_accepts_any_decimal_digit(self, capsys):
+        # ARABIC-INDIC DIGIT THREE is a decimal digit, which int() reads as 3.
+        argv = ["invariance", "--poly", "x^\u0663 + y", "--p", "3", "--q", "1", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert (code, json.loads(out)["poly"]) == (0, "x^3 + y")
 
     @pytest.mark.parametrize("error", [ConsistencyError, DivisibilityError])
     def test_consistency_fault(self, capsys, monkeypatch, error):
@@ -687,5 +725,4 @@ class TestArgvFuzz:
         json_code, out, json_err = run_captured(argv + ["--json"])
         assert (json_code, json_err) == (code, err)
         if code == 0:
-            assert text.strip()
-            assert isinstance(json.loads(out), dict)
+            assert text == cli._text(argv[0], json.loads(out)) + "\n"
