@@ -20,10 +20,21 @@ closure is then
 
 up to a unit +-t^k, and every comparison here happens after normalizing
 away the unit: the lowest exponent is shifted to 0 and the sign fixed so
-its coefficient is positive.  The determinant is a cofactor expansion up
-to 4x4 and fraction-free elimination above, on the entries packed at
-t = 2^K when they fill their slots densely enough and on the polynomials
-otherwise, see :meth:`LaurentMatrix.det`.
+its coefficient is positive.  The division is one integer division at
+t = 2^K (:func:`~lenslinks.laurent.divide_cyclic`).
+
+The determinant of a lift, det(t^{nq} M^p - id) with M the matrix of one
+pass over w, takes one of two routes, chosen in :func:`alexander_of_closure`:
+
+- On 3 and 4 strands (d = n - 1 <= 3) it is a polynomial in the
+  characteristic polynomial of M^p, whose coefficients come from tr(M^p), its
+  reflection t -> 1/t and the unit det(M)^p: the Burau representation is
+  unitary (Squier, Proc. AMS 90, 1984), so tr(M^-p)(t) = tr(M^p)(1/t).
+  tr(M^p) comes from Newton's recurrence on packed integers after one pass.
+- Otherwise the letters are applied p times and the determinant is a
+  cofactor expansion up to 4x4 and fraction-free elimination above, on the
+  entries packed at t = 2^K when they fill their slots densely enough and
+  on the polynomials otherwise, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -36,9 +47,11 @@ triple, and its a(b-1) letters are never spelled out.
 
 from __future__ import annotations
 
+from operator import mul
+
 from ._value import Value
 from .braid import BraidWord
-from .laurent import LaurentMatrix, LaurentPoly, divide_exact, slot_bits
+from .laurent import LaurentMatrix, LaurentPoly, divide_cyclic, slot_bits
 
 
 class AlexanderPoly(Value):
@@ -89,43 +102,59 @@ def _updates(letter: int, d: int) -> list[tuple[int, int, int]]:
     return [part for part in parts if 0 <= part[2] < d]
 
 
-def _norm_bound(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> int:
+def _steps(w: BraidWord) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(column, updates) of each letter of w, in word order."""
+    d = w.strands - 1
+    return [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two square integer matrices held as lists of rows."""
+    return [[sum(map(mul, row, column)) for column in zip(*b)] for row in a]
+
+
+def _norm_bound(steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> int:
     """A bound on every |coefficient| of the Burau matrix that ``steps``, ``power`` times, build.
 
     The same column updates on the L1 norms of the entries: a new entry's
-    norm is at most the sum of the norms of the entries it adds.
+    norm is at most the sum of the norms of the entries it adds.  Those
+    updates are linear, so one pass over ``steps`` is a non-negative square
+    matrix P, and ``power`` passes are P^power.  P is the identity outside
+    the s columns that the steps read or write, and so is every power of
+    it, so only that s x s block is powered, by square-and-multiply: O(s^3
+    log power) products instead of power * len(steps) updates.  The block's
+    diagonal stays at least 1, so its maximum is that of P^power.
     """
-    norms = [[int(r == c) for r in range(d)] for c in range(d)]
-    sources = [(c, [j for _, _, j in parts]) for c, parts in steps]
-    for _ in range(power):
-        for c, columns in sources:
-            norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
-    return max([max(col) for col in norms])
+    touched = sorted({j for _, parts in steps for _, _, j in parts})
+    if not touched:
+        return 1
+    index = {j: i for i, j in enumerate(touched)}
+    one = [[int(r == c) for r in range(len(touched))] for c in range(len(touched))]
+    base = [column[:] for column in one]
+    for c, parts in steps:
+        base[index[c]] = [sum(row) for row in zip(*[base[index[j]] for _, _, j in parts])]
+    result = one
+    while power:
+        if power & 1:
+            result = base if result is one else _matmul(result, base)
+        power >>= 1
+        if power:
+            base = _matmul(base, base)
+    return max([max(column) for column in result])
 
 
-def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
-    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
-
-    The letters of w are applied ``power`` times as column updates.  The
-    full twist Delta^2 is central and its reduced Burau image is t^n * id,
-    so the twists multiply every entry by the unit t^{n*twists} instead of
-    being applied letter by letter.
+def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int, k: int):
+    """(columns, offsets): the d x d reduced Burau matrix of ``power`` passes over ``steps``, packed at t = 2^k.
 
     Each column is held as d integers and one offset: entry (r, j) is
-    X(t) * t^-offset_j for a polynomial X stored as its value X(2^k).  A
-    letter then costs a few shifts and adds on d integers.  The slot width
-    k comes from :func:`_norm_bound` before the pass, so every coefficient
-    fits its slot and the entries decode exactly at the end.
+    X(t) * t^-offsets[j] for a polynomial X stored as its value
+    columns[j][r] = X(2^k).  A letter then costs a few shifts and adds on d
+    integers.  k must hold :func:`_norm_bound` of the passes as a signed
+    digit, so every coefficient fits its slot and each entry decodes
+    exactly.
     """
-    if w.strands < 2:
-        raise ValueError("the reduced Burau representation needs at least 2 strands")
-    if power < 0 or twists < 0:
-        raise ValueError("power and twists must be non-negative")
-    d = w.strands - 1
-    steps = [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
     # An empty word takes no passes, however large the power.
     passes = power if steps else 0
-    k = slot_bits(_norm_bound(d, steps, passes).bit_length() + 1)
     columns = [[int(r == c) for r in range(d)] for c in range(d)]
     offsets = [0] * d
     for _ in range(passes):
@@ -141,6 +170,25 @@ def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatri
                     column = [x - (y << bits) for x, y in zip(column, columns[j])]
             columns[c] = column
             offsets[c] = offset
+    return columns, offsets
+
+
+def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
+    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
+
+    The letters of w are applied ``power`` times as column updates on packed
+    integers (:func:`_burau_pass`), and the entries are decoded once at the
+    end.  The full twist Delta^2 is central and its reduced Burau image is
+    t^n * id, so the twists multiply every entry by the unit t^{n*twists}
+    instead of being applied letter by letter.
+    """
+    if w.strands < 2:
+        raise ValueError("the reduced Burau representation needs at least 2 strands")
+    if power < 0 or twists < 0:
+        raise ValueError("power and twists must be non-negative")
+    d, steps = w.strands - 1, _steps(w)
+    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
+    columns, offsets = _burau_pass(d, steps, power, k)
     unit = w.strands * twists
     return LaurentMatrix(
         tuple(
@@ -152,29 +200,131 @@ def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatri
     )
 
 
+def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
+    """det(B - id) for the Burau matrix B of  w^power . Delta^{2*twists},  built by ``power`` passes over w."""
+    one = LaurentPoly.one()
+    rows = burau_reduced(w, power, twists).rows
+    return LaurentMatrix(tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)])).det()
+
+
+def _reflect(poly: LaurentPoly) -> LaurentPoly:
+    """poly(1/t)."""
+    return LaurentPoly(tuple([(-e, c) for e, c in reversed(poly.terms)]))
+
+
+def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
+    """det(u * M^power - id) for M = burau_reduced(w) of size d = 2 or 3 and u = t^{n*twists}, from power sums.
+
+    det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
+    symmetric functions e_k of A's eigenvalues, e_0 = 1.  For A = M^power,
+    e_1 = s = tr(M^power), e_d = D^power with D = det M = (-t)^(exponent
+    sum of w), and for d = 3, e_2 = det(A) tr(A^-1) = D^power s(1/t): the
+    Burau representation is unitary (Squier, "The Burau representation is
+    unitary", Proc. AMS 90, 1984), so tr(A^-1)(t) = tr(A)(1/t).  Only
+    s = s_power is left to compute, by Newton's recurrence
+
+        s_k = sum_{i=1..d} (-1)^(i-1) e_i(M) s_{k-i}    (k >= d, s_0 = d)
+
+    from s_1 = e_1 and, for d = 3, s_2 = e_1^2 - 2 e_2.  Scaling M by t^m
+    scales e_i by t^(i*m) and s_k by t^(k*m); m makes every e_i a
+    polynomial, so every s_k is one, and the recurrence runs on their values
+    at t = 2^K, each e_i applied as a few shifts of its terms.  The same
+    recurrence on the L1 norms bounds |coefficients of s|, and so does d
+    times :func:`_norm_bound` on the passes; K holds the smaller bound as a
+    signed digit, so ``from_packed`` reads s back exactly.
+    """
+    n, d = w.strands, w.strands - 1
+    steps = _steps(w)
+    # P^power >= P entrywise (P >= id), so the bound of the power sum's
+    # passes also holds the one pass over w.
+    passes = _norm_bound(steps, power)
+    width = slot_bits(passes.bit_length() + 1)
+    columns, offsets = _burau_pass(d, steps, 1, width)
+    trace = LaurentPoly()
+    for r in range(d):
+        trace = trace + LaurentPoly.from_packed(columns[r][r], width, -offsets[r])
+    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
+    det = LaurentPoly(((writhe, -1 if writhe % 2 else 1),))
+    if d == 2:
+        elementary = [trace, det]
+    else:
+        reflected = _reflect(trace).shift(writhe)
+        elementary = [trace, -reflected if writhe % 2 else reflected, det]
+    m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
+    norms = [sum([abs(c) for _, c in poly.terms]) for poly in elementary]
+    bounds = [d, norms[0]]
+    if d == 3:
+        bounds.append(norms[0] * norms[0] + 2 * norms[1])
+    for _ in range(d, power + 1):
+        bounds = bounds[1:] + [sum(map(mul, norms, reversed(bounds)))]
+    bound = min(bounds[min(power, d - 1)], d * passes)
+    k = slot_bits(bound.bit_length() + 1)
+    # (shift, signed coefficient) of each term of (-1)^(i-1) e_i t^(i*m) at t = 2^k.
+    parts = [
+        [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in poly.terms] for i, poly in enumerate(elementary, 1)
+    ]
+    first = sum([c << shift for shift, c in parts[0]])
+    sums = [d, first]
+    if d == 3:
+        sums.append(first * first + 2 * sum([c << shift for shift, c in parts[1]]))
+    for _ in range(d, power + 1):
+        x = 0
+        for part, previous in zip(parts, reversed(sums)):
+            for shift, c in part:
+                if c == 1:
+                    x += previous << shift
+                elif c == -1:
+                    x -= previous << shift
+                else:
+                    x += (previous << shift) * c
+        sums = sums[1:] + [x]
+    s = LaurentPoly.from_packed(sums[min(power, d - 1)], k, -power * m)
+    u = n * twists
+    top = writhe * power + d * u
+    sign = -1 if writhe * power % 2 else 1
+    ends = LaurentPoly(((top, sign),)) + LaurentPoly(((0, -1 if d % 2 else 1),))
+    if d == 2:
+        return ends - s.shift(u)
+    reflected = _reflect(s).shift(top - u)
+    return ends + s.shift(u) + (reflected if sign < 0 else -reflected)
+
+
 def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:
     """The one-variable Alexander polynomial of the closure of  w^power . Delta^{2*twists}.
 
-    Computed as det(burau - id), unit-normalized, divided exactly by
-    1 + t + ... + t^{n-1}; the divisor starts at 1, so the quotient comes
-    out normalized and is never copied to shift it.  Subtracting the
-    identity touches only the d diagonal entries.  The lift of a band
-    diagram in L(p,q) is the closure of word^p . Delta^{2q}, so its
+    Computed as det(B - id) for the Burau matrix B, unit-normalized,
+    divided exactly by 1 + t + ... + t^{n-1} (:func:`divide_cyclic`); the
+    divisor starts at 1, so the quotient comes out normalized.  The lift of
+    a band diagram in L(p,q) is the closure of word^p . Delta^{2q}, so its
     polynomial is ``alexander_of_closure(word, p, q)`` without the lifted
     word ever being built.  Split links (in particular unlinks on >= 2
     strands) give the zero polynomial; one strand closes to the unknot,
     whose polynomial is 1.
+
+    The determinant takes one of two routes, chosen here alone from the
+    strands n, the power and the word:
+
+    - On 3 and 4 strands, for a non-empty word and power >= 2,
+      :func:`_trace_numerator` reads it from one pass over w and ``power``
+      steps of Newton's recurrence on packed integers.  Each step costs a
+      few shifts per term of tr M and of its reflection, where a pass of
+      the other route costs a few per letter and strand, and no
+      determinant follows.  It ran at most 10% slower than the passes at every power
+      timed, 2 to 1000, so there is no upper cut.
+    - Otherwise :func:`_det_numerator` applies the letters ``power`` times
+      to a packed Burau matrix, subtracts 1 on its diagonal and expands the
+      determinant.  On 5 strands the trace route would need s_{2*power}
+      too (e_2 of a 4x4 matrix), which doubles both its steps and its
+      slot width; at power 1 and on the empty word there is nothing to save.
     """
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    one = LaurentPoly.one()
-    rows = burau_reduced(w, power, twists).rows
-    numerator = LaurentMatrix(
-        tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)])
-    ).det()
-    cyclic_sum = LaurentPoly.from_dict({k: 1 for k in range(n)})
-    return AlexanderPoly(divide_exact(AlexanderPoly.from_laurent(numerator).poly, cyclic_sum))
+    if 3 <= n <= 4 and power >= 2 and w.letters:
+        numerator = _trace_numerator(w, power, twists)
+    else:
+        numerator = _det_numerator(w, power, twists)
+    return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(numerator).poly, n))
 
 
 def torus_closure(a: int, b: int) -> tuple[BraidWord, int, int]:

@@ -20,6 +20,8 @@ back as signed base-2^k digits.  k leaves room for the largest possible
 product coefficient, so the digits never overlap.  Small or sparse operands
 stay on the schoolbook loop, where packing costs more than it saves.
 ``LaurentPoly.from_packed`` decodes such an integer for other modules.
+:func:`divide_cyclic` divides by 1 + t + ... + t^(n-1) the same way: one
+integer ``divmod`` at a t = 2^K wide enough for the quotient's digits.
 
 All values are immutable, with slots, on the :class:`~lenslinks._value.Value`
 base; operations return new objects and never mutate.  Only the public
@@ -279,6 +281,25 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise DivisibilityError("non-exact division (remainder of lower degree)")
     quotient.reverse()
     return _trusted(tuple(quotient))
+
+
+def divide_cyclic(num: LaurentPoly, n: int) -> LaurentPoly:
+    """Exact quotient of num by 1 + t + ... + t^(n-1), by one integer division at t = 2^K.
+
+    With Y = num * (1 - t), the quotient q has q_i - q_(i-n) = y_i, so
+    |q_i| <= ||Y||_1 <= 2 ||num||_1, and K = slot_bits(bits(2 ||num||_1) + 1)
+    holds every q_i as a signed digit.  The remainder reduces num modulo
+    t^n - 1 first, which sums coefficients, so its coefficients are below
+    2 ||num||_1 as well: its packed value is 0 only when it is 0, and any
+    other value raises DivisibilityError.
+    """
+    if num.is_zero:
+        return num
+    k = slot_bits((2 * sum([abs(c) for _, c in num.terms])).bit_length() + 1)
+    quotient, remainder = divmod(_pack(num.terms, k), ((1 << n * k) - 1) // ((1 << k) - 1))
+    if remainder:
+        raise DivisibilityError(f"non-exact division by 1 + t + ... + t^{n - 1}")
+    return _trusted(_unpack(quotient, k, num.terms[0][0]))
 
 
 # Up to this size LaurentMatrix.det expands by minors, above it eliminates.

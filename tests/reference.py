@@ -1,9 +1,10 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates, burau - id changes only the diagonal, a lift or a torus link is a
-(word, power, twists) triple, a band diagram holds its closure permutation,
-and no subcommand multiplies bivariate polynomials or reduces braid words.
+updates, the norm bound of a pass is powered by squaring, burau - id
+changes only the diagonal, a lift or a torus link is a (word, power,
+twists) triple, a band diagram holds its closure permutation, and no
+subcommand multiplies bivariate polynomials or reduces braid words.
 """
 
 from fractions import Fraction
@@ -11,6 +12,16 @@ from fractions import Fraction
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
+
+
+def norm_bound_loop(d: int, steps, power: int) -> int:
+    """The bound of ``invariants._norm_bound`` by ``power`` passes of the column updates on the L1 norms."""
+    norms = [[int(r == c) for r in range(d)] for c in range(d)]
+    sources = [(c, [j for _, _, j in parts]) for c, parts in steps]
+    for _ in range(power):
+        for c, columns in sources:
+            norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
+    return max([max(col) for col in norms])
 
 
 def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

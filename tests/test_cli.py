@@ -119,6 +119,7 @@ def test_import_leaves_out_dataclasses_inspect_and_fractions():
 # Public code that no subcommand needs, each with the reason it stays.
 REACH_EXEMPT = {
     "LaurentMatrix.from_rows": "the benchmark's kernel rows build their matrices with it",
+    "LaurentPoly.from_dict": "the benchmark's kernel rows build their entries with it",
 }
 
 
@@ -560,6 +561,30 @@ class TestRepeatedCalls:
         monkeypatch.setattr(lenslinks.braid.BraidWord, "__post_init__", counted)
         assert run(capsys, argv)[0] == 0
         assert len(calls) == validations
+
+    @pytest.mark.parametrize(
+        "band, letters",
+        [
+            ("7 3 4 : 1 -2 3 2", 4),
+            ("500 1 3 : 1 -2", 2),
+            ("7 3 5 : 1 -2 3 4", 28),
+            ("7 3 2 : 1 1 -1", 21),
+            ("1 0 4 : 1 -2 3 2", 4),
+        ],
+    )
+    def test_burau_pass_letters(self, capsys, monkeypatch, band, letters):
+        # A lift on 3 or 4 strands passes over its word once and takes the
+        # power from the pass's characteristic polynomial; on 2 and 5 strands
+        # the word enters the pass p times.
+        original, calls = lenslinks.invariants._burau_pass, []
+
+        def counted(d, steps, power, k):
+            calls.append(len(steps) * power)
+            return original(d, steps, power, k)
+
+        monkeypatch.setattr(lenslinks.invariants, "_burau_pass", counted)
+        assert run(capsys, ["alexander", "--band", band])[0] == 0
+        assert sum(calls) == letters
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()

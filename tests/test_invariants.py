@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.invariants import (
     AlexanderPoly,
+    _det_numerator,
     _norm_bound,
+    _reflect,
+    _steps,
+    _trace_numerator,
     _updates,
     alexander_of_closure,
     burau_reduced,
@@ -16,7 +20,8 @@ from lenslinks.invariants import (
 )
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 from lenslinks.lens import BandDiagram, LensSpace, lift
-from reference import free_reduce, identity, matmul, spelled_out, torus_braid
+from modp import lift_numerator_mod, poly_mod, random_point, root_of_unity_field
+from reference import free_reduce, identity, matmul, norm_bound_loop, spelled_out, torus_braid
 
 
 def signed_letters(n):
@@ -171,9 +176,25 @@ class TestBurauAgainstProducts:
     def test_norm_bound_holds(self, w, e):
         d = w.strands - 1
         steps = [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
-        bound = _norm_bound(d, steps, e)
+        bound = _norm_bound(steps, e)
         matrix = burau_reduced(w, e)
         assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix.rows for entry in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=12, max_len=10), st.integers(0, 40))
+    def test_norm_bound_by_squaring_equals_the_passes(self, w, e):
+        d, steps = w.strands - 1, _steps(w)
+        assert _norm_bound(steps, e) == norm_bound_loop(d, steps, e)
+        assert _norm_bound(steps, 0) == 1 == _norm_bound([], e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=8, max_len=10))
+    def test_inverse_trace_is_the_reflected_trace(self, w):
+        # Squier: the Burau representation is unitary for t -> 1/t.
+        def trace(m):
+            return sum([row[i] for i, row in enumerate(m.rows)], LaurentPoly())
+
+        assert trace(burau_reduced(inverse_word(w))) == _reflect(trace(burau_reduced(w)))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -190,6 +211,39 @@ class TestAlexanderOfLift:
     def test_torus_9_3_from_l31(self):
         word = BraidWord(3, (2, 1, 2, 1))
         assert alexander_of_closure(word, 3, 1) == alexander_of_closure(*torus_closure(9, 3))
+
+
+def lift_words(strands, max_len=6):
+    return st.sampled_from(strands).flatmap(
+        lambda n: st.lists(signed_letters(n), min_size=1, max_size=max_len).map(lambda ls: BraidWord(n, tuple(ls)))
+    )
+
+
+class TestTraceRoute:
+    """det(t^(n*q) M^p - id) from power sums, against the p passes and against roots of unity mod a prime."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lift_words((3, 4)), st.integers(2, 14), st.integers(0, 4))
+    def test_equals_the_passes(self, w, p, q):
+        assert _trace_numerator(w, p, q) == _det_numerator(w, p, q)
+
+    @pytest.mark.parametrize("letters", [(1, -2), (2, 1), (1, 1), (1, -1), (2, 2, 2)])
+    def test_large_powers(self, letters):
+        # Pseudo-Anosov, periodic, reducible and trivial braids on 3 strands.
+        w = BraidWord(3, letters)
+        for p in (50, 200):
+            assert _trace_numerator(w, p, 1) == _det_numerator(w, p, 1), p
+
+    @settings(max_examples=40, deadline=None)
+    @given(lift_words((2, 3, 4, 5)), st.integers(2, 12), st.integers(0, 3), st.integers(0, 2**32))
+    def test_both_routes_at_roots_of_unity(self, w, p, q, seed):
+        modulus, zeta = root_of_unity_field(p)
+        r = random_point(seed, modulus)
+        expected = lift_numerator_mod(burau_reduced(w), w.strands, p, q, r, modulus, zeta)
+        t = pow(r, p, modulus)
+        assert poly_mod(_det_numerator(w, p, q), t, modulus) == expected
+        if w.strands in (3, 4):
+            assert poly_mod(_trace_numerator(w, p, q), t, modulus) == expected
 
 
 class TestAlexanderPoly:

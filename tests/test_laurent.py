@@ -18,6 +18,7 @@ from lenslinks.laurent import (
     _kronecker,
     _pack,
     _term_count,
+    divide_cyclic,
     divide_exact,
     slot_bits,
 )
@@ -284,6 +285,39 @@ class TestDivideExact:
         if b.is_zero:
             return
         assert divide_exact(a * b, b) == a
+
+
+def cyclic_sum(n):
+    return LaurentPoly.from_dict({e: 1 for e in range(n)})
+
+
+class TestDivideCyclic:
+    """One packed division by 1 + t + ... + t^(n-1), against long division."""
+
+    @given(polys(max_terms=8, coeff_range=10**6), st.integers(1, 9))
+    def test_exact_quotient(self, a, n):
+        assert divide_cyclic(a * cyclic_sum(n), n) == a
+
+    @given(polys(max_terms=8, coeff_range=10**6), st.integers(1, 9))
+    def test_raises_exactly_when_long_division_does(self, a, n):
+        try:
+            expected = divide_exact(a, cyclic_sum(n))
+        except DivisibilityError:
+            with pytest.raises(DivisibilityError):
+                divide_cyclic(a, n)
+        else:
+            assert divide_cyclic(a, n) == expected
+
+    def test_nonzero_remainders_raise(self):
+        # t^(n-1) leaves -(1 + ... + t^(n-2)), -3 t^(n-2) is its own
+        # remainder, and 1 + t^n leaves 2 after the fold modulo t^n - 1.
+        for n in range(2, 7):
+            for a in (T(n - 1), T(n - 2, -3), LaurentPoly.from_dict({0: 1, n: 1})):
+                with pytest.raises(DivisibilityError):
+                    divide_cyclic(a, n)
+
+    def test_zero(self):
+        assert divide_cyclic(ZERO, 4) == ZERO
 
 
 class TestLaurentMatrix:
