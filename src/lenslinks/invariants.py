@@ -24,17 +24,18 @@ its coefficient is positive.  The division is one integer division at
 t = 2^K (:func:`~lenslinks.laurent.divide_cyclic`).
 
 The determinant of a lift, det(t^{nq} M^p - id) with M the matrix of one
-pass over w, takes one of two routes, chosen in :func:`alexander_of_closure`:
+pass over w, takes one route per strand count n (:func:`alexander_of_closure`):
 
-- On 3 and 4 strands (d = n - 1 <= 3) it is a polynomial in the
+- On 2 to 4 strands (d = n - 1 <= 3) it is a polynomial in the
   characteristic polynomial of M^p, whose coefficients come from tr(M^p), its
   reflection t -> 1/t and the unit det(M)^p: the Burau representation is
   unitary (Squier, Proc. AMS 90, 1984), so tr(M^-p)(t) = tr(M^p)(1/t).
-  tr(M^p) comes from Newton's recurrence on packed integers after one pass.
-- Otherwise the letters are applied p times and the determinant is a
-  cofactor expansion up to 4x4 and fraction-free elimination above, on the
-  entries packed at t = 2^K when they fill their slots densely enough and
-  on the polynomials otherwise, see :meth:`LaurentMatrix.det`.
+  tr(M^p) comes from Newton's recurrence on packed integers after one pass,
+  or from no pass where M^p is a unit or the identity.
+- On 5 or more strands the letters are applied p times and the determinant
+  is a cofactor expansion up to 4x4 and fraction-free elimination above, on
+  the entries packed at t = 2^K when they fill their slots densely enough
+  and on the polynomials otherwise, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -212,44 +213,42 @@ def _reflect(poly: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(tuple([(-e, c) for e, c in reversed(poly.terms)]))
 
 
-def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
-    """det(u * M^power - id) for M = burau_reduced(w) of size d = 2 or 3 and u = t^{n*twists}, from power sums.
+def _elementary(s: LaurentPoly, exponent: int, d: int) -> list[LaurentPoly]:
+    """e_1..e_d of the eigenvalues of a d x d Burau image A, d <= 3, with tr A = s and det A = (-t)^exponent.
 
-    det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
-    symmetric functions e_k of A's eigenvalues, e_0 = 1.  For A = M^power,
-    e_1 = s = tr(M^power), e_d = D^power with D = det M = (-t)^(exponent
-    sum of w), and for d = 3, e_2 = det(A) tr(A^-1) = D^power s(1/t): the
+    e_1 = s, e_d = det A, and e_(d-1) = det(A) tr(A^-1) = det(A) s(1/t): the
     Burau representation is unitary (Squier, "The Burau representation is
-    unitary", Proc. AMS 90, 1984), so tr(A^-1)(t) = tr(A)(1/t).  Only
-    s = s_power is left to compute, by Newton's recurrence
+    unitary", Proc. AMS 90, 1984), so tr(A^-1)(t) = tr(A)(1/t).
+    """
+    det = LaurentPoly(((exponent, -1 if exponent % 2 else 1),))
+    return ([s] if d < 3 else [s, det * _reflect(s)])[: d - 1] + [det]
+
+
+def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
+    """s = tr(M^power) for M = burau_reduced(w) of size d = 2 or 3 and power >= 1, from one pass over w.
+
+    For power >= 2, Newton's recurrence
 
         s_k = sum_{i=1..d} (-1)^(i-1) e_i(M) s_{k-i}    (k >= d, s_0 = d)
 
-    from s_1 = e_1 and, for d = 3, s_2 = e_1^2 - 2 e_2.  Scaling M by t^m
-    scales e_i by t^(i*m) and s_k by t^(k*m); m makes every e_i a
+    runs from s_1 = e_1 and, for d = 3, s_2 = e_1^2 - 2 e_2.  Scaling M by
+    t^m scales e_i by t^(i*m) and s_k by t^(k*m); m makes every e_i a
     polynomial, so every s_k is one, and the recurrence runs on their values
     at t = 2^K, each e_i applied as a few shifts of its terms.  The same
     recurrence on the L1 norms bounds |coefficients of s|, and so does d
     times :func:`_norm_bound` on the passes; K holds the smaller bound as a
     signed digit, so ``from_packed`` reads s back exactly.
     """
-    n, d = w.strands, w.strands - 1
-    steps = _steps(w)
+    d, steps = w.strands - 1, _steps(w)
     # P^power >= P entrywise (P >= id), so the bound of the power sum's
     # passes also holds the one pass over w.
     passes = _norm_bound(steps, power)
     width = slot_bits(passes.bit_length() + 1)
     columns, offsets = _burau_pass(d, steps, 1, width)
-    trace = LaurentPoly()
-    for r in range(d):
-        trace = trace + LaurentPoly.from_packed(columns[r][r], width, -offsets[r])
-    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
-    det = LaurentPoly(((writhe, -1 if writhe % 2 else 1),))
-    if d == 2:
-        elementary = [trace, det]
-    else:
-        reflected = _reflect(trace).shift(writhe)
-        elementary = [trace, -reflected if writhe % 2 else reflected, det]
+    trace = sum([LaurentPoly.from_packed(columns[r][r], width, -offsets[r]) for r in range(d)], LaurentPoly())
+    if power == 1:
+        return trace
+    elementary = _elementary(trace, writhe, d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
     norms = [sum([abs(c) for _, c in poly.terms]) for poly in elementary]
     bounds = [d, norms[0]]
@@ -257,8 +256,8 @@ def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
         bounds.append(norms[0] * norms[0] + 2 * norms[1])
     for _ in range(d, power + 1):
         bounds = bounds[1:] + [sum(map(mul, norms, reversed(bounds)))]
-    bound = min(bounds[min(power, d - 1)], d * passes)
-    k = slot_bits(bound.bit_length() + 1)
+    # power >= 2 >= d - 1, so the last sum of each list is the power's.
+    k = slot_bits(min(bounds[-1], d * passes).bit_length() + 1)
     # (shift, signed coefficient) of each term of (-1)^(i-1) e_i t^(i*m) at t = 2^k.
     parts = [
         [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in poly.terms] for i, poly in enumerate(elementary, 1)
@@ -278,15 +277,25 @@ def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
                 else:
                     x += (previous << shift) * c
         sums = sums[1:] + [x]
-    s = LaurentPoly.from_packed(sums[min(power, d - 1)], k, -power * m)
-    u = n * twists
-    top = writhe * power + d * u
-    sign = -1 if writhe * power % 2 else 1
-    ends = LaurentPoly(((top, sign),)) + LaurentPoly(((0, -1 if d % 2 else 1),))
-    if d == 2:
-        return ends - s.shift(u)
-    reflected = _reflect(s).shift(top - u)
-    return ends + s.shift(u) + (reflected if sign < 0 else -reflected)
+    return LaurentPoly.from_packed(sums[-1], k, -power * m)
+
+
+def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
+    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 <= 3 and u = t^{n*twists}.
+
+    det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
+    symmetric functions e_k of A's eigenvalues, e_0 = 1 (:func:`_elementary`),
+    from s = tr(M^power) and det(A) = D^power, D = det M = (-t)^(exponent sum
+    of w).  On d = 1 the sum is u D^power - 1, and at power 0 or on the
+    empty word, where A = id and s = d, it is (u - 1)^d: none of these reads
+    the letters, nor takes ``power`` steps.  Otherwise s is :func:`_power_sum`.
+    """
+    d, u = w.strands - 1, w.strands * twists
+    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
+    s = _power_sum(w, writhe, power) if power and w.letters and d > 1 else LaurentPoly(((0, d),))
+    elementary = [LaurentPoly.one()] + _elementary(s, writhe * power, d)
+    terms = [e.shift(k * u) if (d - k) % 2 == 0 else -e.shift(k * u) for k, e in enumerate(elementary)]
+    return sum(terms, LaurentPoly())
 
 
 def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:
@@ -301,29 +310,20 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     strands) give the zero polynomial; one strand closes to the unknot,
     whose polynomial is 1.
 
-    The determinant takes one of two routes, chosen here alone from the
-    strands n, the power and the word:
-
-    - On 3 and 4 strands, for a non-empty word and power >= 2,
-      :func:`_trace_numerator` reads it from one pass over w and ``power``
-      steps of Newton's recurrence on packed integers.  Each step costs a
-      few shifts per term of tr M and of its reflection, where a pass of
-      the other route costs a few per letter and strand, and no
-      determinant follows.  It ran at most 10% slower than the passes at every power
-      timed, 2 to 1000, so there is no upper cut.
-    - Otherwise :func:`_det_numerator` applies the letters ``power`` times
-      to a packed Burau matrix, subtracts 1 on its diagonal and expands the
-      determinant.  On 5 strands the trace route would need s_{2*power}
-      too (e_2 of a 4x4 matrix), which doubles both its steps and its
-      slot width; at power 1 and on the empty word there is nothing to save.
+    The strand count alone picks the route.  On 2 to 4 strands
+    :func:`_trace_numerator` makes at most one pass over w and no
+    determinant; timed against the ``power`` passes of :func:`_det_numerator`
+    on words of 0-120 letters at power 0-2, it took 0.02-0.67x their time on
+    2 strands, 0.06-0.59x at power 0 and 0.25-1.12x at powers 1 and 2 on 3
+    and 4.  On 5 or more strands the passes stay: the trace route would need
+    s_{2*power} too (e_2 of a 4x4 matrix), doubling its steps and slot width.
     """
+    if power < 0 or twists < 0:
+        raise ValueError("power and twists must be non-negative")
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    if 3 <= n <= 4 and power >= 2 and w.letters:
-        numerator = _trace_numerator(w, power, twists)
-    else:
-        numerator = _det_numerator(w, power, twists)
+    numerator = (_trace_numerator if n <= 4 else _det_numerator)(w, power, twists)
     return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(numerator).poly, n))
 
 

@@ -568,14 +568,15 @@ class TestRepeatedCalls:
             ("7 3 4 : 1 -2 3 2", 4),
             ("500 1 3 : 1 -2", 2),
             ("7 3 5 : 1 -2 3 4", 28),
-            ("7 3 2 : 1 1 -1", 21),
+            ("7 3 2 : 1 1 -1", 0),
             ("1 0 4 : 1 -2 3 2", 4),
         ],
     )
     def test_burau_pass_letters(self, capsys, monkeypatch, band, letters):
         # A lift on 3 or 4 strands passes over its word once and takes the
-        # power from the pass's characteristic polynomial; on 2 and 5 strands
-        # the word enters the pass p times.
+        # power from the pass's characteristic polynomial; on 2 strands the
+        # matrix is the unit (-t)^(exponent sum) and no pass is made; on 5
+        # strands the word enters the pass p times.
         original, calls = lenslinks.invariants._burau_pass, []
 
         def counted(d, steps, power, k):
@@ -585,6 +586,35 @@ class TestRepeatedCalls:
         monkeypatch.setattr(lenslinks.invariants, "_burau_pass", counted)
         assert run(capsys, ["alexander", "--band", band])[0] == 0
         assert sum(calls) == letters
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["alexander", "--braid", "1 1 1", "--strands", "2"], 0),
+            (["alexander", "--braid", "1 -2 1 -2", "--strands", "3"], 0),
+            (["alexander", "--braid", "1 -2 3 2 -1", "--strands", "4"], 0),
+            (["lift", "--band", "3 1 3 : 2 1 2 1", "--compare-torus", "9", "3"], 0),
+            (["alexander", "--braid", "1 -2 3 -4 2", "--strands", "5"], 1),
+        ],
+    )
+    def test_burau_matrix_and_det_only_on_five_strands(self, capsys, monkeypatch, argv, calls):
+        # On 2 to 4 strands the trace route builds no Burau matrix and takes
+        # no determinant, at power 1 and at power 0 (T(9,3)) too.
+        counts = {"burau_reduced": 0, "det": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(lenslinks.invariants, "burau_reduced")
+        counted(lenslinks.laurent.LaurentMatrix, "det")
+        assert run(capsys, argv)[0] == 0
+        assert counts == {"burau_reduced": calls, "det": calls}
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lenslinks.invariants as invariants
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.invariants import (
     AlexanderPoly,
@@ -215,7 +216,7 @@ class TestAlexanderOfLift:
 
 def lift_words(strands, max_len=6):
     return st.sampled_from(strands).flatmap(
-        lambda n: st.lists(signed_letters(n), min_size=1, max_size=max_len).map(lambda ls: BraidWord(n, tuple(ls)))
+        lambda n: st.lists(signed_letters(n), max_size=max_len).map(lambda ls: BraidWord(n, tuple(ls)))
     )
 
 
@@ -223,9 +224,24 @@ class TestTraceRoute:
     """det(t^(n*q) M^p - id) from power sums, against the p passes and against roots of unity mod a prime."""
 
     @settings(max_examples=80, deadline=None)
-    @given(lift_words((3, 4)), st.integers(2, 14), st.integers(0, 4))
+    @given(lift_words((2, 3, 4), max_len=8), st.integers(0, 14), st.integers(0, 4))
     def test_equals_the_passes(self, w, p, q):
         assert _trace_numerator(w, p, q) == _det_numerator(w, p, q)
+
+    @pytest.mark.parametrize(
+        "w, power",
+        [(BraidWord(2, (1, 1, -1, 1)), 9), (BraidWord(3, (1, -2)), 0), (BraidWord(4, (3, -2, 1)), 0)]
+        + [(BraidWord(n), 10**9) for n in (2, 3, 4)],
+    )
+    def test_unit_or_identity_takes_no_power_sum(self, monkeypatch, w, power):
+        # On 2 strands M is the unit (-t)^(exponent sum), and at power 0 or
+        # on the empty word M^power = id: no pass and no Newton step, however
+        # large the power.
+        def forbidden(*args):
+            raise AssertionError("_power_sum called")
+
+        monkeypatch.setattr(invariants, "_power_sum", forbidden)
+        assert _trace_numerator(w, power, 2) == _det_numerator(w, power, 2)
 
     @pytest.mark.parametrize("letters", [(1, -2), (2, 1), (1, 1), (1, -1), (2, 2, 2)])
     def test_large_powers(self, letters):
@@ -242,7 +258,7 @@ class TestTraceRoute:
         expected = lift_numerator_mod(burau_reduced(w), w.strands, p, q, r, modulus, zeta)
         t = pow(r, p, modulus)
         assert poly_mod(_det_numerator(w, p, q), t, modulus) == expected
-        if w.strands in (3, 4):
+        if w.strands <= 4:
             assert poly_mod(_trace_numerator(w, p, q), t, modulus) == expected
 
 
@@ -290,7 +306,9 @@ class TestAlexanderOfClosure:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_subtracts_the_identity_on_the_diagonal_only(self, monkeypatch, n):
         # Up to 4x4 the determinant subtracts nothing, so each call of
-        # __sub__ is one diagonal entry of burau - id.
+        # __sub__ is one diagonal entry of burau - id.  Only n >= 5 builds
+        # burau - id inside alexander_of_closure, so the route is called
+        # directly.
         sub, calls = LaurentPoly.__sub__, []
 
         def counted(a, b):
@@ -298,8 +316,14 @@ class TestAlexanderOfClosure:
             return sub(a, b)
 
         monkeypatch.setattr(LaurentPoly, "__sub__", counted)
-        alexander_of_closure(BraidWord(n, tuple(range(1, n)) * 3))
+        _det_numerator(BraidWord(n, tuple(range(1, n)) * 3), 1, 0)
         assert calls == [LaurentPoly.one()] * (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("power, twists", [(-1, 0), (2, -1), (1, -1)])
+    def test_negative_power_or_twists_rejected(self, n, power, twists):
+        with pytest.raises(ValueError, match="non-negative"):
+            alexander_of_closure(BraidWord(n, tuple(range(1, n))), power, twists)
 
     @settings(max_examples=40, deadline=None)
     @given(words(max_len=8))
