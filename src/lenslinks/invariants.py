@@ -30,8 +30,13 @@ pass over w, takes one route per strand count n (:func:`alexander_of_closure`):
   characteristic polynomial of M^p, whose coefficients come from tr(M^p), its
   reflection t -> 1/t and the unit det(M)^p: the Burau representation is
   unitary (Squier, Proc. AMS 90, 1984), so tr(M^-p)(t) = tr(M^p)(1/t).
-  tr(M^p) comes from Newton's recurrence on packed integers after one pass,
-  or from no pass where M^p is a unit or the identity.
+  tr(M^p) = s_p comes from one pass and Newton's identity
+
+      s_k = sum_{i=1..min(k,d)} (-1)^(i-1) e_i(M) s_{k-i},   k in place of s_0,
+
+  run on packed integers; the same recurrence on the L1 norms of the e_i(M)
+  bounds the coefficients of s_p, which sets the slot width.  Where M^p is a
+  unit or the identity, no pass is made.
 - On 5 or more strands the letters are applied p times and the determinant
   is a cofactor expansion up to 4x4 and fraction-free elimination above, on
   the entries packed at t = 2^K when they fill their slots densely enough
@@ -224,20 +229,46 @@ def _elementary(s: LaurentPoly, exponent: int, d: int) -> list[LaurentPoly]:
     return ([s] if d < 3 else [s, det * _reflect(s)])[: d - 1] + [det]
 
 
+def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:
+    """s_power of  s_k = sum_{i=1..min(k,d)} a_i s_(k-i),  with k in place of s_0, for power >= 1.
+
+    ``parts[i-1]`` holds a_i as (shift, coefficient) terms, and a_i s applies
+    as the sum of c * (s << shift) over them.  With a_i = (-1)^(i-1) e_i this
+    is Newton's identity for the power sums s_k of d numbers with elementary
+    symmetric functions e_i: while k <= d the i = k term is (-1)^(k-1) k e_k,
+    so no start-up values are needed.  With a_i the L1 norm of e_i, as one
+    term at shift 0, it bounds the L1 norm of s_k, since that norm is
+    subadditive and submultiplicative.
+    """
+    # s_(k-1), s_(k-2), ..., at most d of them, newest first.
+    d, sums = len(parts), []
+    for k in range(1, power + 1):
+        x = 0
+        for part, previous in zip(parts, sums + [k]):
+            for shift, c in part:
+                if c == 1:
+                    x += previous << shift
+                elif c == -1:
+                    x -= previous << shift
+                else:
+                    x += (previous << shift) * c
+        sums.insert(0, x)
+        del sums[d:]
+    return sums[0]
+
+
 def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
     """s = tr(M^power) for M = burau_reduced(w) of size d = 2 or 3 and power >= 1, from one pass over w.
 
-    For power >= 2, Newton's recurrence
-
-        s_k = sum_{i=1..d} (-1)^(i-1) e_i(M) s_{k-i}    (k >= d, s_0 = d)
-
-    runs from s_1 = e_1 and, for d = 3, s_2 = e_1^2 - 2 e_2.  Scaling M by
-    t^m scales e_i by t^(i*m) and s_k by t^(k*m); m makes every e_i a
-    polynomial, so every s_k is one, and the recurrence runs on their values
-    at t = 2^K, each e_i applied as a few shifts of its terms.  The same
-    recurrence on the L1 norms bounds |coefficients of s|, and so does d
-    times :func:`_norm_bound` on the passes; K holds the smaller bound as a
-    signed digit, so ``from_packed`` reads s back exactly.
+    For power >= 2, s is the power sum s_power of M's eigenvalues, from
+    their elementary symmetric functions e_i(M) (:func:`_elementary`) by
+    Newton's identity (:func:`_newton`).  Scaling M by t^m scales e_i by
+    t^(i*m) and s_k by t^(k*m); m makes every e_i a polynomial, so every s_k
+    is one, and the recurrence runs on their values at t = 2^K, each e_i
+    applied as a few shifts of its terms.  The same recurrence on the L1
+    norms of the e_i bounds |coefficients of s|, and so does d times
+    :func:`_norm_bound` on the passes; K holds the smaller bound as a signed
+    digit, so ``from_packed`` reads s back exactly.
     """
     d, steps = w.strands - 1, _steps(w)
     # P^power >= P entrywise (P >= id), so the bound of the power sum's
@@ -250,34 +281,13 @@ def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
         return trace
     elementary = _elementary(trace, writhe, d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
-    norms = [sum([abs(c) for _, c in poly.terms]) for poly in elementary]
-    bounds = [d, norms[0]]
-    if d == 3:
-        bounds.append(norms[0] * norms[0] + 2 * norms[1])
-    for _ in range(d, power + 1):
-        bounds = bounds[1:] + [sum(map(mul, norms, reversed(bounds)))]
-    # power >= 2 >= d - 1, so the last sum of each list is the power's.
-    k = slot_bits(min(bounds[-1], d * passes).bit_length() + 1)
+    norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
+    k = slot_bits(min(_newton(norms, power), d * passes).bit_length() + 1)
     # (shift, signed coefficient) of each term of (-1)^(i-1) e_i t^(i*m) at t = 2^k.
     parts = [
         [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in poly.terms] for i, poly in enumerate(elementary, 1)
     ]
-    first = sum([c << shift for shift, c in parts[0]])
-    sums = [d, first]
-    if d == 3:
-        sums.append(first * first + 2 * sum([c << shift for shift, c in parts[1]]))
-    for _ in range(d, power + 1):
-        x = 0
-        for part, previous in zip(parts, reversed(sums)):
-            for shift, c in part:
-                if c == 1:
-                    x += previous << shift
-                elif c == -1:
-                    x -= previous << shift
-                else:
-                    x += (previous << shift) * c
-        sums = sums[1:] + [x]
-    return LaurentPoly.from_packed(sums[-1], k, -power * m)
+    return LaurentPoly.from_packed(_newton(parts, power), k, -power * m)
 
 
 def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:

@@ -213,10 +213,7 @@ class LaurentPoly(Value):
         return _trusted(_canonical(coeffs))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        coeffs = dict(self.terms)
-        for e, c in other.terms:
-            coeffs[e] = coeffs.get(e, 0) - c
-        return _trusted(_canonical(coeffs))
+        return self + -other
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         a, b = self.terms, other.terms

@@ -1,15 +1,18 @@
 """Reduced Burau representation and Alexander polynomials of closures."""
 
 import math
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lenslinks.invariants as invariants
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.invariants import (
     AlexanderPoly,
     _det_numerator,
+    _elementary,
+    _newton,
     _norm_bound,
     _reflect,
     _steps,
@@ -70,6 +73,10 @@ def generator_matrix(n, letter):
         if col + 1 < d:
             rows[col + 1][col] = LaurentPoly.from_dict({-1: 1})
     return LaurentMatrix.from_rows(rows)
+
+
+def trace(m):
+    return sum([row[i] for i, row in enumerate(m.rows)], LaurentPoly())
 
 
 def burau_by_products(w):
@@ -192,9 +199,6 @@ class TestBurauAgainstProducts:
     @given(words(max_strands=8, max_len=10))
     def test_inverse_trace_is_the_reflected_trace(self, w):
         # Squier: the Burau representation is unitary for t -> 1/t.
-        def trace(m):
-            return sum([row[i] for i, row in enumerate(m.rows)], LaurentPoly())
-
         assert trace(burau_reduced(inverse_word(w))) == _reflect(trace(burau_reduced(w)))
 
     def test_negative_power_rejected(self):
@@ -227,6 +231,25 @@ class TestTraceRoute:
     @given(lift_words((2, 3, 4), max_len=8), st.integers(0, 14), st.integers(0, 4))
     def test_equals_the_passes(self, w, p, q):
         assert _trace_numerator(w, p, q) == _det_numerator(w, p, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=2, max_size=3), st.integers(1, 24))
+    @example([1, 2], 1)
+    def test_newton_gives_the_power_sums_of_integer_roots(self, roots, p):
+        signed = [(-1) ** (i - 1) * sum(map(math.prod, combinations(roots, i))) for i in range(1, len(roots) + 1)]
+        assert _newton([[(0, a)] for a in signed], p) == sum(r**p for r in roots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lift_words((3, 4), max_len=8), st.integers(1, 30))
+    @example(BraidWord(3, (1, 2, 1)), 2)
+    def test_newton_on_the_norms_bounds_the_power_sum(self, w, p):
+        # The slot width of _power_sum holds this bound: no coefficient of
+        # tr(M^p) may exceed it.  The half twist on 3 strands has trace 0, so
+        # there only the e_2 term bounds tr(M^2) = -2 e_2.
+        writhe = sum(1 if letter > 0 else -1 for letter in w.letters)
+        elementary = _elementary(trace(burau_reduced(w)), writhe, w.strands - 1)
+        bound = _newton([[(0, sum(abs(c) for _, c in e.terms))] for e in elementary], p)
+        assert all(abs(c) <= bound for _, c in trace(burau_reduced(w, p)).terms)
 
     @pytest.mark.parametrize(
         "w, power",
