@@ -38,9 +38,11 @@ pass over w, takes one route per strand count n (:func:`alexander_of_closure`):
   bounds the coefficients of s_p, which sets the slot width.  Where M^p is a
   unit or the identity, no pass is made.
 - On 5 or more strands the letters are applied p times and the determinant
-  is a cofactor expansion up to 4x4 and fraction-free elimination above, on
-  the entries packed at t = 2^K when they fill their slots densely enough
-  and on the polynomials otherwise, see :meth:`LaurentMatrix.det`.
+  is a cofactor expansion up to 4x4 and fraction-free elimination above.
+  Either runs on the entries packed at t = 2^K when they fill their slots
+  densely enough and pack into at most 2^14 bits, and on the polynomials
+  otherwise, see :meth:`LaurentMatrix.det`; so most 5-strand lifts expand
+  their 4x4 matrix on plain integers.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -327,6 +329,9 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     2 strands, 0.06-0.59x at power 0 and 0.25-1.12x at powers 1 and 2 on 3
     and 4.  On 5 or more strands the passes stay: the trace route would need
     s_{2*power} too (e_2 of a 4x4 matrix), doubling its steps and slot width.
+    Their determinant, :meth:`LaurentMatrix.det`, packs the matrix once
+    when it is dense and small enough, so its cofactor expansion (d = 4)
+    or elimination (d >= 5) makes integer products, not polynomial ones.
     """
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lenslinks.laurent as laurent
+from lenslinks import cli
 from lenslinks.braid import BraidWord
-from lenslinks.invariants import burau_reduced
+from lenslinks.invariants import AlexanderPoly, burau_reduced
 from lenslinks.laurent import (
     DivisibilityError,
     LaurentMatrix,
@@ -17,6 +18,7 @@ from lenslinks.laurent import (
     _bareiss,
     _coefficient_bound,
     _kronecker,
+    _laplace,
     _pack,
     _term_count,
     divide_cyclic,
@@ -109,8 +111,13 @@ def poly_det(m: LaurentMatrix) -> LaurentPoly:
     return _bareiss([list(row) for row in m.rows], _term_count, divide_exact, ZERO)
 
 
-def packed_det(m: LaurentMatrix) -> LaurentPoly:
-    """_bareiss on the entries' values at t = 2^k, whatever route det() would take.
+def laplace_det(m: LaurentMatrix) -> LaurentPoly:
+    """_laplace on the LaurentPoly entries, whatever route det() would take."""
+    return _laplace(m.rows, ONE, ZERO)
+
+
+def packed_det(m: LaurentMatrix, expand: bool = False) -> LaurentPoly:
+    """_bareiss, or _laplace if ``expand``, on the entries' values at t = 2^k, whatever route det() would take.
 
     Column j is shifted by its lowest exponent low_j first, so the result
     is the determinant times t^-(sum of the lows); k leaves room for the
@@ -120,12 +127,21 @@ def packed_det(m: LaurentMatrix) -> LaurentPoly:
     lows = [min([e.min_exp() for e in column if e], default=0) for column in columns]
     k = slot_bits(_coefficient_bound([column for column in columns if any(column)]).bit_length() + 1)
     packed = [[_pack(e.terms, k) << k * (e.min_exp() - low) if e else 0 for e, low in zip(row, lows)] for row in m.rows]
-    return LaurentPoly.from_packed(_bareiss(packed, int.bit_length, int.__floordiv__, 0), k, sum(lows))
+    value = _laplace(packed, 1, 0) if expand else _bareiss(packed, int.bit_length, int.__floordiv__, 0)
+    return LaurentPoly.from_packed(value, k, sum(lows))
 
 
 def dets(m: LaurentMatrix) -> list[LaurentPoly]:
     """The determinant by det() and by _bareiss on each of its two entry types."""
     return [m.det(), packed_det(m), poly_det(m)]
+
+
+def spy_entry_types(monkeypatch, name: str) -> list[type]:
+    """Patch laurent.<name> (_bareiss or _laplace) to record the entry type of each matrix it gets."""
+    entry_types = []
+    method = getattr(laurent, name)
+    monkeypatch.setattr(laurent, name, lambda a, *rest: entry_types.append(type(a[0][0])) or method(a, *rest))
+    return entry_types
 
 
 def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
@@ -438,7 +454,7 @@ class TestBareiss:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(5, 8).flatmap(matrices))
     def test_against_laplace(self, m):
-        assert dets(m) == [m._laplace_det()] * 3
+        assert dets(m) == [laplace_det(m)] * 3
 
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize(
@@ -449,7 +465,7 @@ class TestBareiss:
     def test_pivot_off_the_diagonal(self, d, cell):
         # Every other entry has three terms, so the monomial is the first pivot.
         m = with_entries(random_matrix(d, seed=d, terms=(3, 3)), {cell: T(1, -2)})
-        assert dets(m) == [m._laplace_det()] * 3 == [leibniz_det(m)] * 3
+        assert dets(m) == [laplace_det(m)] * 3 == [leibniz_det(m)] * 3
         assert not m.det().is_zero
 
     @pytest.mark.parametrize("d", [5, 6])
@@ -492,13 +508,13 @@ BIG_ENTRIES = [entry for row in burau_reduced(BraidWord(3, (1, -2)), 60).rows fo
 
 
 @st.composite
-def eliminated_matrices(draw):
-    """5x5 to 8x8 matrices with negative exponents and coefficients past 2^64.
+def hard_matrices(draw, sizes):
+    """Matrices of a size in ``sizes`` with negative exponents and coefficients past 2^64.
 
     Some have a zero column, and some a column that is a monomial times
     another, which becomes zero once that other column has been eliminated.
     """
-    d = draw(st.integers(5, 8))
+    d = draw(sizes)
     entry = st.one_of(
         polys(max_terms=4, exp_range=3, coeff_range=3),
         polys(max_terms=2, exp_range=3, coeff_range=2**70),
@@ -506,7 +522,8 @@ def eliminated_matrices(draw):
     rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
     for _ in range(draw(st.integers(0, 2))):
         rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BIG_ENTRIES))
-    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    # A 1x1 matrix has no second column: its "dependent column" is itself, scaled.
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)) if d > 1 else (0, 0)
     shape = draw(st.sampled_from(["full", "zero column", "dependent column"]))
     if shape != "full":
         scale = ZERO if shape == "zero column" else T(draw(st.integers(-2, 2)), draw(st.sampled_from([-2, -1, 1, 3])))
@@ -517,7 +534,7 @@ def eliminated_matrices(draw):
 
 class TestPackedDet:
     @settings(max_examples=40, deadline=None)
-    @given(eliminated_matrices())
+    @given(hard_matrices(st.integers(5, 8)))
     def test_packed_equals_polynomial(self, m):
         assert packed_det(m) == poly_det(m) == m.det()
 
@@ -528,18 +545,29 @@ class TestPackedDet:
         assert all(abs(c) < bound for _, c in m.det().terms)
 
     def test_bound_is_attained_by_a_hadamard_matrix(self):
-        # The 8x8 Sylvester matrix of +-t^j has |det| = 8^4 = sqrt(8^8), the bound minus 1.
-        rows = [[T(j, (-1) ** bin(i & j).count("1")) for j in range(8)] for i in range(8)]
-        m = LaurentMatrix.from_rows(rows)
-        assert _coefficient_bound(zip(*m.rows)) == 4097
-        assert [abs(c) for _, c in m.det().terms] == [4096]
+        # The d x d Sylvester matrix of +-t^j has |det| = d^(d/2) = sqrt(d^d),
+        # the bound minus 1: expanded at d = 4, eliminated at d = 8.
+        for d, bound in [(4, 17), (8, 4097)]:
+            rows = [[T(j, (-1) ** bin(i & j).count("1")) for j in range(d)] for i in range(d)]
+            m = LaurentMatrix.from_rows(rows)
+            assert _coefficient_bound(zip(*m.rows)) == bound
+            assert [abs(c) for _, c in m.det().terms] == [bound - 1]
+
+    @pytest.mark.parametrize("d", [1, 4, 5])
+    @pytest.mark.parametrize("bits", [8, 16, 64, 128])
+    def test_width_holds_the_sign(self, d, bits):
+        # A diagonal matrix of monomials attains the bound minus 1, here
+        # 2^bits - 2: it takes all ``bits`` bits of magnitude, so only the
+        # sign bit on top moves the slot to the next width.
+        diagonal = [T(1 - i, -1 if i % 2 else 1) for i in range(d - 1)] + [T(-2, 2**bits - 2)]
+        m = LaurentMatrix.from_rows([[diagonal[i] if i == j else ZERO for j in range(d)] for i in range(d)])
+        assert _coefficient_bound(zip(*m.rows)).bit_length() == bits
+        assert m.det() == leibniz_det(m)
 
     def test_wide_closure_makes_no_polynomial_products(self, monkeypatch):
         # 11x11 burau - id of 60-66 mixed-sign letters on 12 strands.
         rng = random.Random("wide")
-        entry_types = []
-        bareiss = laurent._bareiss
-        monkeypatch.setattr(laurent, "_bareiss", lambda a, *rest: entry_types.append(type(a[0][0])) or bareiss(a, *rest))
+        entry_types = spy_entry_types(monkeypatch, "_bareiss")
         mul, calls = LaurentPoly.__mul__, []
         r = random_point("wide")
         for _ in range(5):
@@ -561,8 +589,49 @@ class TestPackedDet:
         # The lift of "30 29 6 : 1" fills under 1% of its packed slots.
         d = parse_band_diagram("30 29 6 : 1")
         m = closure_matrix(d.word, d.space.p, d.space.q)
-        entry_types = []
-        bareiss = laurent._bareiss
-        monkeypatch.setattr(laurent, "_bareiss", lambda a, *rest: entry_types.append(type(a[0][0])) or bareiss(a, *rest))
+        entry_types = spy_entry_types(monkeypatch, "_bareiss")
         assert m.det() == packed_det(m)
         assert entry_types == [LaurentPoly]
+
+
+class TestPackedLaplace:
+    # Up to 4x4, det() expands by minors, packed or on polynomials behind the
+    # same gate as _bareiss above.
+
+    @settings(max_examples=60, deadline=None)
+    @given(hard_matrices(st.integers(1, 4)))
+    def test_packed_equals_polynomial(self, m):
+        assert packed_det(m, expand=True) == laplace_det(m) == leibniz_det(m) == m.det()
+
+    def test_dense_lift_makes_no_polynomial_products(self, monkeypatch):
+        # The lift of "10 3 5 : 1 -3 -4 2" fills 68% of its 6,400 packed bits.
+        d = parse_band_diagram("10 3 5 : 1 -3 -4 2")
+        m = closure_matrix(d.word, d.space.p, d.space.q)
+        entry_types = spy_entry_types(monkeypatch, "_laplace")
+        mul, calls = LaurentPoly.__mul__, []
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        det = m.det()
+        monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+        assert entry_types == [int]
+        assert not calls
+        assert det == laplace_det(m)
+
+    @pytest.mark.parametrize(
+        "band", ["30 29 5 : 1", "32 1 5 : 1 -2 3 -4"], ids=["fill under a tenth", "above 2^14 bits"]
+    )
+    def test_sparse_or_wide_lift_keeps_polynomial_entries(self, monkeypatch, band):
+        # "30 29 5 : 1" fills 1.5% of its packed slots; "32 1 5 : 1 -2 3 -4"
+        # would pack into 82,240 bits.
+        d = parse_band_diagram(band)
+        m = closure_matrix(d.word, d.space.p, d.space.q)
+        entry_types = spy_entry_types(monkeypatch, "_laplace")
+        assert m.det() == packed_det(m, expand=True)
+        assert entry_types == [LaurentPoly]
+
+    def test_five_strand_braid_takes_the_packed_route(self, monkeypatch, capsys):
+        w = BraidWord(5, (1, -2, 3, -4, 1))
+        expected = divide_cyclic(AlexanderPoly.from_laurent(leibniz_det(closure_matrix(w))).poly, 5)
+        entry_types = spy_entry_types(monkeypatch, "_laplace")
+        assert cli.run(["alexander", "--braid", "1 -2 3 -4 1", "--strands", "5"]) == 0
+        assert capsys.readouterr().out == f"alexander: {expected}\n"
+        assert entry_types == [int]
