@@ -26,23 +26,24 @@ t = 2^K (:func:`~lenslinks.laurent.divide_cyclic`).
 The determinant of a lift, det(t^{nq} M^p - id) with M the matrix of one
 pass over w, takes one route per strand count n (:func:`alexander_of_closure`):
 
-- On 2 to 4 strands (d = n - 1 <= 3) it is a polynomial in the
-  characteristic polynomial of M^p, whose coefficients come from tr(M^p), its
-  reflection t -> 1/t and the unit det(M)^p: the Burau representation is
-  unitary (Squier, Proc. AMS 90, 1984), so tr(M^-p)(t) = tr(M^p)(1/t).
-  tr(M^p) = s_p comes from one pass and Newton's identity
+- On 2 to 5 strands (d = n - 1 <= 4) it is a polynomial in the
+  characteristic polynomial of A = M^p.  Its coefficients e_k(A) come in
+  pairs: the Burau representation is unitary (Squier, Proc. AMS 90, 1984),
+  so e_(d-k)(A) = det(A) e_k(A)(1/t), with det(A) = det(M)^p a unit, and
+  only e_1 .. e_(d//2) are computed.  On 3 and 4 strands that is tr(M^p) =
+  s_p, from one pass and Newton's identity
 
       s_k = sum_{i=1..min(k,d)} (-1)^(i-1) e_i(M) s_{k-i},   k in place of s_0,
 
   run on packed integers; the same recurrence on the L1 norms of the e_i(M)
-  bounds the coefficients of s_p, which sets the slot width.  Where M^p is a
-  unit or the identity, no pass is made.
-- On 5 or more strands the letters are applied p times and the determinant
-  is a cofactor expansion up to 4x4 and fraction-free elimination above.
-  Either runs on the entries packed at t = 2^K when they fill their slots
-  densely enough and pack into at most 2^14 bits, and on the polynomials
-  otherwise, see :meth:`LaurentMatrix.det`; so most 5-strand lifts expand
-  their 4x4 matrix on plain integers.
+  bounds the coefficients of s_p, which sets the slot width.  On 5 strands
+  it is e_1 and e_2, the sums of the principal 1x1 and 2x2 minors of A,
+  from p passes on packed integers and no determinant.  Where M^p is a unit
+  or the identity, no pass is made.
+- On 6 or more strands the letters are applied p times and the determinant
+  is fraction-free elimination, on the entries packed at t = 2^K when they
+  fill their slots densely enough and pack into at most 2^14 bits, and on
+  the polynomials otherwise, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -55,11 +56,13 @@ triple, and its a(b-1) letters are never spelled out.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
 from operator import mul
 
 from ._value import Value
 from .braid import BraidWord
-from .laurent import LaurentMatrix, LaurentPoly, divide_cyclic, slot_bits
+from .laurent import LaurentMatrix, LaurentPoly, _pack, _unpack, divide_cyclic, slot_bits
 
 
 class AlexanderPoly(Value):
@@ -220,15 +223,16 @@ def _reflect(poly: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(tuple([(-e, c) for e, c in reversed(poly.terms)]))
 
 
-def _elementary(s: LaurentPoly, exponent: int, d: int) -> list[LaurentPoly]:
-    """e_1..e_d of the eigenvalues of a d x d Burau image A, d <= 3, with tr A = s and det A = (-t)^exponent.
+def _elementary(lower: list[LaurentPoly], exponent: int, d: int) -> list[LaurentPoly]:
+    """e_1..e_d of the eigenvalues of a d x d Burau image A, from ``lower`` = [e_1 .. e_(d//2)] and det A = (-t)^exponent.
 
-    e_1 = s, e_d = det A, and e_(d-1) = det(A) tr(A^-1) = det(A) s(1/t): the
-    Burau representation is unitary (Squier, "The Burau representation is
-    unitary", Proc. AMS 90, 1984), so tr(A^-1)(t) = tr(A)(1/t).
+    e_d = det A, and e_(d-k) = det(A) e_k(A^-1) = det(A) e_k(1/t) for every
+    k < d/2: the Burau representation is unitary (Squier, "The Burau
+    representation is unitary", Proc. AMS 90, 1984), so A^-1 is similar to
+    the transpose of A(1/t), and e_k(A^-1)(t) = e_k(A)(1/t).
     """
     det = LaurentPoly(((exponent, -1 if exponent % 2 else 1),))
-    return ([s] if d < 3 else [s, det * _reflect(s)])[: d - 1] + [det]
+    return lower + [det * _reflect(lower[d - k - 1]) for k in range(len(lower) + 1, d)] + [det]
 
 
 def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:
@@ -270,7 +274,10 @@ def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
     applied as a few shifts of its terms.  The same recurrence on the L1
     norms of the e_i bounds |coefficients of s|, and so does d times
     :func:`_norm_bound` on the passes; K holds the smaller bound as a signed
-    digit, so ``from_packed`` reads s back exactly.
+    digit, so ``from_packed`` reads s back exactly.  On d = 4 the lower half
+    of the e_k(M^power) is e_1 and e_2, and e_2 = (s_power^2 - s_(2*power))/2
+    would need twice the steps at twice the width, so d = 4 takes
+    :func:`_principal_minors` instead.
     """
     d, steps = w.strands - 1, _steps(w)
     # P^power >= P entrywise (P >= id), so the bound of the power sum's
@@ -281,7 +288,7 @@ def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
     trace = sum([LaurentPoly.from_packed(columns[r][r], width, -offsets[r]) for r in range(d)], LaurentPoly())
     if power == 1:
         return trace
-    elementary = _elementary(trace, writhe, d)
+    elementary = _elementary([trace], writhe, d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
     norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
     k = slot_bits(min(_newton(norms, power), d * passes).bit_length() + 1)
@@ -292,20 +299,68 @@ def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
     return LaurentPoly.from_packed(_newton(parts, power), k, -power * m)
 
 
+def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
+    """[e_1, e_2] of A = M^power for M = burau_reduced(w) and power >= 1: the sums of A's principal 1x1 and 2x2 minors.
+
+    A comes from ``power`` packed passes over w (:func:`_burau_pass`) and is
+    never decoded into polynomials.  Entry (r, j) is X_rj(t) t^-offsets[j],
+    so a_ii a_jj and a_ij a_ji share the unit t^-(offsets[i] + offsets[j]):
+    the diagonal entries, and the minors, are aligned by shifts to their
+    largest offset, and e_1 and e_2 are read back by one ``_unpack`` each.
+    The L1 norms N_rj of the entries, read from their digits, bound every
+    |coefficient| of e_1 by sum N_ii and of e_2 by sum_(i<j) N_ii N_jj +
+    N_ij N_ji.  Where the pass's slot width is too narrow for that bound,
+    each entry is packed again at a width that holds it.
+    """
+    d, steps = w.strands - 1, _steps(w)
+    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
+    columns, offsets = _burau_pass(d, steps, power, k)
+    terms = [[_unpack(x, k, 0) for x in column] for column in columns]
+    norms = [[sum([abs(c) for _, c in entry]) for entry in column] for column in terms]
+    pairs = list(combinations(range(d), 2))
+    bound = max(
+        sum([norms[i][i] for i in range(d)]),
+        sum([norms[i][i] * norms[j][j] + norms[j][i] * norms[i][j] for i, j in pairs]),
+    )
+    width = max(k, slot_bits(bound.bit_length() + 1))
+    if width > k:
+        columns = [[_pack(entry, width) << width * entry[0][0] if entry else 0 for entry in column] for column in terms]
+    low = max(offsets)
+    first = sum([columns[i][i] << width * (low - offsets[i]) for i in range(d)])
+    low_pairs = max([offsets[i] + offsets[j] for i, j in pairs])
+    second = sum(
+        [
+            (columns[i][i] * columns[j][j] - columns[j][i] * columns[i][j])
+            << width * (low_pairs - offsets[i] - offsets[j])
+            for i, j in pairs
+        ]
+    )
+    return [LaurentPoly.from_packed(first, width, -low), LaurentPoly.from_packed(second, width, -low_pairs)]
+
+
 def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
-    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 <= 3 and u = t^{n*twists}.
+    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 <= 4 and u = t^{n*twists}.
 
     det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
-    symmetric functions e_k of A's eigenvalues, e_0 = 1 (:func:`_elementary`),
-    from s = tr(M^power) and det(A) = D^power, D = det M = (-t)^(exponent sum
-    of w).  On d = 1 the sum is u D^power - 1, and at power 0 or on the
-    empty word, where A = id and s = d, it is (u - 1)^d: none of these reads
-    the letters, nor takes ``power`` steps.  Otherwise s is :func:`_power_sum`.
+    symmetric functions e_k of A's eigenvalues, e_0 = 1, and the upper half
+    of the e_k follows from the lower one and det(A) = D^power, D = det M =
+    (-t)^(exponent sum of w) (:func:`_elementary`).  On d = 1 the sum is
+    u D^power - 1, and at power 0 or on the empty word, where A = id and
+    e_k = C(d, k), it is (u - 1)^d: none of these reads the letters, nor
+    takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
+    :func:`_power_sum` on d = 2 or 3, and e_1 and e_2 are
+    :func:`_principal_minors` on d = 4.
     """
     d, u = w.strands - 1, w.strands * twists
     writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
-    s = _power_sum(w, writhe, power) if power and w.letters and d > 1 else LaurentPoly(((0, d),))
-    elementary = [LaurentPoly.one()] + _elementary(s, writhe * power, d)
+    h = d // 2
+    if not (power and w.letters and h):
+        lower = [LaurentPoly(((0, comb(d, k)),)) for k in range(1, h + 1)]
+    elif d < 4:
+        lower = [_power_sum(w, writhe, power)]
+    else:
+        lower = _principal_minors(w, power)
+    elementary = [LaurentPoly.one()] + _elementary(lower, writhe * power, d)
     terms = [e.shift(k * u) if (d - k) % 2 == 0 else -e.shift(k * u) for k, e in enumerate(elementary)]
     return sum(terms, LaurentPoly())
 
@@ -322,23 +377,22 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     strands) give the zero polynomial; one strand closes to the unknot,
     whose polynomial is 1.
 
-    The strand count alone picks the route.  On 2 to 4 strands
-    :func:`_trace_numerator` makes at most one pass over w and no
-    determinant; timed against the ``power`` passes of :func:`_det_numerator`
-    on words of 0-120 letters at power 0-2, it took 0.02-0.67x their time on
-    2 strands, 0.06-0.59x at power 0 and 0.25-1.12x at powers 1 and 2 on 3
-    and 4.  On 5 or more strands the passes stay: the trace route would need
-    s_{2*power} too (e_2 of a 4x4 matrix), doubling its steps and slot width.
-    Their determinant, :meth:`LaurentMatrix.det`, packs the matrix once
-    when it is dense and small enough, so its cofactor expansion (d = 4)
-    or elimination (d >= 5) makes integer products, not polynomial ones.
+    The strand count alone picks the route.  On 2 to 5 strands
+    :func:`_trace_numerator` makes no determinant; timed against the
+    ``power`` passes of :func:`_det_numerator` on words of 0-120 letters at
+    power 0-2, it took 0.02-0.67x their time on 2 strands, 0.06-0.59x at
+    power 0 and 0.25-1.12x at powers 1 and 2 on 3 and 4.  On 5 strands it
+    makes the same passes but reads e_1 and e_2 off the packed matrix in
+    place of a 4x4 determinant: on s1 s2^-1 s3 s4^-1 at power 16 to 250 it
+    took about a quarter of the time.  On 6 or more strands the passes and
+    :meth:`LaurentMatrix.det` stay.
     """
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    numerator = (_trace_numerator if n <= 4 else _det_numerator)(w, power, twists)
+    numerator = (_trace_numerator if n <= 5 else _det_numerator)(w, power, twists)
     return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(numerator).poly, n))
 
 

@@ -594,11 +594,12 @@ class TestRepeatedCalls:
             (["alexander", "--braid", "1 -2 1 -2", "--strands", "3"], 0),
             (["alexander", "--braid", "1 -2 3 2 -1", "--strands", "4"], 0),
             (["lift", "--band", "3 1 3 : 2 1 2 1", "--compare-torus", "9", "3"], 0),
-            (["alexander", "--braid", "1 -2 3 -4 2", "--strands", "5"], 1),
+            (["alexander", "--braid", "1 -2 3 -4 2", "--strands", "5"], 0),
+            (["alexander", "--braid", "1 -2 3 -4 5 2", "--strands", "6"], 1),
         ],
     )
-    def test_burau_matrix_and_det_only_on_five_strands(self, capsys, monkeypatch, argv, calls):
-        # On 2 to 4 strands the trace route builds no Burau matrix and takes
+    def test_burau_matrix_and_det_only_on_six_or_more_strands(self, capsys, monkeypatch, argv, calls):
+        # On 2 to 5 strands the trace route builds no Burau matrix and takes
         # no determinant, at power 1 and at power 0 (T(9,3)) too.
         counts = {"burau_reduced": 0, "det": 0}
 

