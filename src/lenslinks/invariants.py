@@ -23,27 +23,28 @@ away the unit: the lowest exponent is shifted to 0 and the sign fixed so
 its coefficient is positive.  The division is one integer division at
 t = 2^K (:func:`~lenslinks.laurent.divide_cyclic`).
 
-The determinant of a lift, det(t^{nq} M^p - id) with M the matrix of one
-pass over w, takes one route per strand count n (:func:`alexander_of_closure`):
+The determinant of a lift, det(t^{nq} A - id) with A = M^p and M the
+d x d matrix of one pass over w, d = n - 1, is a polynomial in the
+characteristic polynomial of A.  Its coefficients e_k(A) come in pairs:
+the Burau representation is unitary (Squier, Proc. AMS 90, 1984), so
+e_(d-k)(A) = det(A) e_k(A)(1/t), with det(A) = det(M)^p a unit, and only
+the lower half e_1 .. e_h, h = d//2, is needed.  Its source is one route
+table (:func:`_numerator`), read from h and the power alone:
 
-- On 2 to 5 strands (d = n - 1 <= 4) it is a polynomial in the
-  characteristic polynomial of A = M^p.  Its coefficients e_k(A) come in
-  pairs: the Burau representation is unitary (Squier, Proc. AMS 90, 1984),
-  so e_(d-k)(A) = det(A) e_k(A)(1/t), with det(A) = det(M)^p a unit, and
-  only e_1 .. e_(d//2) are computed.  On 3 and 4 strands that is tr(M^p) =
-  s_p, from one pass and Newton's identity
+- A = id (power 0, or the empty word, on any n): e_k = C(d, k); on 2
+  strands (h = 0) A is the unit det(A).  No pass is made.
+- h = 1 (3 and 4 strands): e_1 = tr(M^p) = s_p, from one pass and
+  Newton's identity
 
       s_k = sum_{i=1..min(k,d)} (-1)^(i-1) e_i(M) s_{k-i},   k in place of s_0,
 
   run on packed integers; the same recurrence on the L1 norms of the e_i(M)
-  bounds the coefficients of s_p, which sets the slot width.  On 5 strands
-  it is e_1 and e_2, the sums of the principal 1x1 and 2x2 minors of A,
-  from p passes on packed integers and no determinant.  Where M^p is a unit
-  or the identity, no pass is made.
-- On 6 or more strands the letters are applied p times and the determinant
-  is fraction-free elimination, on the entries packed at t = 2^K when they
-  fill their slots densely enough and pack into at most 2^14 bits, and on
-  the polynomials otherwise, see :meth:`LaurentMatrix.det`.
+  bounds the coefficients of s_p, which sets the slot width.
+- h = 2 (5 and 6 strands): e_1 and e_2, the sums of the principal 1x1 and
+  2x2 minors of A, from p passes on packed integers and no determinant.
+- h >= 3 (7 or more strands): the letters are applied p times and the
+  determinant is fraction-free elimination, packed at t = 2^K or on the
+  polynomials, see :meth:`LaurentMatrix.det`.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -263,21 +264,22 @@ def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:
     return sums[0]
 
 
-def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
+def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     """s = tr(M^power) for M = burau_reduced(w) of size d = 2 or 3 and power >= 1, from one pass over w.
 
     For power >= 2, s is the power sum s_power of M's eigenvalues, from
-    their elementary symmetric functions e_i(M) (:func:`_elementary`) by
-    Newton's identity (:func:`_newton`).  Scaling M by t^m scales e_i by
-    t^(i*m) and s_k by t^(k*m); m makes every e_i a polynomial, so every s_k
-    is one, and the recurrence runs on their values at t = 2^K, each e_i
-    applied as a few shifts of its terms.  The same recurrence on the L1
+    their elementary symmetric functions e_i(M) (:func:`_elementary`, with
+    det M = (-t)^(exponent sum of w)) by Newton's identity
+    (:func:`_newton`).  Scaling M by t^m scales e_i by t^(i*m) and s_k by
+    t^(k*m); m makes every e_i a polynomial, so every s_k is one, and the
+    recurrence runs on their values at t = 2^K, each e_i applied as a few
+    shifts of its terms.  The same recurrence on the L1
     norms of the e_i bounds |coefficients of s|, and so does d times
     :func:`_norm_bound` on the passes; K holds the smaller bound as a signed
-    digit, so ``from_packed`` reads s back exactly.  On d = 4 the lower half
-    of the e_k(M^power) is e_1 and e_2, and e_2 = (s_power^2 - s_(2*power))/2
-    would need twice the steps at twice the width, so d = 4 takes
-    :func:`_principal_minors` instead.
+    digit, so ``from_packed`` reads s back exactly.  On d = 4 and 5 the
+    lower half of the e_k(M^power) is e_1 and e_2, and e_2 =
+    (s_power^2 - s_(2*power))/2 would need twice the steps at twice the
+    width, so those take :func:`_principal_minors` instead.
     """
     d, steps = w.strands - 1, _steps(w)
     # P^power >= P entrywise (P >= id), so the bound of the power sum's
@@ -288,7 +290,7 @@ def _power_sum(w: BraidWord, writhe: int, power: int) -> LaurentPoly:
     trace = sum([LaurentPoly.from_packed(columns[r][r], width, -offsets[r]) for r in range(d)], LaurentPoly())
     if power == 1:
         return trace
-    elementary = _elementary([trace], writhe, d)
+    elementary = _elementary([trace], sum([1 if letter > 0 else -1 for letter in w.letters]), d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
     norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
     k = slot_bits(min(_newton(norms, power), d * passes).bit_length() + 1)
@@ -338,28 +340,32 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     return [LaurentPoly.from_packed(first, width, -low), LaurentPoly.from_packed(second, width, -low_pairs)]
 
 
-def _trace_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
-    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 <= 4 and u = t^{n*twists}.
+def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
+    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 and u = t^{n*twists}: the route table.
 
     det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
     symmetric functions e_k of A's eigenvalues, e_0 = 1, and the upper half
-    of the e_k follows from the lower one and det(A) = D^power, D = det M =
-    (-t)^(exponent sum of w) (:func:`_elementary`).  On d = 1 the sum is
-    u D^power - 1, and at power 0 or on the empty word, where A = id and
-    e_k = C(d, k), it is (u - 1)^d: none of these reads the letters, nor
-    takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
-    :func:`_power_sum` on d = 2 or 3, and e_1 and e_2 are
-    :func:`_principal_minors` on d = 4.
+    of the e_k follows from the lower one, e_1 .. e_h with h = d//2, and
+    det(A) = D^power, D = det M = (-t)^(exponent sum of w)
+    (:func:`_elementary`).  What A and h need picks the source of the lower
+    half.  At power 0 or on the empty word A = id and e_k = C(d, k), and on
+    d = 1 (h = 0) the sum is u D^power - 1: none of these reads the
+    letters, nor takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
+    :func:`_power_sum` at h = 1, e_1 and e_2 are :func:`_principal_minors`
+    at h = 2, and h >= 3 takes the passes and the determinant of
+    :func:`_det_numerator`.
     """
     d, u = w.strands - 1, w.strands * twists
-    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
     h = d // 2
     if not (power and w.letters and h):
         lower = [LaurentPoly(((0, comb(d, k)),)) for k in range(1, h + 1)]
-    elif d < 4:
-        lower = [_power_sum(w, writhe, power)]
-    else:
+    elif h == 1:
+        lower = [_power_sum(w, power)]
+    elif h == 2:
         lower = _principal_minors(w, power)
+    else:
+        return _det_numerator(w, power, twists)
+    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
     elementary = [LaurentPoly.one()] + _elementary(lower, writhe * power, d)
     terms = [e.shift(k * u) if (d - k) % 2 == 0 else -e.shift(k * u) for k, e in enumerate(elementary)]
     return sum(terms, LaurentPoly())
@@ -377,23 +383,16 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     strands) give the zero polynomial; one strand closes to the unknot,
     whose polynomial is 1.
 
-    The strand count alone picks the route.  On 2 to 5 strands
-    :func:`_trace_numerator` makes no determinant; timed against the
-    ``power`` passes of :func:`_det_numerator` on words of 0-120 letters at
-    power 0-2, it took 0.02-0.67x their time on 2 strands, 0.06-0.59x at
-    power 0 and 0.25-1.12x at powers 1 and 2 on 3 and 4.  On 5 strands it
-    makes the same passes but reads e_1 and e_2 off the packed matrix in
-    place of a 4x4 determinant: on s1 s2^-1 s3 s4^-1 at power 16 to 250 it
-    took about a quarter of the time.  On 6 or more strands the passes and
-    :meth:`LaurentMatrix.det` stay.
+    :func:`_numerator` picks the route from h = (n - 1)//2 and the power:
+    on 2 to 6 strands, and at power 0 or on the empty word on any n, it
+    takes no determinant.
     """
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    numerator = (_trace_numerator if n <= 5 else _det_numerator)(w, power, twists)
-    return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(numerator).poly, n))
+    return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(_numerator(w, power, twists)).poly, n))
 
 
 def torus_closure(a: int, b: int) -> tuple[BraidWord, int, int]:

@@ -595,12 +595,14 @@ class TestRepeatedCalls:
             (["alexander", "--braid", "1 -2 3 2 -1", "--strands", "4"], 0),
             (["lift", "--band", "3 1 3 : 2 1 2 1", "--compare-torus", "9", "3"], 0),
             (["alexander", "--braid", "1 -2 3 -4 2", "--strands", "5"], 0),
-            (["alexander", "--braid", "1 -2 3 -4 5 2", "--strands", "6"], 1),
+            (["alexander", "--braid", "1 -2 3 -4 5 2", "--strands", "6"], 0),
+            (["alexander", "--braid", "1 -2 3 -4 5 -6 2", "--strands", "7"], 1),
         ],
     )
-    def test_burau_matrix_and_det_only_on_six_or_more_strands(self, capsys, monkeypatch, argv, calls):
-        # On 2 to 5 strands the trace route builds no Burau matrix and takes
-        # no determinant, at power 1 and at power 0 (T(9,3)) too.
+    def test_burau_matrix_and_det_only_on_seven_or_more_strands(self, capsys, monkeypatch, argv, calls):
+        # On 2 to 6 strands the power sums and principal minors build no
+        # Burau matrix and take no determinant, at power 1 and at power 0
+        # (T(9,3)) too.
         counts = {"burau_reduced": 0, "det": 0}
 
         def counted(owner, name):
