@@ -28,7 +28,6 @@ from .genus import (
 from .invariants import (
     AlexanderPoly,
     alexander_of_closure,
-    burau_reduced,
     torus_closure,
 )
 from .laurent import LaurentMatrix, LaurentPoly, divide_exact
@@ -63,7 +62,6 @@ __all__ = [
     "SupportPoly",
     "alexander_of_closure",
     "bennequin_fiber",
-    "burau_reduced",
     "divide_exact",
     "garside",
     "homology_classes",

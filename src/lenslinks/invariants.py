@@ -42,9 +42,16 @@ table (:func:`_numerator`), read from h and the power alone:
   bounds the coefficients of s_p, which sets the slot width.
 - h = 2 (5 and 6 strands): e_1 and e_2, the sums of the principal 1x1 and
   2x2 minors of A, from p passes on packed integers and no determinant.
-- h >= 3 (7 or more strands): the letters are applied p times and the
-  determinant is fraction-free elimination, packed at t = 2^K or on the
-  polynomials, see :meth:`LaurentMatrix.det`.
+- h >= 3 (7 or more strands): the lifted braid splits into halves X and
+  Y, A = X Y, and det(u A - id) = det X * det(u Y - X^-1), with det X a
+  unit and X^-1 the matrix of the inverted first half.  Each half is one
+  packed pass of half the letters, and the determinant is fraction-free
+  elimination, packed at t = 2^K or on the polynomials, see
+  :meth:`LaurentMatrix.det`.
+
+Before any of these, a closure with no twist whose word misses some
+generator s_i is split: column i - 1 of A - id is zero, and the
+numerator is 0 with no pass.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -114,10 +121,14 @@ def _updates(letter: int, d: int) -> list[tuple[int, int, int]]:
     return [part for part in parts if 0 <= part[2] < d]
 
 
-def _steps(w: BraidWord) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """(column, updates) of each letter of w, in word order."""
-    d = w.strands - 1
-    return [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
+def _steps(letters, d: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(column, updates) of each letter, in word order, for d x d matrices."""
+    return [(abs(letter) - 1, _updates(letter, d)) for letter in letters]
+
+
+def _writhe(letters) -> int:
+    """The exponent sum of a word; its Burau matrix has determinant (-t)^writhe."""
+    return sum([1 if letter > 0 else -1 for letter in letters])
 
 
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -185,38 +196,48 @@ def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], pow
     return columns, offsets
 
 
-def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
-    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
-
-    The letters of w are applied ``power`` times as column updates on packed
-    integers (:func:`_burau_pass`), and the entries are decoded once at the
-    end.  The full twist Delta^2 is central and its reduced Burau image is
-    t^n * id, so the twists multiply every entry by the unit t^{n*twists}
-    instead of being applied letter by letter.
-    """
-    if w.strands < 2:
-        raise ValueError("the reduced Burau representation needs at least 2 strands")
-    if power < 0 or twists < 0:
-        raise ValueError("power and twists must be non-negative")
-    d, steps = w.strands - 1, _steps(w)
-    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
-    columns, offsets = _burau_pass(d, steps, power, k)
-    unit = w.strands * twists
-    return LaurentMatrix(
-        tuple(
-            [
-                tuple([LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)])
-                for r in range(d)
-            ]
-        )
-    )
-
-
 def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
-    """det(B - id) for the Burau matrix B of  w^power . Delta^{2*twists},  built by ``power`` passes over w."""
-    one = LaurentPoly.one()
-    rows = burau_reduced(w, power, twists).rows
-    return LaurentMatrix(tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)])).det()
+    """det(u * M^power - id) for u = t^{n*twists}, power >= 1 and a non-empty w, from two half-length passes.
+
+    The lifted braid w^power splits into halves with Burau matrices X and
+    Y, M^power = X Y: at power 1 w splits at its middle letter, and above
+    the power splits as floor(power/2) + ceil(power/2).  Then
+
+        det(u X Y - id) = det X * det(u Y - X^-1),
+
+    det X = (-t)^(exponent sum of the first half) is a unit, and X^-1 is the
+    matrix of the inverted first half.  Each half is one packed
+    :func:`_burau_pass`, at a slot width k that holds the sum of the two
+    halves' norm bounds (:func:`_norm_bound`), so the difference of two
+    entries fits too.  Each column of u Y and of X^-1 is aligned to a
+    common offset, the two are subtracted as integers and decoded once, and
+    :meth:`LaurentMatrix.det` takes the determinant.  Each half has half
+    the letters, so the entries have about half the coefficient bits and
+    half the span of those of M^power, and so does the determinant's
+    packed width.
+    """
+    d, letters = w.strands - 1, w.letters
+    if power == 1:
+        half = len(letters) // 2
+        first, second, first_power, second_power = letters[:half], letters[half:], 1, 1
+    else:
+        first, second, first_power, second_power = letters, letters, power // 2, power - power // 2
+    inverse, steps = _steps([-letter for letter in reversed(first)], d), _steps(second, d)
+    k = slot_bits((_norm_bound(inverse, first_power) + _norm_bound(steps, second_power)).bit_length() + 1)
+    x_columns, x_offsets = _burau_pass(d, inverse, first_power, k)
+    y_columns, y_offsets = _burau_pass(d, steps, second_power, k)
+    u = w.strands * twists
+    columns = []
+    for x_column, x_offset, y_column, y_offset in zip(x_columns, x_offsets, y_columns, y_offsets):
+        # Entry r is t^-low (t^(low+u-y_offset) y_r - t^(low-x_offset) x_r), both shifts non-negative.
+        low = max(y_offset - u, x_offset)
+        y_bits, x_bits = k * (low + u - y_offset), k * (low - x_offset)
+        columns.append(
+            [LaurentPoly.from_packed((y << y_bits) - (x << x_bits), k, -low) for x, y in zip(x_column, y_column)]
+        )
+    det = LaurentMatrix.from_rows(zip(*columns)).det()
+    exponent = _writhe(first) * first_power
+    return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
 
 
 def _reflect(poly: LaurentPoly) -> LaurentPoly:
@@ -265,7 +286,7 @@ def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:
 
 
 def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
-    """s = tr(M^power) for M = burau_reduced(w) of size d = 2 or 3 and power >= 1, from one pass over w.
+    """s = tr(M^power) for the d x d Burau matrix M of w, d = 2 or 3, and power >= 1, from one pass over w.
 
     For power >= 2, s is the power sum s_power of M's eigenvalues, from
     their elementary symmetric functions e_i(M) (:func:`_elementary`, with
@@ -281,7 +302,8 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     (s_power^2 - s_(2*power))/2 would need twice the steps at twice the
     width, so those take :func:`_principal_minors` instead.
     """
-    d, steps = w.strands - 1, _steps(w)
+    d = w.strands - 1
+    steps = _steps(w.letters, d)
     # P^power >= P entrywise (P >= id), so the bound of the power sum's
     # passes also holds the one pass over w.
     passes = _norm_bound(steps, power)
@@ -290,7 +312,7 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     trace = sum([LaurentPoly.from_packed(columns[r][r], width, -offsets[r]) for r in range(d)], LaurentPoly())
     if power == 1:
         return trace
-    elementary = _elementary([trace], sum([1 if letter > 0 else -1 for letter in w.letters]), d)
+    elementary = _elementary([trace], _writhe(w.letters), d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
     norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
     k = slot_bits(min(_newton(norms, power), d * passes).bit_length() + 1)
@@ -302,7 +324,7 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
 
 
 def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
-    """[e_1, e_2] of A = M^power for M = burau_reduced(w) and power >= 1: the sums of A's principal 1x1 and 2x2 minors.
+    """[e_1, e_2] of A = M^power (M the Burau matrix of w, power >= 1): the sums of A's principal 1x1 and 2x2 minors.
 
     A comes from ``power`` packed passes over w (:func:`_burau_pass`) and is
     never decoded into polynomials.  Entry (r, j) is X_rj(t) t^-offsets[j],
@@ -314,7 +336,8 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     N_ij N_ji.  Where the pass's slot width is too narrow for that bound,
     each entry is packed again at a width that holds it.
     """
-    d, steps = w.strands - 1, _steps(w)
+    d = w.strands - 1
+    steps = _steps(w.letters, d)
     k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
     columns, offsets = _burau_pass(d, steps, power, k)
     terms = [[_unpack(x, k, 0) for x in column] for column in columns]
@@ -341,22 +364,26 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
 
 
 def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
-    """det(u * M^power - id) for M = burau_reduced(w) of size d = n - 1 and u = t^{n*twists}: the route table.
+    """det(u * M^power - id) for the d x d Burau matrix M of w, d = n - 1, and u = t^{n*twists}: the route table.
 
     det(u*A - id) = sum_k (-1)^(d-k) u^k e_k(A) over the elementary
     symmetric functions e_k of A's eigenvalues, e_0 = 1, and the upper half
     of the e_k follows from the lower one, e_1 .. e_h with h = d//2, and
     det(A) = D^power, D = det M = (-t)^(exponent sum of w)
     (:func:`_elementary`).  What A and h need picks the source of the lower
-    half.  At power 0 or on the empty word A = id and e_k = C(d, k), and on
-    d = 1 (h = 0) the sum is u D^power - 1: none of these reads the
-    letters, nor takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
+    half.  With u = 1 and power >= 1, a generator s_i missing from w
+    leaves column i - 1 of A - id zero, and the numerator is 0.  At power 0
+    or on the empty word A = id and e_k = C(d, k), and on d = 1 (h = 0) the
+    sum is u D^power - 1.  None of these reads more than the letters' set,
+    nor takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
     :func:`_power_sum` at h = 1, e_1 and e_2 are :func:`_principal_minors`
-    at h = 2, and h >= 3 takes the passes and the determinant of
-    :func:`_det_numerator`.
+    at h = 2, and h >= 3 takes the two half-length passes and the
+    determinant of :func:`_det_numerator`.
     """
     d, u = w.strands - 1, w.strands * twists
     h = d // 2
+    if power and not twists and len({abs(letter) for letter in w.letters}) < d:
+        return LaurentPoly()
     if not (power and w.letters and h):
         lower = [LaurentPoly(((0, comb(d, k)),)) for k in range(1, h + 1)]
     elif h == 1:
@@ -365,8 +392,7 @@ def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
         lower = _principal_minors(w, power)
     else:
         return _det_numerator(w, power, twists)
-    writhe = sum([1 if letter > 0 else -1 for letter in w.letters])
-    elementary = [LaurentPoly.one()] + _elementary(lower, writhe * power, d)
+    elementary = [LaurentPoly.one()] + _elementary(lower, _writhe(w.letters) * power, d)
     terms = [e.shift(k * u) if (d - k) % 2 == 0 else -e.shift(k * u) for k, e in enumerate(elementary)]
     return sum(terms, LaurentPoly())
 
@@ -384,8 +410,9 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     whose polynomial is 1.
 
     :func:`_numerator` picks the route from h = (n - 1)//2 and the power:
-    on 2 to 6 strands, and at power 0 or on the empty word on any n, it
-    takes no determinant.
+    on 2 to 6 strands, at power 0 or on the empty word on any n, and on a
+    closure with no twist whose word misses a generator, it takes no
+    determinant.
     """
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")

@@ -1,8 +1,9 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates, the norm bound of a pass is powered by squaring, burau - id
-changes only the diagonal, a lift or a torus link is a (word, power,
+updates, the norm bound of a pass is powered by squaring, the numerator of
+a lift on 7 or more strands comes from two half-length passes and never
+decodes the whole Burau matrix, a lift or a torus link is a (word, power,
 twists) triple, a band diagram holds its closure permutation, and no
 subcommand multiplies bivariate polynomials or reduces braid words.
 """
@@ -11,7 +12,8 @@ from fractions import Fraction
 
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
-from lenslinks.laurent import LaurentMatrix, LaurentPoly
+from lenslinks.invariants import _burau_pass, _norm_bound, _steps
+from lenslinks.laurent import LaurentMatrix, LaurentPoly, slot_bits
 
 
 def norm_bound_loop(d: int, steps, power: int) -> int:
@@ -22,6 +24,41 @@ def norm_bound_loop(d: int, steps, power: int) -> int:
         for c, columns in sources:
             norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
     return max([max(col) for col in norms])
+
+
+def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
+    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
+
+    The letters of w are applied ``power`` times as column updates on packed
+    integers (``invariants._burau_pass``), and the entries are decoded once
+    at the end.  The full twist Delta^2 is central and its reduced Burau
+    image is t^n * id, so the twists multiply every entry by the unit
+    t^{n*twists} instead of being applied letter by letter.
+    """
+    if w.strands < 2:
+        raise ValueError("the reduced Burau representation needs at least 2 strands")
+    if power < 0 or twists < 0:
+        raise ValueError("power and twists must be non-negative")
+    d = w.strands - 1
+    steps = _steps(w.letters, d)
+    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
+    columns, offsets = _burau_pass(d, steps, power, k)
+    unit = w.strands * twists
+    return LaurentMatrix.from_rows(
+        [[LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)] for r in range(d)]
+    )
+
+
+def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
+    """B - id for the Burau matrix B of  w^power . Delta^{2*twists}."""
+    one = LaurentPoly.one()
+    rows = burau_reduced(w, power, twists).rows
+    return LaurentMatrix(tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)]))
+
+
+def det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
+    """det(B - id) for the Burau matrix B of  w^power . Delta^{2*twists}: the whole matrix, decoded, then its determinant."""
+    return closure_matrix(w, power, twists).det()
 
 
 def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

@@ -21,15 +21,11 @@ from lenslinks.curves import (
     torus_poly,
 )
 from lenslinks.genus import bennequin_fiber, quotient_genus
-from lenslinks.invariants import (
-    AlexanderPoly,
-    alexander_of_closure,
-    burau_reduced,
-)
+from lenslinks.invariants import AlexanderPoly, alexander_of_closure
 from lenslinks.laurent import LaurentPoly, divide_exact
 from lenslinks.lens import BandDiagram, LensSpace, homology_classes, lift, lifted_component_count
 from lenslinks.curves import parse_poly
-from reference import closure_components, torus_braid
+from reference import burau_reduced, closure_components, torus_braid
 
 
 def report(number, label):

@@ -11,9 +11,8 @@ from lenslinks.braid import (
     permutation,
 )
 from lenslinks.errors import ParseError
-from lenslinks.invariants import burau_reduced
 from lenslinks.laurent import LaurentPoly
-from reference import closure_components, free_reduce
+from reference import burau_reduced, closure_components, free_reduce
 
 
 def signed_letters(n):

@@ -118,7 +118,6 @@ def test_import_leaves_out_dataclasses_inspect_and_fractions():
 
 # Public code that no subcommand needs, each with the reason it stays.
 REACH_EXEMPT = {
-    "LaurentMatrix.from_rows": "the benchmark's kernel rows build their matrices with it",
     "LaurentPoly.from_dict": "the benchmark's kernel rows build their entries with it",
 }
 
@@ -602,8 +601,8 @@ class TestRepeatedCalls:
     def test_burau_matrix_and_det_only_on_seven_or_more_strands(self, capsys, monkeypatch, argv, calls):
         # On 2 to 6 strands the power sums and principal minors build no
         # Burau matrix and take no determinant, at power 1 and at power 0
-        # (T(9,3)) too.
-        counts = {"burau_reduced": 0, "det": 0}
+        # (T(9,3)) too; on 7 the two half-length passes build u Y - X^-1.
+        counts = {"_det_numerator": 0, "det": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -614,10 +613,10 @@ class TestRepeatedCalls:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(lenslinks.invariants, "burau_reduced")
+        counted(lenslinks.invariants, "_det_numerator")
         counted(lenslinks.laurent.LaurentMatrix, "det")
         assert run(capsys, argv)[0] == 0
-        assert counts == {"burau_reduced": calls, "det": calls}
+        assert counts == {"_det_numerator": calls, "det": calls}
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()

@@ -18,15 +18,22 @@ from lenslinks.invariants import (
     _principal_minors,
     _reflect,
     _steps,
-    _updates,
     alexander_of_closure,
-    burau_reduced,
     torus_closure,
 )
 from lenslinks.laurent import LaurentMatrix, LaurentPoly
 from lenslinks.lens import BandDiagram, LensSpace, lift
 from modp import lift_numerator_mod, poly_mod, random_point, root_of_unity_field
-from reference import free_reduce, identity, matmul, norm_bound_loop, spelled_out, torus_braid
+from reference import (
+    burau_reduced,
+    det_numerator,
+    free_reduce,
+    identity,
+    matmul,
+    norm_bound_loop,
+    spelled_out,
+    torus_braid,
+)
 
 
 def signed_letters(n):
@@ -183,16 +190,15 @@ class TestBurauAgainstProducts:
     @settings(max_examples=40, deadline=None)
     @given(words(max_strands=6, max_len=10), st.integers(0, 4))
     def test_norm_bound_holds(self, w, e):
-        d = w.strands - 1
-        steps = [(abs(letter) - 1, _updates(letter, d)) for letter in w.letters]
-        bound = _norm_bound(steps, e)
+        bound = _norm_bound(_steps(w.letters, w.strands - 1), e)
         matrix = burau_reduced(w, e)
         assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix.rows for entry in row)
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=12, max_len=10), st.integers(0, 40))
     def test_norm_bound_by_squaring_equals_the_passes(self, w, e):
-        d, steps = w.strands - 1, _steps(w)
+        d = w.strands - 1
+        steps = _steps(w.letters, d)
         assert _norm_bound(steps, e) == norm_bound_loop(d, steps, e)
         assert _norm_bound(steps, 0) == 1 == _norm_bound([], e)
 
@@ -233,7 +239,7 @@ class TestTraceRoute:
     @example(BraidWord(5, (1, -2, 3, -4)), 7, 0)
     def test_equals_the_passes(self, w, p, q):
         # In the example the pass packs at 16 bits, and e_2 of M^7 needs 18.
-        assert _numerator(w, p, q) == _det_numerator(w, p, q)
+        assert _numerator(w, p, q) == det_numerator(w, p, q)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=3), st.integers(1, 24))
@@ -269,7 +275,7 @@ class TestTraceRoute:
         # strands eliminating the diagonal matrix takes seconds, so the
         # product of its entries stands in for it.
         if w.strands <= 8:
-            expected = _det_numerator(w, power, 2)
+            expected = det_numerator(w, power, 2)
         else:
             u_minus_one = LaurentPoly.from_dict({2 * w.strands: 1, 0: -1})
             expected = math.prod([u_minus_one] * (w.strands - 1), start=LaurentPoly.one())
@@ -285,7 +291,7 @@ class TestTraceRoute:
         n = max(3, max(map(abs, letters)) + 1)
         w = BraidWord(n, letters)
         for p in (50, 200) if n == 3 else (64,):
-            assert _numerator(w, p, 1) == _det_numerator(w, p, 1), p
+            assert _numerator(w, p, 1) == det_numerator(w, p, 1), p
 
     @settings(max_examples=40, deadline=None)
     @given(lift_words((3, 4, 5, 6), max_len=8), st.integers(1, 10))
@@ -297,16 +303,55 @@ class TestTraceRoute:
         assert _principal_minors(w, p) == [trace(burau_reduced(w, p)), second]
 
     @settings(max_examples=40, deadline=None)
-    @given(lift_words((2, 3, 4, 5, 6)), st.integers(2, 12), st.integers(0, 3), st.integers(0, 2**32))
+    @given(lift_words(range(2, 10)), st.integers(2, 12), st.integers(0, 3), st.integers(0, 2**32))
     @example(BraidWord(5, (1, -2, 3, -4)), 7, 1, 0)
     @example(BraidWord(6, (1, -2, 3, -4, 5)), 7, 1, 0)
+    @example(BraidWord(8, (1, -2, 3, -4, 5, -6, 7)), 5, 0, 0)
     def test_both_routes_at_roots_of_unity(self, w, p, q, seed):
+        # On 7 to 9 strands _numerator takes the two half-length passes of
+        # _det_numerator, which on 2 to 6 strands is checked directly.
         modulus, zeta = root_of_unity_field(p)
         r = random_point(seed, modulus)
         expected = lift_numerator_mod(burau_reduced(w), w.strands, p, q, r, modulus, zeta)
         t = pow(r, p, modulus)
-        assert poly_mod(_det_numerator(w, p, q), t, modulus) == expected
+        assert poly_mod(det_numerator(w, p, q), t, modulus) == expected
         assert poly_mod(_numerator(w, p, q), t, modulus) == expected
+        if w.letters:
+            assert poly_mod(_det_numerator(w, p, q), t, modulus) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(lift_words(range(7, 13), max_len=8), st.booleans(), st.integers(0, 6), st.integers(0, 3))
+    @example(BraidWord(7, ()), False, 3, 0)
+    @example(BraidWord(7, ()), False, 1, 2)
+    @example(BraidWord(8, (3,)), False, 1, 1)
+    @example(BraidWord(8, (-3,)), True, 1, 0)
+    @example(BraidWord(7, (1, -2, 3, -4, 5, -6, 2)), False, 1, 0)
+    @example(BraidWord(9, (1, 2, -3, 4, -5, 6, 7, -8)), False, 5, 1)
+    def test_split_route_equals_the_reference(self, w, cover, p, q):
+        # det X * det(u Y - X^-1) from two half-length passes, against the
+        # whole matrix of all the passes less the identity.  ``cover`` adds
+        # every generator that w lacks, so that at q = 0 the closure is not
+        # split and the route is taken.  At power 1 a word of one letter
+        # leaves the first half empty.
+        if cover:
+            missing = [i for i in range(1, w.strands) if i not in map(abs, w.letters)]
+            w = BraidWord(w.strands, w.letters + tuple(missing))
+        assert _numerator(w, p, q) == det_numerator(w, p, q)
+
+    @pytest.mark.parametrize(
+        "w, power",
+        [(BraidWord(3, (1, 1)), 1), (BraidWord(5, (1, -2, 4)), 3), (BraidWord(6, (1, -2, 3, -4)), 7)]
+        + [(BraidWord(7, (1, -2, 3, -4, 5)), 1), (BraidWord(8, (2, 3, -3, -1) * 4), 2)]
+        + [(BraidWord(12, (1, -2, 3, 5, -6, 7, -8, 9, -10, 11) * 6), 1)],
+    )
+    def test_split_closure_takes_no_pass(self, monkeypatch, w, power):
+        # With no twist and some s_i missing from w, column i - 1 of
+        # M^power - id is zero: the closure is split and the numerator 0.
+        assert det_numerator(w, power, 0) == LaurentPoly()
+        for name in ("_power_sum", "_principal_minors", "_burau_pass", "_det_numerator"):
+            monkeypatch.setattr(invariants, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        monkeypatch.setattr(LaurentMatrix, "det", lambda *args: pytest.fail("LaurentMatrix.det called"))
+        assert _numerator(w, power, 0) == LaurentPoly()
 
 
 class TestAlexanderPoly:
@@ -353,9 +398,8 @@ class TestAlexanderOfClosure:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_subtracts_the_identity_on_the_diagonal_only(self, monkeypatch, n):
         # Up to 4x4 the determinant subtracts nothing, so each call of
-        # __sub__ is one diagonal entry of burau - id.  Only n >= 7 builds
-        # burau - id inside alexander_of_closure, so the route is called
-        # directly.
+        # __sub__ is one diagonal entry of burau - id.  The library never
+        # builds burau - id, so this pins the reference route.
         sub, calls = LaurentPoly.__sub__, []
 
         def counted(a, b):
@@ -363,7 +407,7 @@ class TestAlexanderOfClosure:
             return sub(a, b)
 
         monkeypatch.setattr(LaurentPoly, "__sub__", counted)
-        _det_numerator(BraidWord(n, tuple(range(1, n)) * 3), 1, 0)
+        det_numerator(BraidWord(n, tuple(range(1, n)) * 3), 1, 0)
         assert calls == [LaurentPoly.one()] * (n - 1)
 
     @pytest.mark.parametrize("n", range(1, 6))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import lenslinks.laurent as laurent
 from lenslinks import cli
 from lenslinks.braid import BraidWord
-from lenslinks.invariants import AlexanderPoly, burau_reduced
+from lenslinks.invariants import AlexanderPoly, _det_numerator
 from lenslinks.laurent import (
     DivisibilityError,
     LaurentMatrix,
@@ -27,7 +27,7 @@ from lenslinks.laurent import (
 )
 from lenslinks.lens import parse_band_diagram
 from modp import det_mod, poly_mod, random_point
-from reference import identity, matmul
+from reference import burau_reduced, closure_matrix, det_numerator, identity, matmul
 
 
 def polys(max_terms=5, exp_range=4, coeff_range=5):
@@ -142,12 +142,6 @@ def spy_entry_types(monkeypatch, name: str) -> list[type]:
     method = getattr(laurent, name)
     monkeypatch.setattr(laurent, name, lambda a, *rest: entry_types.append(type(a[0][0])) or method(a, *rest))
     return entry_types
-
-
-def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
-    """burau - id for the closure of w^power . Delta^{2*twists}, the matrix alexander_of_closure reduces."""
-    rows = burau_reduced(w, power, twists).rows
-    return LaurentMatrix(tuple([row[:i] + (row[i] - ONE,) + row[i + 1 :] for i, row in enumerate(rows)]))
 
 
 class TestLaurentPoly:
@@ -565,23 +559,24 @@ class TestPackedDet:
         assert m.det() == leibniz_det(m)
 
     def test_wide_closure_makes_no_polynomial_products(self, monkeypatch):
-        # 11x11 burau - id of 60-66 mixed-sign letters on 12 strands.
+        # The 11x11 u Y - X^-1 of the two half-length passes over 60-66
+        # mixed-sign letters on 12 strands.
         rng = random.Random("wide")
+        words = []
+        while len(words) < 5:
+            w = BraidWord(12, tuple([rng.choice((-1, 1)) * rng.randint(1, 11) for _ in range(rng.randint(60, 66))]))
+            # A zero column of burau - id, the column of a generator missing
+            # from the word or one that M fixes, is one of u Y - X^-1 too,
+            # and its determinant is 0 without elimination.
+            if all(any(column) for column in zip(*closure_matrix(w).rows)):
+                words.append(w)
+        expected = [det_numerator(w, 1, 0) for w in words]
         entry_types = spy_entry_types(monkeypatch, "_bareiss")
         mul, calls = LaurentPoly.__mul__, []
-        r = random_point("wide")
-        for _ in range(5):
-            # A generator missing from the word leaves a zero column, whose
-            # determinant is 0 without elimination.
-            m = closure_matrix(BraidWord(12, ()))
-            while not all(any(column) for column in zip(*m.rows)):
-                letters = [rng.choice((-1, 1)) * rng.randint(1, 11) for _ in range(rng.randint(60, 66))]
-                m = closure_matrix(BraidWord(12, tuple(letters)))
-            values = [[poly_mod(entry, r) for entry in row] for row in m.rows]
-            monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-            det = m.det()
-            monkeypatch.setattr(LaurentPoly, "__mul__", mul)
-            assert poly_mod(det, r) == det_mod(values)
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        dets = [_det_numerator(w, 1, 0) for w in words]
+        monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+        assert dets == expected
         assert entry_types == [int] * 5
         assert not calls
 
