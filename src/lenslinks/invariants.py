@@ -9,10 +9,14 @@ except on column i, which becomes
 (matrix entries (i-1,i) = t, (i,i) = -t, (i+1,i) = 1, rows outside 1..n-1
 dropped); its inverse has entries (i-1,i) = 1, (i,i) = -1/t, (i+1,i) = 1/t.
 The product of a word is therefore built by updating one column per
-letter.  Each entry is held packed as one integer, its value at t = 2^k
-(see :mod:`lenslinks.laurent`), so an update is a few big-integer shifts
-and adds; the entries are decoded once at the end.  The full twist Delta^2
-is central and maps to t^n * id, so a power of it is a unit factor
+letter.  Each column is held packed as one integer, in t and in the row
+index at once: entry r is its value at t = 2^k (see
+:mod:`lenslinks.laurent`), placed r * S slots of k bits up.  A letter
+shifts every entry of a column by the same power of t, so an update is at
+most three big-integer shifts and adds, and each column is decoded once at
+the end.  The stride S is no guess: the same updates walked on each
+column's exponent window give the span every entry fits in.  The full twist
+Delta^2 is central and maps to t^n * id, so a power of it is a unit factor
 t^{n*k}, never a product of letters.  The Alexander polynomial of the
 closure is then
 
@@ -70,7 +74,16 @@ from operator import mul
 
 from ._value import Value
 from .braid import BraidWord
-from .laurent import LaurentMatrix, LaurentPoly, _pack, _unpack, divide_cyclic, slot_bits
+from .laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    _digits,
+    _pack,
+    _trusted,
+    _unpack_rows,
+    divide_cyclic,
+    slot_bits,
+)
 
 
 class AlexanderPoly(Value):
@@ -118,7 +131,11 @@ def _updates(letter: int, d: int) -> list[tuple[int, int, int]]:
         parts = [(1, 1, c - 1), (1, -1, c), (0, 1, c + 1)]
     else:
         parts = [(0, 1, c - 1), (-1, -1, c), (-1, 1, c + 1)]
-    return [part for part in parts if 0 <= part[2] < d]
+    if c == d - 1:
+        del parts[2]
+    if c == 0:
+        del parts[0]
+    return parts
 
 
 def _steps(letters, d: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
@@ -144,56 +161,122 @@ def _norm_bound(steps: list[tuple[int, list[tuple[int, int, int]]]], power: int)
     updates are linear, so one pass over ``steps`` is a non-negative square
     matrix P, and ``power`` passes are P^power.  P is the identity outside
     the s columns that the steps read or write, and so is every power of
-    it, so only that s x s block is powered, by square-and-multiply: O(s^3
-    log power) products instead of power * len(steps) updates.  The block's
-    diagonal stays at least 1, so its maximum is that of P^power.
+    it, so only that s x s block is built.  Each of its columns is one
+    non-negative integer with entry i in bits [i*w, (i+1)*w), so a letter
+    is two integer adds.  w holds the block's largest column sum, which
+    bounds every entry and which the same updates on scalars give.  The
+    block is read back by one ``to_bytes`` per column and powered by
+    square-and-multiply: O(s^3 log power) products instead of power *
+    len(steps) updates.  The block's diagonal stays at least 1, so its
+    maximum is that of P^power.
     """
     touched = sorted({j for _, parts in steps for _, _, j in parts})
     if not touched:
         return 1
-    index = {j: i for i, j in enumerate(touched)}
-    one = [[int(r == c) for r in range(len(touched))] for c in range(len(touched))]
-    base = [column[:] for column in one]
+    s, index = len(touched), {j: i for i, j in enumerate(touched)}
+    # The column sums of the block, the same updates on scalars, bound its entries.
+    sums = [1] * s
     for c, parts in steps:
-        base[index[c]] = [sum(row) for row in zip(*[base[index[j]] for _, _, j in parts])]
-    result = one
+        total = 0
+        for _, _, j in parts:
+            total += sums[index[j]]
+        sums[index[c]] = total
+    w = slot_bits(max(sums).bit_length())
+    base = [1 << w * i for i in range(s)]
+    for c, parts in steps:
+        column = 0
+        for _, _, j in parts:
+            column += base[index[j]]
+        base[index[c]] = column
+    base, result = [_digits(column, w, s) for column in base], None
     while power:
         if power & 1:
-            result = base if result is one else _matmul(result, base)
+            result = base if result is None else _matmul(result, base)
         power >>= 1
         if power:
             base = _matmul(base, base)
-    return max([max(column) for column in result])
+    return max([max(column) for column in result]) if result else 1
 
 
-def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int, k: int):
-    """(columns, offsets): the d x d reduced Burau matrix of ``power`` passes over ``steps``, packed at t = 2^k.
+def _windows(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> tuple[list[int], list[int]]:
+    """(lows, highs): column c of ``power`` passes over ``steps`` has every exponent in [lows[c], highs[c]].
 
-    Each column is held as d integers and one offset: entry (r, j) is
-    X(t) * t^-offsets[j] for a polynomial X stored as its value
-    columns[j][r] = X(2^k).  A letter then costs a few shifts and adds on d
-    integers.  k must hold :func:`_norm_bound` of the passes as a signed
-    digit, so every coefficient fits its slot and each entry decodes
-    exactly.
+    The passes walked on the exponents alone: a new column's entries are
+    sums of the parts' entries times t^shift, so its window runs from the
+    least to the greatest shifted window of its parts.  :func:`_burau_pass`
+    packs entry (r, c) from t^lows[c] up.
+    """
+    lows, highs = [0] * d, [0] * d
+    for _ in range(power if steps else 0):
+        for c, parts in steps:
+            shift, _, j = parts[0]
+            low, high = lows[j] + shift, highs[j] + shift
+            for shift, _, j in parts:
+                if lows[j] + shift < low:
+                    low = lows[j] + shift
+                if highs[j] + shift > high:
+                    high = highs[j] + shift
+            lows[c], highs[c] = low, high
+    return lows, highs
+
+
+def _stride(lows: list[int], highs: list[int]) -> int:
+    """The slots a packed entry needs for every column window [lows[c], highs[c]]."""
+    return max([high - low for low, high in zip(lows, highs)]) + 1
+
+
+def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int, k: int, stride: int):
+    """The d x d reduced Burau matrix of ``power`` passes over ``steps``, one integer per column.
+
+    Entry (r, j) is t^lows[j] * X(t) for a polynomial X and the lows of
+    :func:`_windows`, and column j is the integer sum over the rows r of
+    X(2^k) * 2^(k*stride*r): each column is packed in t and in the row
+    index at once, as in Kronecker substitution in two variables.  A letter
+    shifts the whole column by one amount per part, so it costs at most
+    three shifts and adds on one integer.  k must hold :func:`_norm_bound`
+    of the passes as a signed digit, and ``stride`` be at least
+    :func:`_stride` of their :func:`_windows`, so every coefficient fits
+    its slot, every X has fewer than ``stride`` slots, and each column
+    decodes exactly (:func:`~lenslinks.laurent._unpack_rows`, or
+    :func:`_entry` for one entry).
     """
     # An empty word takes no passes, however large the power.
     passes = power if steps else 0
-    columns = [[int(r == c) for r in range(d)] for c in range(d)]
-    offsets = [0] * d
+    columns = [1 << k * stride * c for c in range(d)]
+    lows = [0] * d
     for _ in range(passes):
         for c, parts in steps:
-            # The smallest offset that leaves every part a non-negative shift.
-            offset = max([offsets[j] - shift for shift, _, j in parts])
-            column = [0] * d
+            # The new column starts where its lowest shifted part does, so every shift is non-negative.
+            shift, _, j = parts[0]
+            low = lows[j] + shift
+            for shift, _, j in parts:
+                if lows[j] + shift < low:
+                    low = lows[j] + shift
+            column = 0
             for shift, sign, j in parts:
-                bits = k * (shift - offsets[j] + offset)
                 if sign > 0:
-                    column = [x + (y << bits) for x, y in zip(column, columns[j])]
+                    column += columns[j] << k * (lows[j] + shift - low)
                 else:
-                    column = [x - (y << bits) for x, y in zip(column, columns[j])]
+                    column -= columns[j] << k * (lows[j] + shift - low)
             columns[c] = column
-            offsets[c] = offset
-    return columns, offsets
+            lows[c] = low
+    return columns
+
+
+def _entry(column: int, r: int, k: int, stride: int) -> int:
+    """X(2^k) of entry r of a column packed by :func:`_burau_pass`, as a signed integer.
+
+    Every digit lies strictly between -2^(k-1) and 2^(k-1), so one row's
+    value lies strictly between -2^(k*stride-1) and 2^(k*stride-1), and the
+    rows below r together between -2^(k*stride*r-1) and 2^(k*stride*r-1).
+    Adding 2^(k*stride*r-1) before the shift cancels their borrow, and
+    centring the remainder modulo 2^(k*stride) gives the signed value.
+    """
+    size = k * stride
+    if r:
+        column = (column + (1 << (size * r - 1))) >> (size * r)
+    half = 1 << (size - 1)
+    return ((column + half) & ((half << 1) - 1)) - half
 
 
 def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
@@ -209,8 +292,11 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     matrix of the inverted first half.  Each half is one packed
     :func:`_burau_pass`, at a slot width k that holds the sum of the two
     halves' norm bounds (:func:`_norm_bound`), so the difference of two
-    entries fits too.  Each column of u Y and of X^-1 is aligned to a
-    common offset, the two are subtracted as integers and decoded once, and
+    entries fits too, and at one stride that holds the union of column c's
+    windows (:func:`_windows`) in u Y and in X^-1, for every c.  Column c
+    of u Y - X^-1 is then one aligned subtraction of two integers; a zero
+    column makes the determinant 0 before anything is decoded.  Otherwise
+    each column is decoded once and split by row, and
     :meth:`LaurentMatrix.det` takes the determinant.  Each half has half
     the letters, so the entries have about half the coefficient bits and
     half the span of those of M^power, and so does the determinant's
@@ -224,17 +310,21 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
         first, second, first_power, second_power = letters, letters, power // 2, power - power // 2
     inverse, steps = _steps([-letter for letter in reversed(first)], d), _steps(second, d)
     k = slot_bits((_norm_bound(inverse, first_power) + _norm_bound(steps, second_power)).bit_length() + 1)
-    x_columns, x_offsets = _burau_pass(d, inverse, first_power, k)
-    y_columns, y_offsets = _burau_pass(d, steps, second_power, k)
     u = w.strands * twists
+    x_lows, x_highs = _windows(d, inverse, first_power)
+    y_lows, y_highs = _windows(d, steps, second_power)
+    lows = [min(y_low + u, x_low) for x_low, y_low in zip(x_lows, y_lows)]
+    highs = [max(y_high + u, x_high) for x_high, y_high in zip(x_highs, y_highs)]
+    stride = _stride(lows, highs)
+    x_columns = _burau_pass(d, inverse, first_power, k, stride)
+    y_columns = _burau_pass(d, steps, second_power, k, stride)
     columns = []
-    for x_column, x_offset, y_column, y_offset in zip(x_columns, x_offsets, y_columns, y_offsets):
-        # Entry r is t^-low (t^(low+u-y_offset) y_r - t^(low-x_offset) x_r), both shifts non-negative.
-        low = max(y_offset - u, x_offset)
-        y_bits, x_bits = k * (low + u - y_offset), k * (low - x_offset)
-        columns.append(
-            [LaurentPoly.from_packed((y << y_bits) - (x << x_bits), k, -low) for x, y in zip(x_column, y_column)]
-        )
+    for x, x_low, y, y_low, low in zip(x_columns, x_lows, y_columns, y_lows, lows):
+        # Entry r is t^low (t^(y_low+u-low) y_r - t^(x_low-low) x_r), both shifts non-negative.
+        column = (y << k * (y_low + u - low)) - (x << k * (x_low - low))
+        if not column:
+            return LaurentPoly()
+        columns.append([_trusted(terms) for terms in _unpack_rows(column, k, low, stride, d)])
     det = LaurentMatrix.from_rows(zip(*columns)).det()
     exponent = _writhe(first) * first_power
     return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
@@ -308,8 +398,13 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     # passes also holds the one pass over w.
     passes = _norm_bound(steps, power)
     width = slot_bits(passes.bit_length() + 1)
-    columns, offsets = _burau_pass(d, steps, 1, width)
-    trace = sum([LaurentPoly.from_packed(columns[r][r], width, -offsets[r]) for r in range(d)], LaurentPoly())
+    lows, highs = _windows(d, steps, 1)
+    stride = _stride(lows, highs)
+    columns = _burau_pass(d, steps, 1, width, stride)
+    trace = sum(
+        [LaurentPoly.from_packed(_entry(columns[r], r, width, stride), width, lows[r]) for r in range(d)],
+        LaurentPoly(),
+    )
     if power == 1:
         return trace
     elementary = _elementary([trace], _writhe(w.letters), d)
@@ -326,21 +421,25 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
 def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     """[e_1, e_2] of A = M^power (M the Burau matrix of w, power >= 1): the sums of A's principal 1x1 and 2x2 minors.
 
-    A comes from ``power`` packed passes over w (:func:`_burau_pass`) and is
-    never decoded into polynomials.  Entry (r, j) is X_rj(t) t^-offsets[j],
-    so a_ii a_jj and a_ij a_ji share the unit t^-(offsets[i] + offsets[j]):
-    the diagonal entries, and the minors, are aligned by shifts to their
-    largest offset, and e_1 and e_2 are read back by one ``_unpack`` each.
-    The L1 norms N_rj of the entries, read from their digits, bound every
-    |coefficient| of e_1 by sum N_ii and of e_2 by sum_(i<j) N_ii N_jj +
-    N_ij N_ji.  Where the pass's slot width is too narrow for that bound,
-    each entry is packed again at a width that holds it.
+    A comes from ``power`` packed passes over w (:func:`_burau_pass`), one
+    integer per column, and is never decoded into polynomials.  Each column
+    is split into its entries' digits once, and the L1 norms N_rj of the
+    entries bound every |coefficient| of e_1 by sum N_ii and of e_2 by
+    sum_(i<j) N_ii N_jj + N_ij N_ji.  Entry (r, j) is t^lows[j] X_rj(t)
+    (:func:`_windows`), and its value X_rj(2^k) is read from the column
+    (:func:`_entry`) or, where the pass's slot width is too narrow for that
+    bound, packed again from its terms at a width that holds it.  a_ii
+    a_jj and a_ij a_ji share the unit t^(lows[i] + lows[j]): the diagonal
+    entries, and the minors, are aligned by shifts to their lowest unit,
+    and e_1 and e_2 are read back by one ``_unpack`` each.
     """
     d = w.strands - 1
     steps = _steps(w.letters, d)
     k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
-    columns, offsets = _burau_pass(d, steps, power, k)
-    terms = [[_unpack(x, k, 0) for x in column] for column in columns]
+    lows, highs = _windows(d, steps, power)
+    stride = _stride(lows, highs)
+    packed = _burau_pass(d, steps, power, k, stride)
+    terms = [_unpack_rows(x, k, 0, stride, d) for x in packed]
     norms = [[sum([abs(c) for _, c in entry]) for entry in column] for column in terms]
     pairs = list(combinations(range(d), 2))
     bound = max(
@@ -350,17 +449,19 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     width = max(k, slot_bits(bound.bit_length() + 1))
     if width > k:
         columns = [[_pack(entry, width) << width * entry[0][0] if entry else 0 for entry in column] for column in terms]
-    low = max(offsets)
-    first = sum([columns[i][i] << width * (low - offsets[i]) for i in range(d)])
-    low_pairs = max([offsets[i] + offsets[j] for i, j in pairs])
+    else:
+        columns = [[_entry(x, r, k, stride) for r in range(d)] for x in packed]
+    low = min(lows)
+    first = sum([columns[i][i] << width * (lows[i] - low) for i in range(d)])
+    low_pairs = min([lows[i] + lows[j] for i, j in pairs])
     second = sum(
         [
             (columns[i][i] * columns[j][j] - columns[j][i] * columns[i][j])
-            << width * (low_pairs - offsets[i] - offsets[j])
+            << width * (lows[i] + lows[j] - low_pairs)
             for i, j in pairs
         ]
     )
-    return [LaurentPoly.from_packed(first, width, -low), LaurentPoly.from_packed(second, width, -low_pairs)]
+    return [LaurentPoly.from_packed(first, width, low), LaurentPoly.from_packed(second, width, low_pairs)]
 
 
 def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:

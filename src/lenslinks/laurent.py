@@ -20,7 +20,9 @@ two integers are multiplied once, and the product's coefficients are read
 back as signed base-2^k digits.  k leaves room for the largest possible
 product coefficient, so the digits never overlap.  Small or sparse operands
 stay on the schoolbook loop, where packing costs more than it saves.
-``LaurentPoly.from_packed`` decodes such an integer for other modules.
+``LaurentPoly.from_packed`` decodes such an integer for other modules, and
+``_unpack_rows`` one that holds several polynomials a fixed number of slots
+apart, as the Burau passes of :mod:`lenslinks.invariants` pack a column.
 :func:`divide_cyclic` divides by 1 + t + ... + t^(n-1) the same way: one
 integer ``divmod`` at a t = 2^K wide enough for the quotient's digits.
 
@@ -94,6 +96,16 @@ def _pack(terms: tuple[tuple[int, int], ...], k: int) -> int:
     return int.from_bytes(raw, "little") - _bias(k, slots)
 
 
+def _digits(x: int, k: int, slots: int):
+    """The ``slots`` base-2^k digits of a non-negative x below 2^(k*slots), lowest first, from one ``to_bytes``."""
+    raw = x.to_bytes(slots * k // 8, "little")
+    code = _TYPECODES.get(k)
+    if code is not None:
+        return memoryview(raw).cast(code)
+    size = k // 8
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
 def _unpack(x: int, k: int, low: int) -> tuple[tuple[int, int], ...]:
     """Canonical terms of the polynomial whose digit i in base 2^k is the coefficient of t^(low + i).
 
@@ -103,14 +115,24 @@ def _unpack(x: int, k: int, low: int) -> tuple[tuple[int, int], ...]:
     """
     slots = abs(x).bit_length() // k + 1
     half = 1 << (k - 1)
-    raw = (x + _bias(k, slots)).to_bytes(slots * k // 8, "little")
-    code = _TYPECODES.get(k)
-    if code is not None:
-        digits = memoryview(raw).cast(code)
-    else:
-        size = k // 8
-        digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return tuple([(low + i, v - half) for i, v in enumerate(digits) if v != half])
+    return tuple([(low + i, v - half) for i, v in enumerate(_digits(x + _bias(k, slots), k, slots)) if v != half])
+
+
+def _unpack_rows(x: int, k: int, low: int, stride: int, rows: int) -> list[tuple[tuple[int, int], ...]]:
+    """Canonical terms of ``rows`` polynomials packed ``stride`` slots apart in x.
+
+    Digit r * stride + i of x in base 2^k is the coefficient of t^(low + i)
+    in polynomial r, for i < stride; every digit must lie strictly between
+    -2^(k-1) and 2^(k-1), as for :func:`_unpack`, and x have no digit
+    beyond the last row.  One ``to_bytes`` reads every row.
+    """
+    slots = stride * rows
+    half = 1 << (k - 1)
+    digits = _digits(x + _bias(k, slots), k, slots)
+    return [
+        tuple([(e, v - half) for e, v in enumerate(digits[r * stride : (r + 1) * stride], low) if v != half])
+        for r in range(rows)
+    ]
 
 
 def _dense(terms: tuple[tuple[int, int], ...]) -> bool:

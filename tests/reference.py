@@ -1,48 +1,96 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates, the norm bound of a pass is powered by squaring, the numerator of
-a lift on 7 or more strands comes from two half-length passes and never
-decodes the whole Burau matrix, a lift or a torus link is a (word, power,
-twists) triple, a band diagram holds its closure permutation, and no
-subcommand multiplies bivariate polynomials or reduces braid words.
+updates on one integer per column, the norm bound of a pass is powered by
+squaring, the numerator of a lift on 7 or more strands comes from two
+half-length passes and never decodes the whole Burau matrix, a lift or a
+torus link is a (word, power, twists) triple, a band diagram holds its
+closure permutation, and no subcommand multiplies bivariate polynomials or
+reduces braid words.  This module imports no private name of the library,
+so a route here shares no code with the route it checks.
 """
 
 from fractions import Fraction
 
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
-from lenslinks.invariants import _burau_pass, _norm_bound, _steps
 from lenslinks.laurent import LaurentMatrix, LaurentPoly, slot_bits
+
+
+def column_updates(letters, d: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """(column, [(Laurent shift, sign, source column), ...]) of each letter, in word order, for d x d matrices.
+
+    s_i makes column i - 1 of the product  t*c_(i-2) - t*c_(i-1) + c_i,  and
+    s_i^-1 makes it  c_(i-2) - c_(i-1)/t + c_i/t;  columns outside 0..d-1
+    are dropped.
+    """
+    steps = []
+    for letter in letters:
+        c = abs(letter) - 1
+        if letter > 0:
+            parts = [(1, 1, c - 1), (1, -1, c), (0, 1, c + 1)]
+        else:
+            parts = [(0, 1, c - 1), (-1, -1, c), (-1, 1, c + 1)]
+        steps.append((c, [part for part in parts if 0 <= part[2] < d]))
+    return steps
 
 
 def norm_bound_loop(d: int, steps, power: int) -> int:
     """The bound of ``invariants._norm_bound`` by ``power`` passes of the column updates on the L1 norms."""
     norms = [[int(r == c) for r in range(d)] for c in range(d)]
     sources = [(c, [j for _, _, j in parts]) for c, parts in steps]
-    for _ in range(power):
+    # An empty word takes no passes, however large the power.
+    for _ in range(power if steps else 0):
         for c, columns in sources:
             norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
     return max([max(col) for col in norms])
 
 
+def burau_columns(d: int, steps, power: int, k: int):
+    """(columns, offsets): ``power`` passes over ``steps``, each entry packed as its own integer at t = 2^k.
+
+    Entry (r, j) is X(t) * t^-offsets[j] for a polynomial X stored as its
+    value columns[j][r] = X(2^k), so a letter costs a few shifts and adds
+    on each of the d entries of one column.  k must hold the norm bound of
+    the passes as a signed digit.
+    """
+    passes = power if steps else 0
+    columns = [[int(r == c) for r in range(d)] for c in range(d)]
+    offsets = [0] * d
+    for _ in range(passes):
+        for c, parts in steps:
+            # The smallest offset that leaves every part a non-negative shift.
+            offset = max([offsets[j] - shift for shift, _, j in parts])
+            column = [0] * d
+            for shift, sign, j in parts:
+                bits = k * (shift - offsets[j] + offset)
+                if sign > 0:
+                    column = [x + (y << bits) for x, y in zip(column, columns[j])]
+                else:
+                    column = [x - (y << bits) for x, y in zip(column, columns[j])]
+            columns[c] = column
+            offsets[c] = offset
+    return columns, offsets
+
+
 def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
     """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
 
-    The letters of w are applied ``power`` times as column updates on packed
-    integers (``invariants._burau_pass``), and the entries are decoded once
-    at the end.  The full twist Delta^2 is central and its reduced Burau
-    image is t^n * id, so the twists multiply every entry by the unit
-    t^{n*twists} instead of being applied letter by letter.
+    The letters of w are applied ``power`` times as column updates on
+    entries packed one integer each (:func:`burau_columns`), at a width
+    from :func:`norm_bound_loop`, and the entries are decoded once at the
+    end.  The full twist Delta^2 is central and its reduced Burau image is
+    t^n * id, so the twists multiply every entry by the unit t^{n*twists}
+    instead of being applied letter by letter.
     """
     if w.strands < 2:
         raise ValueError("the reduced Burau representation needs at least 2 strands")
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")
     d = w.strands - 1
-    steps = _steps(w.letters, d)
-    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
-    columns, offsets = _burau_pass(d, steps, power, k)
+    steps = column_updates(w.letters, d)
+    k = slot_bits(norm_bound_loop(d, steps, power).bit_length() + 1)
+    columns, offsets = burau_columns(d, steps, power, k)
     unit = w.strands * twists
     return LaurentMatrix.from_rows(
         [[LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)] for r in range(d)]

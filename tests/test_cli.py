@@ -578,9 +578,9 @@ class TestRepeatedCalls:
         # strands the word enters the pass p times.
         original, calls = lenslinks.invariants._burau_pass, []
 
-        def counted(d, steps, power, k):
+        def counted(d, steps, power, k, stride):
             calls.append(len(steps) * power)
-            return original(d, steps, power, k)
+            return original(d, steps, power, k, stride)
 
         monkeypatch.setattr(lenslinks.invariants, "_burau_pass", counted)
         assert run(capsys, ["alexander", "--band", band])[0] == 0

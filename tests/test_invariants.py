@@ -1,7 +1,9 @@
 """Reduced Burau representation and Alexander polynomials of closures."""
 
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ import lenslinks.invariants as invariants
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.invariants import (
     AlexanderPoly,
+    _burau_pass,
     _det_numerator,
     _elementary,
     _newton,
@@ -18,12 +21,15 @@ from lenslinks.invariants import (
     _principal_minors,
     _reflect,
     _steps,
+    _stride,
+    _windows,
     alexander_of_closure,
     torus_closure,
 )
-from lenslinks.laurent import LaurentMatrix, LaurentPoly
+from lenslinks.laurent import LaurentMatrix, LaurentPoly, _unpack_rows, slot_bits
 from lenslinks.lens import BandDiagram, LensSpace, lift
 from modp import lift_numerator_mod, poly_mod, random_point, root_of_unity_field
+import reference
 from reference import (
     burau_reduced,
     det_numerator,
@@ -141,6 +147,23 @@ class TestBurauReduced:
         product = matmul(burau_reduced(w), burau_reduced(inverse_word(w)))
         assert product == identity(w.strands - 1)
 
+    def test_reference_shares_no_private_code(self):
+        # burau_reduced and det_numerator check the packed passes, so they
+        # must not be built from them: tests/reference.py names nothing
+        # private of the library, by import or by attribute.
+        tree = ast.parse(Path(reference.__file__).read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lenslinks")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        private += [
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        ]
+        assert private == []
+
 
 class TestBurauAgainstProducts:
     @settings(max_examples=80)
@@ -196,7 +219,10 @@ class TestBurauAgainstProducts:
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=12, max_len=10), st.integers(0, 40))
+    @example(BraidWord(3, (1, -2) * 50), 3)
     def test_norm_bound_by_squaring_equals_the_passes(self, w, e):
+        # In the example the norms pass 2^64 within one pass, so the block
+        # packs at 128 bits.
         d = w.strands - 1
         steps = _steps(w.letters, d)
         assert _norm_bound(steps, e) == norm_bound_loop(d, steps, e)
@@ -211,6 +237,81 @@ class TestBurauAgainstProducts:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             burau_reduced(BraidWord(3, (1,)), -1)
+
+
+def shaped_words(max_strands=12, max_len=12):
+    """Words of any letters, of inverses after the first letter, or of a positive run and then a negative one."""
+
+    def build(n, letters, shape):
+        if shape == "inverse-heavy":
+            letters = [-abs(letter) if i else letter for i, letter in enumerate(letters)]
+        elif shape == "positive-then-negative":
+            half = len(letters) // 2
+            letters = [abs(letter) for letter in letters[:half]] + [-abs(letter) for letter in letters[half:]]
+        return BraidWord(n, tuple(letters))
+
+    shapes = st.sampled_from(["any", "inverse-heavy", "positive-then-negative"])
+    return st.integers(2, max_strands).flatmap(
+        lambda n: st.builds(build, st.just(n), st.lists(signed_letters(n), max_size=max_len), shapes)
+    )
+
+
+def column_pass(w, power):
+    """(lows, highs, stride, entries) of the packed pass: entries[c][r] holds the terms of entry (r, c)."""
+    d = w.strands - 1
+    steps = _steps(w.letters, d)
+    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
+    lows, highs = _windows(d, steps, power)
+    stride = _stride(lows, highs)
+    columns = _burau_pass(d, steps, power, k, stride)
+    return lows, highs, stride, [_unpack_rows(x, k, low, stride, d) for x, low in zip(columns, lows)]
+
+
+class TestColumnPass:
+    """One integer per column, packed in t and the row index at the stride its exponent windows need."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_words(), st.integers(0, 6), st.integers(0, 3))
+    @example(BraidWord(4, (1, 2, 3, -1, -2, -3)), 1, 0)
+    @example(BraidWord(3, (1, 2, -1, -2)), 2, 3)
+    @example(BraidWord(3, (1, -2)), 60, 1)
+    def test_decodes_to_the_reference(self, w, power, twists):
+        # At power 60 the coefficients pass 2^64, so the slots are 128 bits wide.
+        _, _, _, entries = column_pass(w, power)
+        u = w.strands * twists
+        shifted = [[LaurentPoly(tuple([(e + u, c) for e, c in entry])) for entry in column] for column in entries]
+        rows = list(zip(*shifted))
+        assert LaurentMatrix.from_rows(rows) == burau_reduced(w, power, twists)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_words(), st.integers(0, 6))
+    def test_exponents_lie_in_their_windows(self, w, power):
+        lows, highs, stride, entries = column_pass(w, power)
+        for low, high, column in zip(lows, highs, entries):
+            assert high - low < stride
+            assert all(low <= e <= high for entry in column for e, _ in entry)
+
+    @pytest.mark.parametrize(
+        "w, power",
+        [
+            (BraidWord(4, (1, 2, 3, -1, -2, -3)), 1),
+            (BraidWord(3, (1, 2, -1, -2)), 2),
+            (BraidWord(5, (4, 3, -1, -2)), 3),
+        ],
+    )
+    def test_entries_reach_both_window_edges(self, w, power):
+        # A positive run raises the top of a window and a negative run lowers
+        # its bottom; here some column has entries at both edges, so a
+        # stride one slot narrower would run one row into the next.
+        lows, highs, stride, entries = column_pass(w, power)
+        reached = [
+            low
+            for low, high, column in zip(lows, highs, entries)
+            if high - low + 1 == stride
+            and low in [entry[0][0] for entry in column if entry]
+            and high in [entry[-1][0] for entry in column if entry]
+        ]
+        assert reached
 
 
 class TestAlexanderOfLift:
@@ -229,6 +330,14 @@ def lift_words(strands, max_len=6):
     return st.sampled_from(strands).flatmap(
         lambda n: st.lists(signed_letters(n), max_size=max_len).map(lambda ls: BraidWord(n, tuple(ls)))
     )
+
+
+# A 60-letter word on 12 strands with every generator, from the wide_closure
+# benchmark pool at seed 1, whose Burau matrix fixes a basis vector.
+WIDE_FIXED_COLUMN = (
+    6, -9, 6, -3, 5, 2, -5, 6, 6, -1, -6, -9, -8, 5, 6, -11, 1, 9, -9, -7, -2, 1, 8, -9, -1, 5, 1, -1, 11, 5,
+    11, -8, -7, 4, 6, -8, 3, 1, 3, -8, 7, 4, 7, -11, -1, 6, -3, 8, -10, 9, -11, -6, 4, -4, -6, 1, -8, -6, -1, 5,
+)  # fmt: skip
 
 
 class TestTraceRoute:
@@ -337,6 +446,25 @@ class TestTraceRoute:
             missing = [i for i in range(1, w.strands) if i not in map(abs, w.letters)]
             w = BraidWord(w.strands, w.letters + tuple(missing))
         assert _numerator(w, p, q) == det_numerator(w, p, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lift_words(range(7, 10), max_len=10).filter(lambda w: w.letters), st.integers(1, 4), st.integers(0, 5))
+    @example(BraidWord(8, (1, 2, 3, -4, -5, -6, -7)), 1, 5)
+    def test_det_numerator_equals_the_reference(self, w, p, q):
+        # The stride covers each column's window in u Y and in X^-1 however
+        # far the twist u = t^(n*q) moves the first from the second.
+        assert _det_numerator(w, p, q) == det_numerator(w, p, q)
+
+    def test_fixed_column_takes_no_det(self, monkeypatch):
+        # This 12-strand word has every generator, so the closure is not
+        # split by a missing generator, but M fixes a basis vector: that
+        # column of u Y - X^-1 is zero, and the numerator is 0 before any
+        # entry is decoded or any determinant taken.
+        w = BraidWord(12, WIDE_FIXED_COLUMN)
+        assert len({abs(letter) for letter in w.letters}) == w.strands - 1
+        assert det_numerator(w, 1, 0) == LaurentPoly()
+        monkeypatch.setattr(LaurentMatrix, "det", lambda *args: pytest.fail("LaurentMatrix.det called"))
+        assert _numerator(w, 1, 0) == LaurentPoly()
 
     @pytest.mark.parametrize(
         "w, power",
