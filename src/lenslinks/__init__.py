@@ -30,7 +30,7 @@ from .invariants import (
     alexander_of_closure,
     torus_closure,
 )
-from .laurent import LaurentMatrix, LaurentPoly, divide_exact
+from .laurent import LaurentPoly
 from .lens import (
     BandDiagram,
     HomologyClass,
@@ -53,7 +53,6 @@ __all__ = [
     "DivisibilityError",
     "FiberData",
     "HomologyClass",
-    "LaurentMatrix",
     "LaurentPoly",
     "LensSpace",
     "ParseError",
@@ -62,7 +61,6 @@ __all__ = [
     "SupportPoly",
     "alexander_of_closure",
     "bennequin_fiber",
-    "divide_exact",
     "garside",
     "homology_classes",
     "invariance_class",

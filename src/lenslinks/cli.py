@@ -101,13 +101,14 @@ def _cmd_lift(args) -> dict:
     if args.compare_torus:
         a, b = args.compare_torus
         fields["compare_torus"] = [a, b]
-        # T(a,b) is on b strands; torus_closure refuses a < 1 or b < 1 first.
-        if b != lifted.strands and min(a, b) >= 1:
+        # T(a,b) = T(b,a) closes a braid on b strands or on a; either must be
+        # the lift's.  torus_closure refuses a < 1 or b < 1 first.
+        if lifted.strands not in (a, b) and min(a, b) >= 1:
             fields["equal_up_to_unit"] = None
             fields["note"] = "incomparable presentations"
         else:
             p, q = diagram.space.p, diagram.space.q
-            torus = alexander_of_closure(*torus_closure(a, b))
+            torus = alexander_of_closure(*(torus_closure(a, b) if b == lifted.strands else torus_closure(b, a)))
             # Both polynomials are unit-normalized: == is equality up to a unit.
             fields["equal_up_to_unit"] = torus == alexander_of_closure(diagram.word, p, q)
     return fields

@@ -31,9 +31,10 @@ The determinant of a lift, det(t^{nq} A - id) with A = M^p and M the
 d x d matrix of one pass over w, d = n - 1, is a polynomial in the
 characteristic polynomial of A.  Its coefficients e_k(A) come in pairs:
 the Burau representation is unitary (Squier, Proc. AMS 90, 1984), so
-e_(d-k)(A) = det(A) e_k(A)(1/t), with det(A) = det(M)^p a unit, and only
-the lower half e_1 .. e_h, h = d//2, is needed.  Its source is one route
-table (:func:`_numerator`), read from h and the power alone:
+e_(d-k)(A) = det(A) e_k(A)(1/t), with det(A) = det(M)^p a unit: the
+terms of e_k reversed, shifted and signed.  Only the lower half e_1 ..
+e_h, h = d//2, is needed.  Its source is one route table
+(:func:`_numerator`), read from h and the power alone:
 
 - A = id (power 0, or the empty word, on any n): e_k = C(d, k); on 2
   strands (h = 0) A is the unit det(A).  No pass is made.
@@ -49,9 +50,9 @@ table (:func:`_numerator`), read from h and the power alone:
 - h >= 3 (7 or more strands): the lifted braid splits into halves X and
   Y, A = X Y, and det(u A - id) = det X * det(u Y - X^-1), with det X a
   unit and X^-1 the matrix of the inverted first half.  Each half is one
-  packed pass of half the letters, and the determinant is fraction-free
-  elimination, packed at t = 2^K or on the polynomials, see
-  :meth:`LaurentMatrix.det`.
+  packed pass of half the letters, and the determinant is Bareiss
+  fraction-free elimination, packed at t = 2^K or on the polynomials, see
+  :meth:`lenslinks.laurent.LaurentMatrix.det`.
 
 Before any of these, a closure with no twist whose word misses some
 generator s_i is split: column i - 1 of A - id is zero, and the
@@ -330,21 +331,23 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
 
 
-def _reflect(poly: LaurentPoly) -> LaurentPoly:
-    """poly(1/t)."""
-    return LaurentPoly(tuple([(-e, c) for e, c in reversed(poly.terms)]))
-
-
 def _elementary(lower: list[LaurentPoly], exponent: int, d: int) -> list[LaurentPoly]:
     """e_1..e_d of the eigenvalues of a d x d Burau image A, from ``lower`` = [e_1 .. e_(d//2)] and det A = (-t)^exponent.
 
     e_d = det A, and e_(d-k) = det(A) e_k(A^-1) = det(A) e_k(1/t) for every
     k < d/2: the Burau representation is unitary (Squier, "The Burau
     representation is unitary", Proc. AMS 90, 1984), so A^-1 is similar to
-    the transpose of A(1/t), and e_k(A^-1)(t) = e_k(A)(1/t).
+    the transpose of A(1/t), and e_k(A^-1)(t) = e_k(A)(1/t).  det A is a
+    monomial, so each upper e_k is the lower one's terms reversed, every
+    exponent e turned into ``exponent`` - e and every coefficient times the
+    sign (-1)^exponent.
     """
-    det = LaurentPoly(((exponent, -1 if exponent % 2 else 1),))
-    return lower + [det * _reflect(lower[d - k - 1]) for k in range(len(lower) + 1, d)] + [det]
+    sign = -1 if exponent % 2 else 1
+    upper = [
+        _trusted(tuple([(exponent - e, sign * c) for e, c in reversed(lower[d - k - 1].terms)]))
+        for k in range(len(lower) + 1, d)
+    ]
+    return lower + upper + [_trusted(((exponent, sign),))]
 
 
 def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:

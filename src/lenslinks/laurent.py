@@ -2,16 +2,14 @@
 
 Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
-exact.  Determinants up to 4x4 use cofactor expansion memoized over column
-subsets; larger ones use Bareiss fraction-free elimination, O(d^3) products
-with exact division by the previous pivot.  Both run on one of two entry
-types.  When the entries' terms fill at least a tenth of their packed slots
-and the determinant packs into at most 2^14 bits, every entry is packed
-once at t = 2^K as in Kronecker substitution (below), the expansion or
-elimination runs on plain integers, and the one result is decoded; K comes
-from the Goldstein-Graham bound on the determinant's coefficients.  Sparser
-or larger matrices stay on the polynomials: the expansion divides nothing,
-but each of its minors would already pay the final width K.
+exact.  Determinants use Bareiss fraction-free elimination, O(d^3) products
+with exact division by the previous pivot, on one of two entry types.  When
+the entries' terms fill at least a tenth of their packed slots and the
+determinant packs into at most 2^14 bits, every entry is packed once at
+t = 2^K as in Kronecker substitution (below), the elimination runs on plain
+integers, and the one result is decoded; K comes from the Goldstein-Graham
+bound on the determinant's coefficients.  Sparser or larger matrices stay
+on the polynomials.
 
 Large dense products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
@@ -322,12 +320,9 @@ def divide_cyclic(num: LaurentPoly, n: int) -> LaurentPoly:
     return _trusted(_unpack(quotient, k, num.terms[0][0]))
 
 
-# Up to this size LaurentMatrix.det expands by minors, above it eliminates.
-_LAPLACE_MAX_SIZE = 4
-
-# LaurentMatrix.det expands or eliminates on packed integers when the stored
-# terms fill at least this share of the packed slots and the determinant
-# packs into at most this many bits; sparser or larger matrices stay on
+# LaurentMatrix.det eliminates on packed integers when the stored terms
+# fill at least this share of the packed slots and the determinant packs
+# into at most this many bits; sparser or larger matrices stay on
 # polynomials.
 _PACKED_MIN_FILL = 0.1
 _PACKED_MAX_BITS = 1 << 14
@@ -381,41 +376,6 @@ def _bareiss(a: list[list], size, divide, zero):
     return -result if negate else result
 
 
-def _laplace(rows, one, zero):
-    """Determinant of the square matrix ``rows`` (a sequence of rows, left unchanged) by Laplace expansion, memoized over column subsets.
-
-    Row k is expanded against all k-column minors of the first k rows, which
-    costs at most d * 2^(d-1) products and no division.  The entries are
-    packed ``int`` values or :class:`LaurentPoly` values, ``one`` is their
-    ring's unit, and ``zero`` is returned when every full minor vanishes.
-    """
-    d = len(rows)
-    # minors[S] = det of rows 0..popcount(S)-1 on the column set S
-    minors = {0: one}
-    for k, row in enumerate(rows, 1):
-        next_minors = {}
-        for subset, minor in minors.items():
-            if not minor:
-                continue
-            position = 0
-            for j in range(d):
-                bit = 1 << j
-                if subset & bit:
-                    position += 1
-                    continue
-                entry = row[j]
-                if entry:
-                    # sign of placing column j (at index `position` within
-                    # the grown set) into row k: (-1)^(k-1+position)
-                    term = entry * minor
-                    grown = subset | bit
-                    acc = next_minors.get(grown)
-                    signed = term if (position + k) % 2 == 1 else -term
-                    next_minors[grown] = signed if acc is None else acc + signed
-        minors = next_minors
-    return minors.get((1 << d) - 1, zero)
-
-
 def _term_count(poly: LaurentPoly) -> int:
     return len(poly.terms)
 
@@ -460,37 +420,28 @@ class LaurentMatrix(Value):
         return LaurentMatrix(tuple([tuple(row) for row in rows]))
 
     def det(self) -> LaurentPoly:
-        """Determinant: Laplace expansion up to 4x4, Bareiss elimination above, on one of two entry types.
-
-        Up to 4x4 :func:`_laplace`'s at most 32 products cost less than
-        elimination on entries of many terms, so small matrices expand.
-        Above, :func:`_bareiss` eliminates.  Both run on either entry type,
-        in the same order for every size:
+        """Determinant by :func:`_bareiss` elimination, on one of two entry types.
 
         A zero column gives 0 at once.  Packed: each column is shifted by
         its lowest exponent, which divides the determinant by the unit
         t^(sum of the lows), and every entry is packed once at t = 2^K.
-        t -> 2^K is a ring homomorphism from Z[t] to Z, so expansion, or
-        elimination with exact ``//``, on the packed integers gives the
-        determinant's value there, and one ``_unpack`` reads back its
-        coefficients.  K leaves room for :func:`_coefficient_bound` as a
-        signed digit, so they never overlap.
+        t -> 2^K is a ring homomorphism from Z[t] to Z, so elimination with
+        exact ``//`` on the packed integers gives the determinant's value
+        there, and one ``_unpack`` reads back its coefficients.  K leaves
+        room for :func:`_coefficient_bound` as a signed digit, so they never
+        overlap.
 
-        Polynomial: the same expansion or elimination on the
-        :class:`LaurentPoly` entries, elimination dividing with
-        :func:`divide_exact`.
+        Polynomial: the same elimination on the :class:`LaurentPoly`
+        entries, dividing with :func:`divide_exact`.
 
         The packed route replaces each polynomial product by one integer
         product; the packed determinant has at most K * (sum of column
-        spans + 1) bits, and the minors that either method builds no more.
+        spans + 1) bits, and the minors that elimination builds no more.
         It runs when the stored terms fill at least ``_PACKED_MIN_FILL`` of
         the packed slots and that size is at most ``_PACKED_MAX_BITS``: on
         sparser entries the slots hold mostly zeros that the polynomial
-        route never touches.  On larger integers elimination's quadratic
-        ``//`` costs more than the polynomial products, and although the
-        expansion makes no division, every minor it builds on the way
-        already pays the final width K, where the polynomial minors of the
-        first rows stay short; so the cut holds for both methods.
+        route never touches, and on larger integers elimination's quadratic
+        ``//`` costs more than the polynomial products.
         """
         d = self.size
         columns = list(zip(*self.rows))
@@ -503,7 +454,6 @@ class LaurentMatrix(Value):
             lows.append(low)
             spans += max([t[-1][0] for t in present]) - low
             terms += sum([len(t) for t in present])
-        expand = d <= _LAPLACE_MAX_SIZE
         # Column j packs into d * (span_j + 1) slots.
         if terms >= _PACKED_MIN_FILL * d * (spans + d):
             k = slot_bits(_coefficient_bound(columns).bit_length() + 1)
@@ -514,8 +464,6 @@ class LaurentMatrix(Value):
                     [_pack(e.terms, k) << k * (e.terms[0][0] - low) if e.terms else 0 for e, low in zip(row, lows)]
                     for row in self.rows
                 ]
-                value = _laplace(packed, 1, 0) if expand else _bareiss(packed, int.bit_length, int.__floordiv__, 0)
+                value = _bareiss(packed, int.bit_length, int.__floordiv__, 0)
                 return _trusted(_unpack(value, k, sum(lows)))
-        if expand:
-            return _laplace(self.rows, LaurentPoly.one(), LaurentPoly())
         return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())

@@ -3,14 +3,16 @@
 The library itself never needs them: the Burau product is built by column
 updates on one integer per column, the norm bound of a pass is powered by
 squaring, the numerator of a lift on 7 or more strands comes from two
-half-length passes and never decodes the whole Burau matrix, a lift or a
-torus link is a (word, power, twists) triple, a band diagram holds its
-closure permutation, and no subcommand multiplies bivariate polynomials or
-reduces braid words.  This module imports no private name of the library,
+half-length passes and never decodes the whole Burau matrix, determinants
+are eliminated and never expanded by minors, a lift or a torus link is a
+(word, power, twists) triple, a band diagram holds its closure
+permutation, and no subcommand multiplies bivariate polynomials or reduces
+braid words.  This module imports no private name of the library,
 so a route here shares no code with the route it checks.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
@@ -107,6 +109,43 @@ def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatr
 def det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     """det(B - id) for the Burau matrix B of  w^power . Delta^{2*twists}: the whole matrix, decoded, then its determinant."""
     return closure_matrix(w, power, twists).det()
+
+
+def leibniz_det(m: LaurentMatrix) -> LaurentPoly:
+    """det m as the sum over all d! permutations; only for small d."""
+    total = LaurentPoly()
+    for perm in permutations(range(m.size)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m.size), 2))
+        term = LaurentPoly.one()
+        for row, col in enumerate(perm):
+            term = term * m.rows[row][col]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def laplace_det(m: LaurentMatrix) -> LaurentPoly:
+    """det m by Laplace expansion along the rows, memoized over column subsets.
+
+    Row k is expanded against all k-column minors of the rows above it, so
+    d x d costs at most d * 2^(d-1) products and no division: exact, and
+    free of the pivots and exact divisions of elimination.
+    """
+    # minors[S] = det of the first popcount(S) rows on the column set S
+    minors = {0: LaurentPoly.one()}
+    for k, row in enumerate(m.rows):
+        grown: dict[int, LaurentPoly] = {}
+        for subset, minor in minors.items():
+            position = 0
+            for j, entry in enumerate(row):
+                if subset >> j & 1:
+                    position += 1
+                elif entry and minor:
+                    # Column j lands at place `position` of the grown set, in row k.
+                    term = entry * minor if (k + position) % 2 == 0 else -(entry * minor)
+                    key = subset | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors.get((1 << m.size) - 1, LaurentPoly())
 
 
 def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

@@ -1,6 +1,7 @@
 """The command-line contract: JSON fields, exit codes and size refusals."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -17,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import lenslinks
 import lenslinks.cli as cli
+import lenslinks.invariants
+import lenslinks.laurent
 import lenslinks.lens
 from lenslinks.errors import ConsistencyError, DivisibilityError
 from modp import P, det_mod, random_point
@@ -122,6 +125,20 @@ REACH_EXEMPT = {
 }
 
 
+def _method_code(cls, name):
+    """Code object -> "name.attr" of each method, property and operator written in ``cls``."""
+    codes = {}
+    for attr, value in vars(cls).items():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        elif isinstance(value, property):
+            value = value.fget
+        code = getattr(value, "__code__", None)
+        if code is not None:
+            codes[code] = f"{name}.{attr}"
+    return codes
+
+
 def _public_code():
     """Code object -> name of each exported function, and of each method,
     property and operator written in an exported non-exception class."""
@@ -130,23 +147,14 @@ def _public_code():
         obj = getattr(lenslinks, name)
         if not isinstance(obj, type):
             codes[obj.__code__] = name
-            continue
-        if issubclass(obj, BaseException):
-            continue
-        for attr, value in vars(obj).items():
-            if isinstance(value, (staticmethod, classmethod)):
-                value = value.__func__
-            elif isinstance(value, property):
-                value = value.fget
-            code = getattr(value, "__code__", None)
-            if code is not None:
-                codes[code] = f"{name}.{attr}"
+        elif not issubclass(obj, BaseException):
+            codes.update(_method_code(obj, name))
     return codes
 
 
-def test_every_public_name_is_reached():
-    # Public code is either entered by some golden argv or exempt: code that
-    # only tests call belongs in the tests.
+@functools.cache
+def _entered_by_goldens() -> frozenset:
+    """The code objects that the golden argvs enter, with and without --json."""
     entered = set()
 
     def profile(frame, event, arg):
@@ -161,8 +169,51 @@ def test_every_public_name_is_reached():
                 run_captured(case["argv"] + extra)
     finally:
         sys.setprofile(previous)
+    return frozenset(entered)
+
+
+def test_every_public_name_is_reached():
+    # Public code is either entered by some golden argv or exempt: code that
+    # only tests call belongs in the tests.
+    entered = _entered_by_goldens()
     unreached = sorted(name for code, name in _public_code().items() if code not in entered)
     assert unreached == sorted(REACH_EXEMPT), f"no golden argv enters {unreached}"
+
+
+# Code of the arithmetic layers that no golden argv enters, each with the
+# reason it stays.
+PRIVATE_REACH_EXEMPT = {
+    "laurent.LaurentPoly.from_dict": "public, in REACH_EXEMPT",
+    "laurent._kronecker": (
+        "pays only on products of two dense operands of 16 terms or more: without it the 8-strand lift "
+        "at p = 32 and 64 and --braid at n = 24 and 32 took 1.2-1.9 times as long"
+    ),
+    "laurent._dense": "the spread test of _kronecker's gate, asked only of operands of 16 terms or more",
+}
+
+
+def _module_code(module):
+    """Code object -> name of each function defined in ``module``, and of
+    each method, property and operator of the classes defined there."""
+    prefix = module.__name__.rsplit(".", 1)[-1]
+    codes = {}
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            codes.update(_method_code(obj, f"{prefix}.{name}"))
+        elif hasattr(obj, "__code__"):
+            codes[obj.__code__] = f"{prefix}.{name}"
+    return codes
+
+
+def test_every_private_function_is_reached():
+    # Connect or delete: every function of the arithmetic layers, private
+    # ones too, is entered by some golden argv or exempt with its reason.
+    entered = _entered_by_goldens()
+    codes = {**_module_code(lenslinks.laurent), **_module_code(lenslinks.invariants)}
+    unreached = sorted(name for code, name in codes.items() if code not in entered)
+    assert unreached == sorted(PRIVATE_REACH_EXEMPT), f"no golden argv enters {unreached}"
 
 
 def test_text_output(capsys):
@@ -314,6 +365,26 @@ def test_single_strand_closure_is_unknot(capsys, argv, last_line):
     assert out.splitlines()[-1] == last_line
 
 
+@pytest.mark.parametrize(
+    "band, a, b, equal",
+    [
+        ("3 1 2 : 1 1", 8, 2, True),
+        ("3 1 2 : 1 1", 6, 2, False),
+        ("3 1 3 : 2 1 2 1", 9, 3, True),
+        ("3 1 3 : 2 1 2 1", 10, 3, False),
+    ],
+)
+def test_compare_torus_in_either_order(capsys, band, a, b, equal):
+    # T(a,b) = T(b,a): the torus braid goes on whichever parameter is the
+    # lift's strand count, here b.
+    for pair in ([a, b], [b, a]):
+        argv = ["lift", "--band", band, "--compare-torus", *map(str, pair)]
+        code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["equal_up_to_unit"] is equal
+        assert run(capsys, argv)[1].splitlines()[-1] == f"equal_up_to_unit: {str(equal).lower()}"
+
+
 def test_torus_test_agrees_with_genus(capsys):
     # With p = gcd(a,b), T(a,b) lifts a knot exactly when the quotient genus
     # (g~ + p - 1)/p is an integer.
@@ -387,6 +458,7 @@ class TestSizeLimits:
         for argv in (
             ["genus", "--torus", "1200", "1200"],
             ["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "1001", "1001"],
+            ["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "2", "1000002"],
             ["homology", "--band", "3 2 1000 :"],
         ):
             assert run(capsys, argv)[0] == 1

@@ -19,7 +19,6 @@ from lenslinks.invariants import (
     _norm_bound,
     _numerator,
     _principal_minors,
-    _reflect,
     _steps,
     _stride,
     _windows,
@@ -35,6 +34,7 @@ from reference import (
     det_numerator,
     free_reduce,
     identity,
+    leibniz_det,
     matmul,
     norm_bound_loop,
     spelled_out,
@@ -91,6 +91,23 @@ def generator_matrix(n, letter):
 
 def trace(m):
     return sum([row[i] for i, row in enumerate(m.rows)], LaurentPoly())
+
+
+def reflect(poly):
+    """poly(1/t)."""
+    return LaurentPoly.from_dict({-e: c for e, c in poly.terms})
+
+
+def principal_minor_sums(m):
+    """[e_1 .. e_d] of the d x d matrix m: the sums of its principal k x k minors, each by Leibniz."""
+    sums = []
+    for k in range(1, m.size + 1):
+        minors = [
+            leibniz_det(LaurentMatrix.from_rows([[m.rows[r][c] for c in rows] for r in rows]))
+            for rows in combinations(range(m.size), k)
+        ]
+        sums.append(sum(minors, LaurentPoly()))
+    return sums
 
 
 def burau_by_products(w):
@@ -232,7 +249,7 @@ class TestBurauAgainstProducts:
     @given(words(max_strands=8, max_len=10))
     def test_inverse_trace_is_the_reflected_trace(self, w):
         # Squier: the Burau representation is unitary for t -> 1/t.
-        assert trace(burau_reduced(inverse_word(w))) == _reflect(trace(burau_reduced(w)))
+        assert trace(burau_reduced(inverse_word(w))) == reflect(trace(burau_reduced(w)))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -356,6 +373,19 @@ class TestTraceRoute:
     def test_newton_gives_the_power_sums_of_integer_roots(self, roots, p):
         signed = [(-1) ** (i - 1) * sum(map(math.prod, combinations(roots, i))) for i in range(1, len(roots) + 1)]
         assert _newton([[(0, a)] for a in signed], p) == sum(r**p for r in roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=6, max_len=8), st.integers(1, 4))
+    @example(BraidWord(4, (1, 2, -3)), 1)
+    @example(BraidWord(6, (1, -2, 3, 4, -5)), 3)
+    def test_elementary_gives_the_principal_minor_sums(self, w, power):
+        # Given the true lower half, the upper half follows by Squier's
+        # reflection e_(d-k) = (-t)^exponent e_k(1/t); the examples have an
+        # odd exponent, where the unit's sign is -1.
+        d = w.strands - 1
+        expected = principal_minor_sums(burau_reduced(w, power))
+        exponent = sum(1 if letter > 0 else -1 for letter in w.letters) * power
+        assert _elementary(expected[: d // 2], exponent, d) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(lift_words((3, 4), max_len=8), st.integers(1, 30))

@@ -1,7 +1,7 @@
 """Exact Laurent polynomial and matrix arithmetic."""
 
+import json
 import random
-from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lenslinks.laurent as laurent
 from lenslinks import cli
-from lenslinks.braid import BraidWord
+from lenslinks.braid import BraidWord, parse_braid_word
 from lenslinks.invariants import AlexanderPoly, _det_numerator
 from lenslinks.laurent import (
     DivisibilityError,
@@ -18,7 +18,6 @@ from lenslinks.laurent import (
     _bareiss,
     _coefficient_bound,
     _kronecker,
-    _laplace,
     _pack,
     _term_count,
     divide_cyclic,
@@ -27,7 +26,7 @@ from lenslinks.laurent import (
 )
 from lenslinks.lens import parse_band_diagram
 from modp import det_mod, poly_mod, random_point
-from reference import burau_reduced, closure_matrix, det_numerator, identity, matmul
+from reference import burau_reduced, closure_matrix, det_numerator, identity, laplace_det, leibniz_det, matmul
 
 
 def polys(max_terms=5, exp_range=4, coeff_range=5):
@@ -81,18 +80,6 @@ ONE = LaurentPoly.one()
 ZERO = LaurentPoly()
 
 
-def leibniz_det(m: LaurentMatrix) -> LaurentPoly:
-    """Reference determinant: the sum over all d! permutations; only for small d."""
-    total = ZERO
-    for perm in permutations(range(m.size)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m.size), 2))
-        term = ONE
-        for row, col in enumerate(perm):
-            term = term * m.rows[row][col]
-        total = total - term if inversions % 2 else total + term
-    return total
-
-
 def singular(m: LaurentMatrix, scale: LaurentPoly) -> LaurentMatrix:
     """``m`` with its last row replaced by ``scale`` times its first row."""
     rows = list(m.rows)
@@ -111,13 +98,8 @@ def poly_det(m: LaurentMatrix) -> LaurentPoly:
     return _bareiss([list(row) for row in m.rows], _term_count, divide_exact, ZERO)
 
 
-def laplace_det(m: LaurentMatrix) -> LaurentPoly:
-    """_laplace on the LaurentPoly entries, whatever route det() would take."""
-    return _laplace(m.rows, ONE, ZERO)
-
-
-def packed_det(m: LaurentMatrix, expand: bool = False) -> LaurentPoly:
-    """_bareiss, or _laplace if ``expand``, on the entries' values at t = 2^k, whatever route det() would take.
+def packed_det(m: LaurentMatrix) -> LaurentPoly:
+    """_bareiss on the entries' values at t = 2^k, whatever route det() would take.
 
     Column j is shifted by its lowest exponent low_j first, so the result
     is the determinant times t^-(sum of the lows); k leaves room for the
@@ -127,8 +109,7 @@ def packed_det(m: LaurentMatrix, expand: bool = False) -> LaurentPoly:
     lows = [min([e.min_exp() for e in column if e], default=0) for column in columns]
     k = slot_bits(_coefficient_bound([column for column in columns if any(column)]).bit_length() + 1)
     packed = [[_pack(e.terms, k) << k * (e.min_exp() - low) if e else 0 for e, low in zip(row, lows)] for row in m.rows]
-    value = _laplace(packed, 1, 0) if expand else _bareiss(packed, int.bit_length, int.__floordiv__, 0)
-    return LaurentPoly.from_packed(value, k, sum(lows))
+    return LaurentPoly.from_packed(_bareiss(packed, int.bit_length, int.__floordiv__, 0), k, sum(lows))
 
 
 def dets(m: LaurentMatrix) -> list[LaurentPoly]:
@@ -136,11 +117,11 @@ def dets(m: LaurentMatrix) -> list[LaurentPoly]:
     return [m.det(), packed_det(m), poly_det(m)]
 
 
-def spy_entry_types(monkeypatch, name: str) -> list[type]:
-    """Patch laurent.<name> (_bareiss or _laplace) to record the entry type of each matrix it gets."""
+def spy_entry_types(monkeypatch) -> list[type]:
+    """Patch laurent._bareiss to record the entry type of each matrix it gets."""
     entry_types = []
-    method = getattr(laurent, name)
-    monkeypatch.setattr(laurent, name, lambda a, *rest: entry_types.append(type(a[0][0])) or method(a, *rest))
+    method = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss", lambda a, *rest: entry_types.append(type(a[0][0])) or method(a, *rest))
     return entry_types
 
 
@@ -527,10 +508,13 @@ def hard_matrices(draw, sizes):
 
 
 class TestPackedDet:
-    @settings(max_examples=40, deadline=None)
-    @given(hard_matrices(st.integers(5, 8)))
+    @settings(max_examples=100, deadline=None)
+    @given(hard_matrices(st.integers(1, 8)))
     def test_packed_equals_polynomial(self, m):
-        assert packed_det(m) == poly_det(m) == m.det()
+        det = m.det()
+        assert packed_det(m) == poly_det(m) == det
+        if m.size <= 4:
+            assert det == leibniz_det(m)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda d: matrices(d, polys(max_terms=4, exp_range=3, coeff_range=2**40))))
@@ -540,7 +524,7 @@ class TestPackedDet:
 
     def test_bound_is_attained_by_a_hadamard_matrix(self):
         # The d x d Sylvester matrix of +-t^j has |det| = d^(d/2) = sqrt(d^d),
-        # the bound minus 1: expanded at d = 4, eliminated at d = 8.
+        # the bound minus 1.
         for d, bound in [(4, 17), (8, 4097)]:
             rows = [[T(j, (-1) ** bin(i & j).count("1")) for j in range(d)] for i in range(d)]
             m = LaurentMatrix.from_rows(rows)
@@ -571,7 +555,7 @@ class TestPackedDet:
             if all(any(column) for column in zip(*closure_matrix(w).rows)):
                 words.append(w)
         expected = [det_numerator(w, 1, 0) for w in words]
-        entry_types = spy_entry_types(monkeypatch, "_bareiss")
+        entry_types = spy_entry_types(monkeypatch)
         mul, calls = LaurentPoly.__mul__, []
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         dets = [_det_numerator(w, 1, 0) for w in words]
@@ -580,57 +564,40 @@ class TestPackedDet:
         assert entry_types == [int] * 5
         assert not calls
 
-    def test_sparse_lift_keeps_polynomial_entries(self, monkeypatch):
-        # The lift of "30 29 6 : 1" fills under 1% of its packed slots.
-        d = parse_band_diagram("30 29 6 : 1")
-        m = closure_matrix(d.word, d.space.p, d.space.q)
-        entry_types = spy_entry_types(monkeypatch, "_bareiss")
-        assert m.det() == packed_det(m)
-        assert entry_types == [LaurentPoly]
-
-
-class TestPackedLaplace:
-    # Up to 4x4, det() expands by minors, packed or on polynomials behind the
-    # same gate as _bareiss above.
-
-    @settings(max_examples=60, deadline=None)
-    @given(hard_matrices(st.integers(1, 4)))
-    def test_packed_equals_polynomial(self, m):
-        assert packed_det(m, expand=True) == laplace_det(m) == leibniz_det(m) == m.det()
-
-    def test_dense_lift_makes_no_polynomial_products(self, monkeypatch):
-        # The lift of "10 3 5 : 1 -3 -4 2" fills 68% of its 6,400 packed bits.
-        d = parse_band_diagram("10 3 5 : 1 -3 -4 2")
-        m = closure_matrix(d.word, d.space.p, d.space.q)
-        entry_types = spy_entry_types(monkeypatch, "_laplace")
+    @pytest.mark.parametrize(
+        "argv, entry_type",
+        [
+            (["alexander", "--band", "30 29 6 : 1"], LaurentPoly),
+            (["alexander", "--band", "30 29 5 : 1"], LaurentPoly),
+            (["alexander", "--band", "32 1 5 : 1 -2 3 -4"], LaurentPoly),
+            (["alexander", "--band", "10 3 5 : 1 -3 -4 2"], int),
+            (["alexander", "--braid", "1 -2 3 -4 1", "--strands", "5"], int),
+        ],
+        ids=["fill under 1%", "fill 1.5%", "above 2^14 bits", "dense lift", "5-strand braid"],
+    )
+    def test_sparse_lift_keeps_polynomial_entries(self, monkeypatch, capsys, argv, entry_type):
+        # The route of det() on B - id of each closure.  The lifts of
+        # "30 29 6 : 1" and "30 29 5 : 1" fill under 1% and 1.5% of their
+        # packed slots, and "32 1 5 : 1 -2 3 -4" would pack into 82,240
+        # bits: they keep polynomial entries.  The lift of
+        # "10 3 5 : 1 -3 -4 2" fills 68% of its 6,400 packed bits, and it
+        # and the braid eliminate on integers, with no polynomial product.
+        if argv[1] == "--band":
+            d = parse_band_diagram(argv[2])
+            n, m = d.word.strands, closure_matrix(d.word, d.space.p, d.space.q)
+        else:
+            n = int(argv[4])
+            m = closure_matrix(parse_braid_word(argv[2], n))
+        entry_types = spy_entry_types(monkeypatch)
         mul, calls = LaurentPoly.__mul__, []
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         det = m.det()
         monkeypatch.setattr(LaurentPoly, "__mul__", mul)
-        assert entry_types == [int]
-        assert not calls
-        assert det == laplace_det(m)
-
-    @pytest.mark.parametrize(
-        "band", ["30 29 5 : 1", "32 1 5 : 1 -2 3 -4"], ids=["fill under a tenth", "above 2^14 bits"]
-    )
-    def test_sparse_or_wide_lift_keeps_polynomial_entries(self, monkeypatch, band):
-        # "30 29 5 : 1" fills 1.5% of its packed slots; "32 1 5 : 1 -2 3 -4"
-        # would pack into 82,240 bits.
-        d = parse_band_diagram(band)
-        m = closure_matrix(d.word, d.space.p, d.space.q)
-        entry_types = spy_entry_types(monkeypatch, "_laplace")
-        assert m.det() == packed_det(m, expand=True)
-        assert entry_types == [LaurentPoly]
-
-    def test_five_strand_braid_takes_the_packed_route(self, monkeypatch, capsys):
-        # The CLI takes the trace route on 5 strands, so the packed Laplace
-        # pin holds on the closure's matrix directly.
-        m = closure_matrix(BraidWord(5, (1, -2, 3, -4, 1)))
-        det = leibniz_det(m)
-        entry_types = spy_entry_types(monkeypatch, "_laplace")
-        assert m.det() == det
-        assert entry_types == [int]
-        expected = divide_cyclic(AlexanderPoly.from_laurent(det).poly, 5)
-        assert cli.run(["alexander", "--braid", "1 -2 3 -4 1", "--strands", "5"]) == 0
-        assert capsys.readouterr().out == f"alexander: {expected}\n"
+        assert entry_types == [entry_type]
+        assert bool(calls) == (entry_type is LaurentPoly)
+        assert det == packed_det(m) == poly_det(m) == laplace_det(m)
+        # The CLI takes another route (no determinant up to 6 strands), and
+        # agrees with this one.
+        expected = divide_cyclic(AlexanderPoly.from_laurent(det).poly, n)
+        assert cli.run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alexander"] == str(expected)

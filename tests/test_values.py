@@ -1,4 +1,4 @@
-"""Value semantics of the exported classes: equality, hashing, immutability, repr and copies."""
+"""Value semantics of the value classes: equality, hashing, immutability, repr and copies."""
 
 import copy
 import inspect
@@ -14,13 +14,13 @@ from lenslinks import (
     CableSequence,
     FiberData,
     HomologyClass,
-    LaurentMatrix,
     LaurentPoly,
     LensSpace,
     PuiseuxData,
     StrandPermutation,
     SupportPoly,
 )
+from lenslinks.laurent import LaurentMatrix
 
 P = LaurentPoly
 
