@@ -76,9 +76,16 @@ def _check_lift_size(space, word) -> None:
     _check_band_strands(space, word)
 
 
-def _check_torus_size(a: int, b: int) -> None:
-    # torus_closure itself rejects a < 1 or b < 1.
+def _torus_on(a: int, b: int, strands: int) -> tuple[int, int]:
+    """(A, B) with {A, B} = {a, b} and B = ``strands`` if either is, else B = min(a, b), after a size check.
+
+    T(a,b) = T(b,a) is the closure of a braid on B strands with A*(B - 1)
+    letters (torus_closure), so both orders are sized, and built, alike.
+    torus_closure itself rejects a < 1 or b < 1.
+    """
+    a, b = (a, b) if b == strands else (b, a) if a == strands else (max(a, b), min(a, b))
     _check_size(max(a, 0) * max(b - 1, 0), f"torus braid T({a},{b})")
+    return a, b
 
 
 def _band_fields(diagram) -> dict:
@@ -93,24 +100,28 @@ def _cmd_invariance(args) -> dict:
 
 def _cmd_lift(args) -> dict:
     diagram = parse_band_diagram(args.band, _check_lift_size)
+    n = diagram.word.strands
     if args.compare_torus:
-        _check_torus_size(*args.compare_torus)
+        a, b = _torus_on(*args.compare_torus, n)
     lifted = lift(diagram)
     count = lifted_component_count(diagram)
     fields = {**_band_fields(diagram), "lifted_word": lifted.letters, "components": count}
     if args.compare_torus:
-        a, b = args.compare_torus
-        fields["compare_torus"] = [a, b]
-        # T(a,b) = T(b,a) closes a braid on b strands or on a; either must be
-        # the lift's.  torus_closure refuses a < 1 or b < 1 first.
-        if lifted.strands not in (a, b) and min(a, b) >= 1:
+        fields["compare_torus"] = list(args.compare_torus)
+        # The torus braid must go on the lift's n strands.  torus_closure
+        # refuses a < 1 or b < 1 first.
+        if b != n and min(a, b) >= 1:
             fields["equal_up_to_unit"] = None
             fields["note"] = "incomparable presentations"
         else:
-            p, q = diagram.space.p, diagram.space.q
-            torus = alexander_of_closure(*(torus_closure(a, b) if b == lifted.strands else torus_closure(b, a)))
-            # Both polynomials are unit-normalized: == is equality up to a unit.
-            fields["equal_up_to_unit"] = torus == alexander_of_closure(diagram.word, p, q)
+            torus = torus_closure(a, b)
+            mine = alexander_of_closure(diagram.word, diagram.space.p, diagram.space.q)
+            # T(a,b)'s polynomial is never 0 and spans (a-1)(b-1), so any
+            # other span answers without building it.  Both polynomials are
+            # unit-normalized, from exponent 0: == is equality up to a unit.
+            terms = mine.poly.terms
+            same_span = bool(terms) and terms[-1][0] == (a - 1) * (b - 1)
+            fields["equal_up_to_unit"] = same_span and alexander_of_closure(*torus) == mine
     return fields
 
 
@@ -124,8 +135,7 @@ def _cmd_torus_test(args) -> dict:
 
 def _cmd_genus(args) -> dict:
     if args.torus:
-        a, b = args.torus
-        _check_torus_size(a, b)
+        a, b = _torus_on(*args.torus, min(args.torus))
         p = math.gcd(a, b)
         fiber = bennequin_fiber(*torus_closure(a, b))
         return {

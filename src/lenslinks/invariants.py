@@ -14,11 +14,12 @@ index at once: entry r is its value at t = 2^k (see
 :mod:`lenslinks.laurent`), placed r * S slots of k bits up.  A letter
 shifts every entry of a column by the same power of t, so an update is at
 most three big-integer shifts and adds, and each column is decoded once at
-the end.  The stride S is no guess: the same updates walked on each
-column's exponent window give the span every entry fits in.  The full twist
-Delta^2 is central and maps to t^n * id, so a power of it is a unit factor
-t^{n*k}, never a product of letters.  The Alexander polynomial of the
-closure is then
+the end.  S and k are no guess: one walk of the same updates on scalars
+(:func:`_windows`) gives each column's exponent window, whose span every
+entry fits in, and its column sum of coefficient norms, which bounds every
+coefficient.  The full twist Delta^2 is central and maps to t^n * id, so a
+power of it is a unit factor t^{n*k}, never a product of letters.  The
+Alexander polynomial of the closure is then
 
     det(burau(w) - id) / (1 + t + ... + t^{n-1})
 
@@ -71,14 +72,12 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from operator import mul
 
 from ._value import Value
 from .braid import BraidWord
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    _digits,
     _pack,
     _trusted,
     _unpack_rows,
@@ -149,76 +148,34 @@ def _writhe(letters) -> int:
     return sum([1 if letter > 0 else -1 for letter in letters])
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two square integer matrices held as lists of rows."""
-    return [[sum(map(mul, row, column)) for column in zip(*b)] for row in a]
+def _windows(
+    d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int
+) -> tuple[list[int], list[int], list[int]]:
+    """(lows, highs, sums) of ``power`` passes over ``steps``: every exponent of column c lies in [lows[c], highs[c]].
 
-
-def _norm_bound(steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> int:
-    """A bound on every |coefficient| of the Burau matrix that ``steps``, ``power`` times, build.
-
-    The same column updates on the L1 norms of the entries: a new entry's
-    norm is at most the sum of the norms of the entries it adds.  Those
-    updates are linear, so one pass over ``steps`` is a non-negative square
-    matrix P, and ``power`` passes are P^power.  P is the identity outside
-    the s columns that the steps read or write, and so is every power of
-    it, so only that s x s block is built.  Each of its columns is one
-    non-negative integer with entry i in bits [i*w, (i+1)*w), so a letter
-    is two integer adds.  w holds the block's largest column sum, which
-    bounds every entry and which the same updates on scalars give.  The
-    block is read back by one ``to_bytes`` per column and powered by
-    square-and-multiply: O(s^3 log power) products instead of power *
-    len(steps) updates.  The block's diagonal stays at least 1, so its
-    maximum is that of P^power.
+    The passes walked on scalars alone.  A new column's entries are sums of
+    the parts' entries times t^shift, so its window runs from the least to
+    the greatest shifted window of its parts, and the L1 norm of each new
+    entry is at most the sum of the norms of the entries it adds.  sums[c]
+    is therefore the column sum of those norm bounds, from 1 for the
+    identity to the sum of the parts' sums at each letter, and max(sums)
+    bounds every |coefficient| of the matrix: it is at least the largest of
+    those norm bounds and at most d times it.  :func:`_burau_pass` packs
+    entry (r, c) from t^lows[c] up, at a width that holds max(sums).
     """
-    touched = sorted({j for _, parts in steps for _, _, j in parts})
-    if not touched:
-        return 1
-    s, index = len(touched), {j: i for i, j in enumerate(touched)}
-    # The column sums of the block, the same updates on scalars, bound its entries.
-    sums = [1] * s
-    for c, parts in steps:
-        total = 0
-        for _, _, j in parts:
-            total += sums[index[j]]
-        sums[index[c]] = total
-    w = slot_bits(max(sums).bit_length())
-    base = [1 << w * i for i in range(s)]
-    for c, parts in steps:
-        column = 0
-        for _, _, j in parts:
-            column += base[index[j]]
-        base[index[c]] = column
-    base, result = [_digits(column, w, s) for column in base], None
-    while power:
-        if power & 1:
-            result = base if result is None else _matmul(result, base)
-        power >>= 1
-        if power:
-            base = _matmul(base, base)
-    return max([max(column) for column in result]) if result else 1
-
-
-def _windows(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], power: int) -> tuple[list[int], list[int]]:
-    """(lows, highs): column c of ``power`` passes over ``steps`` has every exponent in [lows[c], highs[c]].
-
-    The passes walked on the exponents alone: a new column's entries are
-    sums of the parts' entries times t^shift, so its window runs from the
-    least to the greatest shifted window of its parts.  :func:`_burau_pass`
-    packs entry (r, c) from t^lows[c] up.
-    """
-    lows, highs = [0] * d, [0] * d
+    lows, highs, sums = [0] * d, [0] * d, [1] * d
     for _ in range(power if steps else 0):
         for c, parts in steps:
             shift, _, j = parts[0]
-            low, high = lows[j] + shift, highs[j] + shift
+            low, high, total = lows[j] + shift, highs[j] + shift, 0
             for shift, _, j in parts:
                 if lows[j] + shift < low:
                     low = lows[j] + shift
                 if highs[j] + shift > high:
                     high = highs[j] + shift
-            lows[c], highs[c] = low, high
-    return lows, highs
+                total += sums[j]
+            lows[c], highs[c], sums[c] = low, high, total
+    return lows, highs, sums
 
 
 def _stride(lows: list[int], highs: list[int]) -> int:
@@ -234,12 +191,11 @@ def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], pow
     X(2^k) * 2^(k*stride*r): each column is packed in t and in the row
     index at once, as in Kronecker substitution in two variables.  A letter
     shifts the whole column by one amount per part, so it costs at most
-    three shifts and adds on one integer.  k must hold :func:`_norm_bound`
-    of the passes as a signed digit, and ``stride`` be at least
-    :func:`_stride` of their :func:`_windows`, so every coefficient fits
-    its slot, every X has fewer than ``stride`` slots, and each column
-    decodes exactly (:func:`~lenslinks.laurent._unpack_rows`, or
-    :func:`_entry` for one entry).
+    three shifts and adds on one integer.  The one walk of :func:`_windows`
+    over the same passes sizes it: k must hold max(sums) as a signed digit,
+    and ``stride`` be at least :func:`_stride` of (lows, highs), so every
+    coefficient fits its slot, every X has fewer than ``stride`` slots, and
+    each column decodes exactly by :func:`~lenslinks.laurent._unpack_rows`.
     """
     # An empty word takes no passes, however large the power.
     passes = power if steps else 0
@@ -264,22 +220,6 @@ def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], pow
     return columns
 
 
-def _entry(column: int, r: int, k: int, stride: int) -> int:
-    """X(2^k) of entry r of a column packed by :func:`_burau_pass`, as a signed integer.
-
-    Every digit lies strictly between -2^(k-1) and 2^(k-1), so one row's
-    value lies strictly between -2^(k*stride-1) and 2^(k*stride-1), and the
-    rows below r together between -2^(k*stride*r-1) and 2^(k*stride*r-1).
-    Adding 2^(k*stride*r-1) before the shift cancels their borrow, and
-    centring the remainder modulo 2^(k*stride) gives the signed value.
-    """
-    size = k * stride
-    if r:
-        column = (column + (1 << (size * r - 1))) >> (size * r)
-    half = 1 << (size - 1)
-    return ((column + half) & ((half << 1) - 1)) - half
-
-
 def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     """det(u * M^power - id) for u = t^{n*twists}, power >= 1 and a non-empty w, from two half-length passes.
 
@@ -291,10 +231,11 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
 
     det X = (-t)^(exponent sum of the first half) is a unit, and X^-1 is the
     matrix of the inverted first half.  Each half is one packed
-    :func:`_burau_pass`, at a slot width k that holds the sum of the two
-    halves' norm bounds (:func:`_norm_bound`), so the difference of two
-    entries fits too, and at one stride that holds the union of column c's
-    windows (:func:`_windows`) in u Y and in X^-1, for every c.  Column c
+    :func:`_burau_pass`, sized by the walk of :func:`_windows` over that
+    half at its own power: a slot width k that holds the sum of the two
+    halves' max(sums), so the difference of two entries fits too, and one
+    stride that holds the union of column c's windows in u Y and in X^-1,
+    for every c.  Column c
     of u Y - X^-1 is then one aligned subtraction of two integers; a zero
     column makes the determinant 0 before anything is decoded.  Otherwise
     each column is decoded once and split by row, and
@@ -310,10 +251,10 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     else:
         first, second, first_power, second_power = letters, letters, power // 2, power - power // 2
     inverse, steps = _steps([-letter for letter in reversed(first)], d), _steps(second, d)
-    k = slot_bits((_norm_bound(inverse, first_power) + _norm_bound(steps, second_power)).bit_length() + 1)
+    x_lows, x_highs, x_sums = _windows(d, inverse, first_power)
+    y_lows, y_highs, y_sums = _windows(d, steps, second_power)
+    k = slot_bits((max(x_sums) + max(y_sums)).bit_length() + 1)
     u = w.strands * twists
-    x_lows, x_highs = _windows(d, inverse, first_power)
-    y_lows, y_highs = _windows(d, steps, second_power)
     lows = [min(y_low + u, x_low) for x_low, y_low in zip(x_lows, y_lows)]
     highs = [max(y_high + u, x_high) for x_high, y_high in zip(x_highs, y_highs)]
     stride = _stride(lows, highs)
@@ -387,25 +328,26 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     (:func:`_newton`).  Scaling M by t^m scales e_i by t^(i*m) and s_k by
     t^(k*m); m makes every e_i a polynomial, so every s_k is one, and the
     recurrence runs on their values at t = 2^K, each e_i applied as a few
-    shifts of its terms.  The same recurrence on the L1
-    norms of the e_i bounds |coefficients of s|, and so does d times
-    :func:`_norm_bound` on the passes; K holds the smaller bound as a signed
-    digit, so ``from_packed`` reads s back exactly.  On d = 4 and 5 the
-    lower half of the e_k(M^power) is e_1 and e_2, and e_2 =
-    (s_power^2 - s_(2*power))/2 would need twice the steps at twice the
-    width, so those take :func:`_principal_minors` instead.
+    shifts of its terms.  The same recurrence on the L1 norms of the e_i
+    bounds |coefficients of s|, and so does the sum of the column sums of
+    :func:`_windows` over ``power`` passes, which bounds the norm of every
+    diagonal entry of M^power at once; K holds the smaller bound as a
+    signed digit, so ``from_packed`` reads s back exactly.  Newton's bound
+    is the one that stays small where the entries grow but the trace does
+    not.  The one pass over w packs at the power-1 walk's max(sums), and
+    its diagonal is read by ``_unpack_rows``.  On d = 4 and 5 the lower
+    half of the e_k(M^power) is e_1 and e_2, and e_2 = (s_power^2 -
+    s_(2*power))/2 would need twice the steps at twice the width, so those
+    take :func:`_principal_minors` instead.
     """
     d = w.strands - 1
     steps = _steps(w.letters, d)
-    # P^power >= P entrywise (P >= id), so the bound of the power sum's
-    # passes also holds the one pass over w.
-    passes = _norm_bound(steps, power)
-    width = slot_bits(passes.bit_length() + 1)
-    lows, highs = _windows(d, steps, 1)
+    lows, highs, sums = _windows(d, steps, 1)
+    width = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
     columns = _burau_pass(d, steps, 1, width, stride)
     trace = sum(
-        [LaurentPoly.from_packed(_entry(columns[r], r, width, stride), width, lows[r]) for r in range(d)],
+        [_trusted(_unpack_rows(x, width, low, stride, d)[r]) for r, (x, low) in enumerate(zip(columns, lows))],
         LaurentPoly(),
     )
     if power == 1:
@@ -413,7 +355,7 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     elementary = _elementary([trace], _writhe(w.letters), d)
     m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
     norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
-    k = slot_bits(min(_newton(norms, power), d * passes).bit_length() + 1)
+    k = slot_bits(min(_newton(norms, power), sum(_windows(d, steps, power)[2])).bit_length() + 1)
     # (shift, signed coefficient) of each term of (-1)^(i-1) e_i t^(i*m) at t = 2^k.
     parts = [
         [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in poly.terms] for i, poly in enumerate(elementary, 1)
@@ -425,21 +367,21 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     """[e_1, e_2] of A = M^power (M the Burau matrix of w, power >= 1): the sums of A's principal 1x1 and 2x2 minors.
 
     A comes from ``power`` packed passes over w (:func:`_burau_pass`), one
-    integer per column, and is never decoded into polynomials.  Each column
-    is split into its entries' digits once, and the L1 norms N_rj of the
-    entries bound every |coefficient| of e_1 by sum N_ii and of e_2 by
-    sum_(i<j) N_ii N_jj + N_ij N_ji.  Entry (r, j) is t^lows[j] X_rj(t)
-    (:func:`_windows`), and its value X_rj(2^k) is read from the column
-    (:func:`_entry`) or, where the pass's slot width is too narrow for that
-    bound, packed again from its terms at a width that holds it.  a_ii
-    a_jj and a_ij a_ji share the unit t^(lows[i] + lows[j]): the diagonal
-    entries, and the minors, are aligned by shifts to their lowest unit,
-    and e_1 and e_2 are read back by one ``_unpack`` each.
+    integer per column, at the width and stride of the one walk of
+    :func:`_windows` over the same passes.  Each column is split into its
+    entries' terms once, and the L1 norms N_rj of the entries bound every
+    |coefficient| of e_1 by sum N_ii and of e_2 by sum_(i<j) N_ii N_jj +
+    N_ij N_ji.  Entry (r, j) is t^lows[j] X_rj(t), and X_rj(2^width) is
+    packed again from its terms at a width that holds both that bound and
+    the pass's entries.  a_ii a_jj and a_ij a_ji share the unit
+    t^(lows[i] + lows[j]): the diagonal entries, and the minors, are
+    aligned by shifts to their lowest unit, and e_1 and e_2 are read back
+    by one ``_unpack`` each.
     """
     d = w.strands - 1
     steps = _steps(w.letters, d)
-    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
-    lows, highs = _windows(d, steps, power)
+    lows, highs, sums = _windows(d, steps, power)
+    k = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
     packed = _burau_pass(d, steps, power, k, stride)
     terms = [_unpack_rows(x, k, 0, stride, d) for x in packed]
@@ -450,10 +392,7 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
         sum([norms[i][i] * norms[j][j] + norms[j][i] * norms[i][j] for i, j in pairs]),
     )
     width = max(k, slot_bits(bound.bit_length() + 1))
-    if width > k:
-        columns = [[_pack(entry, width) << width * entry[0][0] if entry else 0 for entry in column] for column in terms]
-    else:
-        columns = [[_entry(x, r, k, stride) for r in range(d)] for x in packed]
+    columns = [[_pack(entry, width) << width * entry[0][0] if entry else 0 for entry in column] for column in terms]
     low = min(lows)
     first = sum([columns[i][i] << width * (lows[i] - low) for i in range(d)])
     low_pairs = min([lows[i] + lows[j] for i, j in pairs])

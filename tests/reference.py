@@ -1,9 +1,10 @@
 """Reference routes that tests compare the library against.
 
 The library itself never needs them: the Burau product is built by column
-updates on one integer per column, the norm bound of a pass is powered by
-squaring, the numerator of a lift on 7 or more strands comes from two
-half-length passes and never decodes the whole Burau matrix, determinants
+updates on one integer per column, sized by one walk of the same updates on
+scalars that carries the column sums of the norm matrix, the numerator of a
+lift on 7 or more strands comes from two half-length passes and never
+decodes the whole Burau matrix, determinants
 are eliminated and never expanded by minors, a lift or a torus link is a
 (word, power, twists) triple, a band diagram holds its closure
 permutation, and no subcommand multiplies bivariate polynomials or reduces
@@ -37,15 +38,20 @@ def column_updates(letters, d: int) -> list[tuple[int, list[tuple[int, int, int]
     return steps
 
 
-def norm_bound_loop(d: int, steps, power: int) -> int:
-    """The bound of ``invariants._norm_bound`` by ``power`` passes of the column updates on the L1 norms."""
+def norm_matrix(d: int, steps, power: int) -> list[list[int]]:
+    """The columns of ``power`` passes of the column updates on the L1 norms of the entries, from the identity."""
     norms = [[int(r == c) for r in range(d)] for c in range(d)]
     sources = [(c, [j for _, _, j in parts]) for c, parts in steps]
     # An empty word takes no passes, however large the power.
     for _ in range(power if steps else 0):
         for c, columns in sources:
             norms[c] = [sum(row) for row in zip(*[norms[j] for j in columns])]
-    return max([max(col) for col in norms])
+    return norms
+
+
+def norm_bound_loop(d: int, steps, power: int) -> int:
+    """The largest entry of :func:`norm_matrix`: a bound on every |coefficient| of the Burau matrix of the passes."""
+    return max([max(col) for col in norm_matrix(d, steps, power)])
 
 
 def burau_columns(d: int, steps, power: int, k: int):

@@ -385,6 +385,74 @@ def test_compare_torus_in_either_order(capsys, band, a, b, equal):
         assert run(capsys, argv)[1].splitlines()[-1] == f"equal_up_to_unit: {str(equal).lower()}"
 
 
+TORUS_PAIRS = [(a, b) for a in range(1, 31) for b in range(a, 31)] + [(2, 999999)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--torus"],
+        ["lift", "--band", "3 1 2 : 1 1", "--compare-torus"],
+        ["lift", "--band", "3 1 3 : 2 1 2 1", "--compare-torus"],
+    ],
+    ids=["genus", "lift-2-strands", "lift-3-strands"],
+)
+def test_torus_inputs_answer_alike_in_either_order(capsys, argv):
+    # T(a,b) = T(b,a): genus --torus builds the closure on min(a, b) strands
+    # and --compare-torus the one on the lift's, and each is sized as built,
+    # so both orders print the same values; --compare-torus echoes its order.
+    def values(pair):
+        code, out, err = run(capsys, argv + [*map(str, pair), "--json"])
+        return code, err, {k: v for k, v in json.loads(out).items() if k != "compare_torus"} if out else None
+
+    for a, b in TORUS_PAIRS:
+        assert values((a, b)) == values((b, a)), (a, b)
+        if argv[0] == "genus":
+            assert run(capsys, argv + [str(a), str(b)]) == run(capsys, argv + [str(b), str(a)]), (a, b)
+
+
+def test_compare_torus_span_answers_without_the_torus_polynomial(capsys, monkeypatch):
+    # T(999999,2)'s polynomial has 999,999 terms; the lift's spans 7, not
+    # (999999-1)(2-1), so only the lift's polynomial is built.
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return lenslinks.invariants.alexander_of_closure(*args)
+
+    monkeypatch.setattr(cli, "alexander_of_closure", spy)
+    for pair in (["999999", "2"], ["2", "999999"]):
+        code, out, _ = run(capsys, ["lift", "--band", "3 1 2 : 1 1", "--compare-torus", *pair, "--json"])
+        assert code == 0
+        assert json.loads(out)["equal_up_to_unit"] is False
+    assert [args[0].strands for args in built] == [2, 2]
+    assert [args[1:] for args in built] == [(3, 1), (3, 1)]
+
+
+def test_compare_torus_span_test_keeps_memory_small():
+    # Building T(999999,2)'s polynomial took 125 MB at its peak; the span
+    # test answers in the memory of the interpreter and the import.  Linux
+    # carries a process's peak RSS across exec into its child, so a small
+    # interpreter starts the call and reads its child's peak.
+    argv = ["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "999999", "2", "--json"]
+    source = (
+        "import resource, subprocess, sys\n"
+        f"done = subprocess.run([sys.executable, '-m', 'lenslinks.cli', *{argv!r}], capture_output=True, text=True)\n"
+        "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, done.stdout)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    code, peak_kb, out = done.stdout.split(maxsplit=2)
+    assert code == "0"
+    assert json.loads(out)["equal_up_to_unit"] is False
+    assert int(peak_kb) < 30 * 1024
+
+
 def test_torus_test_agrees_with_genus(capsys):
     # With p = gcd(a,b), T(a,b) lifts a knot exactly when the quotient genus
     # (g~ + p - 1)/p is an integer.

@@ -16,7 +16,6 @@ from lenslinks.invariants import (
     _det_numerator,
     _elementary,
     _newton,
-    _norm_bound,
     _numerator,
     _principal_minors,
     _steps,
@@ -37,6 +36,7 @@ from reference import (
     leibniz_det,
     matmul,
     norm_bound_loop,
+    norm_matrix,
     spelled_out,
     torus_braid,
 )
@@ -230,20 +230,24 @@ class TestBurauAgainstProducts:
     @settings(max_examples=40, deadline=None)
     @given(words(max_strands=6, max_len=10), st.integers(0, 4))
     def test_norm_bound_holds(self, w, e):
-        bound = _norm_bound(_steps(w.letters, w.strands - 1), e)
+        d = w.strands - 1
+        bound = max(_windows(d, _steps(w.letters, d), e)[2])
         matrix = burau_reduced(w, e)
         assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix.rows for entry in row)
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=12, max_len=10), st.integers(0, 40))
     @example(BraidWord(3, (1, -2) * 50), 3)
-    def test_norm_bound_by_squaring_equals_the_passes(self, w, e):
-        # In the example the norms pass 2^64 within one pass, so the block
-        # packs at 128 bits.
+    def test_walk_sums_are_the_norm_column_sums(self, w, e):
+        # In the example the norms pass 2^64 within one pass.
         d = w.strands - 1
         steps = _steps(w.letters, d)
-        assert _norm_bound(steps, e) == norm_bound_loop(d, steps, e)
-        assert _norm_bound(steps, 0) == 1 == _norm_bound([], e)
+        sums = _windows(d, steps, e)[2]
+        assert sums == [sum(column) for column in norm_matrix(d, steps, e)]
+        # A column sum bounds each of its d entries and is at most d of them.
+        loop = norm_bound_loop(d, steps, e)
+        assert loop <= max(sums) <= d * loop
+        assert _windows(d, steps, 0)[2] == [1] * d == _windows(d, [], e)[2]
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=8, max_len=10))
@@ -277,8 +281,8 @@ def column_pass(w, power):
     """(lows, highs, stride, entries) of the packed pass: entries[c][r] holds the terms of entry (r, c)."""
     d = w.strands - 1
     steps = _steps(w.letters, d)
-    k = slot_bits(_norm_bound(steps, power).bit_length() + 1)
-    lows, highs = _windows(d, steps, power)
+    lows, highs, sums = _windows(d, steps, power)
+    k = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
     columns = _burau_pass(d, steps, power, k, stride)
     return lows, highs, stride, [_unpack_rows(x, k, low, stride, d) for x, low in zip(columns, lows)]
@@ -630,3 +634,11 @@ class TestTorusBraid:
         # a = b*m leaves run^0: only the full twists remain.
         for a in range(1, 41):
             assert alexander_of_closure(*torus_closure(a, b)) == alexander_of_closure(torus_braid(a, b)), a
+
+    @pytest.mark.parametrize("b", range(1, 13))
+    def test_span_is_a_minus_1_times_b_minus_1(self, b):
+        # lift --compare-torus answers false on any other span without
+        # building the torus polynomial, so it must never be 0 either.
+        for a in range(1, 31):
+            terms = alexander_of_closure(*torus_closure(a, b)).poly.terms
+            assert terms and terms[0][0] == 0 and terms[-1][0] == (a - 1) * (b - 1), a
