@@ -229,7 +229,7 @@ def _text(command: str, f: dict) -> str:
         if "note" in f:
             lines.append(
                 f"incomparable presentations: lift on {f['n']} strands, "
-                f"torus braid on {f['compare_torus'][1]}"
+                f"torus braid on {min(f['compare_torus'])}"
             )
         elif "equal_up_to_unit" in f:
             lines.append(f"equal_up_to_unit: {'true' if f['equal_up_to_unit'] else 'false'}")

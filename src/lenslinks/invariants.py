@@ -25,8 +25,7 @@ Alexander polynomial of the closure is then
 
 up to a unit +-t^k, and every comparison here happens after normalizing
 away the unit: the lowest exponent is shifted to 0 and the sign fixed so
-its coefficient is positive.  The division is one integer division at
-t = 2^K (:func:`~lenslinks.laurent.divide_cyclic`).
+its coefficient is positive.  The division is :func:`~lenslinks.laurent.divide_cyclic`.
 
 The determinant of a lift, det(t^{nq} A - id) with A = M^p and M the
 d x d matrix of one pass over w, d = n - 1, is a polynomial in the
@@ -443,14 +442,13 @@ def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
 def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:
     """The one-variable Alexander polynomial of the closure of  w^power . Delta^{2*twists}.
 
-    Computed as det(B - id) for the Burau matrix B, unit-normalized,
-    divided exactly by 1 + t + ... + t^{n-1} (:func:`divide_cyclic`); the
-    divisor starts at 1, so the quotient comes out normalized.  The lift of
-    a band diagram in L(p,q) is the closure of word^p . Delta^{2q}, so its
-    polynomial is ``alexander_of_closure(word, p, q)`` without the lifted
-    word ever being built.  Split links (in particular unlinks on >= 2
-    strands) give the zero polynomial; one strand closes to the unknot,
-    whose polynomial is 1.
+    Computed as det(B - id) for the Burau matrix B, divided exactly by
+    1 + t + ... + t^{n-1} (:func:`divide_cyclic`) and unit-normalized once.
+    The lift of a band diagram in L(p,q) is the closure of word^p .
+    Delta^{2q}, so its polynomial is ``alexander_of_closure(word, p, q)``
+    without the lifted word ever being built.  Split links (in particular
+    unlinks on >= 2 strands) give the zero polynomial; one strand closes to
+    the unknot, whose polynomial is 1.
 
     :func:`_numerator` picks the route from h = (n - 1)//2 and the power:
     on 2 to 6 strands, at power 0 or on the empty word on any n, and on a
@@ -462,7 +460,7 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
-    return AlexanderPoly(divide_cyclic(AlexanderPoly.from_laurent(_numerator(w, power, twists)).poly, n))
+    return AlexanderPoly.from_laurent(divide_cyclic(_numerator(w, power, twists), n))
 
 
 def torus_closure(a: int, b: int) -> tuple[BraidWord, int, int]:

@@ -21,8 +21,8 @@ stay on the schoolbook loop, where packing costs more than it saves.
 ``LaurentPoly.from_packed`` decodes such an integer for other modules, and
 ``_unpack_rows`` one that holds several polynomials a fixed number of slots
 apart, as the Burau passes of :mod:`lenslinks.invariants` pack a column.
-:func:`divide_cyclic` divides by 1 + t + ... + t^(n-1) the same way: one
-integer ``divmod`` at a t = 2^K wide enough for the quotient's digits.
+Exact division runs from the lowest term up; :func:`divide_cyclic` first
+multiplies by 1 - t, so its divisor 1 + ... + t^(n-1) becomes 1 - t^n.
 
 All values are immutable, with slots, on the :class:`~lenslinks._value.Value`
 base; operations return new objects and never mutate.  Only the public
@@ -74,17 +74,22 @@ def _bias(k: int, slots: int) -> int:
     return int.from_bytes((1 << (k - 1)).to_bytes(k // 8, "little") * slots, "little")
 
 
+def _coefficients(terms: tuple[tuple[int, int], ...], fill: int = 0) -> list[int]:
+    """The coefficients of the terms, each plus ``fill``, densely from the lowest exponent to the highest."""
+    low = terms[0][0]
+    dense = [fill] * (terms[-1][0] - low + 1)
+    for e, c in terms:
+        dense[e - low] = c + fill
+    return dense
+
+
 def _pack(terms: tuple[tuple[int, int], ...], k: int) -> int:
     """The sum of c * 2^(k*(e - low)) over the terms, low being the lowest exponent.
 
     Every |c| must be below 2^(k-1), and k a width from :func:`slot_bits`.
     """
-    low = terms[0][0]
-    slots = terms[-1][0] - low + 1
-    half = 1 << (k - 1)
-    dense = [half] * slots
-    for e, c in terms:
-        dense[e - low] = c + half
+    dense = _coefficients(terms, 1 << (k - 1))
+    slots = len(dense)
     code = _TYPECODES.get(k)
     if code is not None:
         raw = array(code, dense).tobytes()
@@ -268,56 +273,52 @@ class LaurentPoly(Value):
         return "".join(pieces)
 
 
-def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact quotient in Z[t, t^-1]; raises DivisibilityError on any remainder."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return LaurentPoly()
+def _long_division(rem: list[int], low: int, den: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """The exact quotient of the sum of rem[i] * t^(low + i) (rem is overwritten) by the terms ``den``.
 
-    d_low, (d_high, d_lead) = den.terms[0][0], den.terms[-1]
-    # Long division from the top on honest polynomials with nonzero constant
-    # term; the discarded unit t^offset is restored at the end.
-    n_low = num.terms[0][0]
-    offset = n_low - d_low
-    rem = {e - n_low: c for e, c in num.terms}
-    lower = [(e - d_low, c) for e, c in den.terms[:-1]]
-    d_deg = d_high - d_low
+    Quotient coefficient i, lowest first, is rem[i] over den's lowest coefficient.  A remainder,
+    in the top span(den) entries or of that division, raises DivisibilityError.
+    """
+    (d_low, lead), *rest = den
+    rest = [(e - d_low, c) for e, c in rest]
+    top = len(rem) - den[-1][0] + d_low
     quotient = []
-    for k in range(num.terms[-1][0] - n_low - d_deg, -1, -1):
-        top = rem.pop(k + d_deg, 0)
-        if top == 0:
-            continue
-        lead, r = divmod(top, d_lead)
-        if r != 0:
-            raise DivisibilityError("non-exact division (leading coefficient)")
-        quotient.append((k + offset, lead))
-        for e, c in lower:
-            e += k
-            rem[e] = rem.get(e, 0) - lead * c
-    if any(rem.values()):
-        raise DivisibilityError("non-exact division (remainder of lower degree)")
-    quotient.reverse()
+    for i in range(top):
+        q = rem[i]
+        if q:
+            if lead != 1:
+                q, r = divmod(q, lead)
+                if r:
+                    raise DivisibilityError("non-exact division")
+            quotient.append((low - d_low + i, q))
+            for e, c in rest:
+                rem[i + e] -= q * c
+    if any(rem[max(top, 0) :]):
+        raise DivisibilityError("non-exact division")
     return _trusted(tuple(quotient))
 
 
-def divide_cyclic(num: LaurentPoly, n: int) -> LaurentPoly:
-    """Exact quotient of num by 1 + t + ... + t^(n-1), by one integer division at t = 2^K.
-
-    With Y = num * (1 - t), the quotient q has q_i - q_(i-n) = y_i, so
-    |q_i| <= ||Y||_1 <= 2 ||num||_1, and K = slot_bits(bits(2 ||num||_1) + 1)
-    holds every q_i as a signed digit.  The remainder reduces num modulo
-    t^n - 1 first, which sums coefficients, so its coefficients are below
-    2 ||num||_1 as well: its packed value is 0 only when it is 0, and any
-    other value raises DivisibilityError.
-    """
+def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact quotient in Z[t, t^-1] by :func:`_long_division`; raises DivisibilityError on any remainder."""
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return num
-    k = slot_bits((2 * sum([abs(c) for _, c in num.terms])).bit_length() + 1)
-    quotient, remainder = divmod(_pack(num.terms, k), ((1 << n * k) - 1) // ((1 << k) - 1))
-    if remainder:
-        raise DivisibilityError(f"non-exact division by 1 + t + ... + t^{n - 1}")
-    return _trusted(_unpack(quotient, k, num.terms[0][0]))
+    return _long_division(_coefficients(num.terms), num.terms[0][0], den.terms)
+
+
+def divide_cyclic(num: LaurentPoly, n: int) -> LaurentPoly:
+    """Exact quotient of num by 1 + t + ... + t^(n-1): that of num * (1 - t) by 1 - t^n, with num's lowest exponent."""
+    if num.is_zero:
+        return num
+    low = num.terms[0][0]
+    y = _coefficients(num.terms) + [0]
+    for e, c in num.terms:
+        y[e - low + 1] -= c
+    try:
+        return _long_division(y, low, ((0, 1), (n, -1)))
+    except DivisibilityError:
+        raise DivisibilityError(f"non-exact division by 1 + t + ... + t^{n - 1}") from None
 
 
 # LaurentMatrix.det eliminates on packed integers when the stored terms

@@ -5,7 +5,8 @@ updates on one integer per column, sized by one walk of the same updates on
 scalars that carries the column sums of the norm matrix, the numerator of a
 lift on 7 or more strands comes from two half-length passes and never
 decodes the whole Burau matrix, determinants
-are eliminated and never expanded by minors, a lift or a torus link is a
+are eliminated and never expanded by minors, exact division runs from the
+lowest term up on dense coefficients, a lift or a torus link is a
 (word, power, twists) triple, a band diagram holds its closure
 permutation, and no subcommand multiplies bivariate polynomials or reduces
 braid words.  This module imports no private name of the library,
@@ -17,6 +18,7 @@ from itertools import combinations, permutations
 
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
+from lenslinks.errors import DivisibilityError
 from lenslinks.laurent import LaurentMatrix, LaurentPoly, slot_bits
 
 
@@ -152,6 +154,37 @@ def laplace_det(m: LaurentMatrix) -> LaurentPoly:
                     grown[key] = grown[key] + term if key in grown else term
         minors = grown
     return minors.get((1 << m.size) - 1, LaurentPoly())
+
+
+def long_division(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact quotient num / den in Z[t, t^-1] by long division from the top, on a dict of the remainder's terms.
+
+    Raises DivisibilityError when den's leading coefficient does not divide
+    a leading term, or when a remainder of lower degree is left.
+    """
+    if num.is_zero:
+        return LaurentPoly()
+    d_low, (d_high, d_lead) = den.terms[0][0], den.terms[-1]
+    # Both sides shifted to start at t^0; the unit t^offset comes back at the end.
+    n_low = num.terms[0][0]
+    offset = n_low - d_low
+    rem = {e - n_low: c for e, c in num.terms}
+    lower = [(e - d_low, c) for e, c in den.terms[:-1]]
+    d_deg = d_high - d_low
+    quotient = []
+    for k in range(num.terms[-1][0] - n_low - d_deg, -1, -1):
+        top = rem.pop(k + d_deg, 0)
+        if top == 0:
+            continue
+        lead, r = divmod(top, d_lead)
+        if r != 0:
+            raise DivisibilityError("non-exact division (leading coefficient)")
+        quotient.append((k + offset, lead))
+        for e, c in lower:
+            rem[k + e] = rem.get(k + e, 0) - lead * c
+    if any(rem.values()):
+        raise DivisibilityError("non-exact division (remainder of lower degree)")
+    return LaurentPoly(tuple(reversed(quotient)))
 
 
 def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:

@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from math import comb
 from unittest import mock
 
 import pytest
@@ -26,7 +28,16 @@ from lenslinks.laurent import (
 )
 from lenslinks.lens import parse_band_diagram
 from modp import det_mod, poly_mod, random_point
-from reference import burau_reduced, closure_matrix, det_numerator, identity, laplace_det, leibniz_det, matmul
+from reference import (
+    burau_reduced,
+    closure_matrix,
+    det_numerator,
+    identity,
+    laplace_det,
+    leibniz_det,
+    long_division,
+    matmul,
+)
 
 
 def polys(max_terms=5, exp_range=4, coeff_range=5):
@@ -284,27 +295,66 @@ class TestDivideExact:
             return
         assert divide_exact(a * b, b) == a
 
+    # Lowest and leading coefficients of the divisor up to 6 in size, so
+    # most divisors do not start with 1.
+    @given(polys(max_terms=6, coeff_range=50), polys(max_terms=4, coeff_range=6), polys(max_terms=2, coeff_range=3))
+    @example(T(0) + T(1), T(0, 2) + T(1), ZERO)
+    @example(T(0) + T(1), T(0, -1) + T(3), T(5, 2))
+    def test_agrees_with_long_division(self, a, den, noise):
+        # Divisible, perturbed by noise, and a itself, which rarely divides.
+        if den.is_zero:
+            return
+        for num in (a * den, a * den + noise, a):
+            assert_same_quotient(lambda: divide_exact(num, den), num, den)
+
+
+def assert_same_quotient(divide, num, den):
+    """divide() equals the reference long division of num by den, or both raise DivisibilityError."""
+    try:
+        expected = long_division(num, den)
+    except DivisibilityError:
+        with pytest.raises(DivisibilityError):
+            divide()
+    else:
+        assert divide() == expected
+
 
 def cyclic_sum(n):
     return LaurentPoly.from_dict({e: 1 for e in range(n)})
 
 
 class TestDivideCyclic:
-    """One packed division by 1 + t + ... + t^(n-1), against long division."""
+    """Division by 1 + t + ... + t^(n-1) as that of num * (1 - t) by 1 - t^n, against the
+    reference long division by the n terms themselves, which shares no code with it."""
 
     @given(polys(max_terms=8, coeff_range=10**6), st.integers(1, 9))
     def test_exact_quotient(self, a, n):
         assert divide_cyclic(a * cyclic_sum(n), n) == a
 
-    @given(polys(max_terms=8, coeff_range=10**6), st.integers(1, 9))
-    def test_raises_exactly_when_long_division_does(self, a, n):
-        try:
-            expected = divide_exact(a, cyclic_sum(n))
-        except DivisibilityError:
-            with pytest.raises(DivisibilityError):
-                divide_cyclic(a, n)
-        else:
-            assert divide_cyclic(a, n) == expected
+    @settings(deadline=None)
+    @given(
+        polys(max_terms=8, exp_range=40, coeff_range=10**6),
+        st.integers(1, 300),
+        polys(max_terms=2, exp_range=300, coeff_range=3),
+    )
+    @example(T(-2, 7) + T(3, -1), 300, T(299))
+    def test_raises_exactly_when_long_division_does(self, a, n, noise):
+        # Divisible, perturbed by noise, and a itself, which rarely divides.
+        for num in (a * cyclic_sum(n), a * cyclic_sum(n) + noise, a):
+            assert_same_quotient(lambda: divide_cyclic(num, n), num, cyclic_sum(n))
+
+    def test_identity_closure_on_256_strands(self, capsys):
+        # The lift of "2 1 256 :" closes the full twist on 256 strands: its
+        # numerator is the binomial (t^256 - 1)^255, 256 terms of up to 250
+        # bits spread over 65,281 exponents.
+        num = LaurentPoly.from_dict({256 * k: (-1) ** (255 - k) * comb(255, k) for k in range(256)})
+        expected = AlexanderPoly.from_laurent(long_division(num, cyclic_sum(256)))
+        start = time.perf_counter()
+        code = cli.run(["alexander", "--band", "2 1 256 :", "--json"])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["alexander"] == str(expected)
 
     def test_nonzero_remainders_raise(self):
         # t^(n-1) leaves -(1 + ... + t^(n-2)), -3 t^(n-2) is its own
