@@ -235,13 +235,14 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     halves' max(sums), so the difference of two entries fits too, and one
     stride that holds the union of column c's windows in u Y and in X^-1,
     for every c.  Column c
-    of u Y - X^-1 is then one aligned subtraction of two integers; a zero
-    column makes the determinant 0 before anything is decoded.  Otherwise
-    each column is decoded once and split by row, and
-    :meth:`LaurentMatrix.det` takes the determinant.  Each half has half
-    the letters, so the entries have about half the coefficient bits and
-    half the span of those of M^power, and so does the determinant's
-    packed width.
+    of u Y - X^-1 is then one aligned subtraction of two integers; every
+    column is formed first, and a zero one makes the determinant 0 before
+    any is decoded.  Otherwise each column is decoded once and split by
+    row, and :meth:`LaurentMatrix.det` takes the determinant, packed at the
+    least multiple of 8 bits that its coefficient bound needs.  Each half
+    has half the letters, so the entries have about half the coefficient
+    bits and half the span of those of M^power, and so does the
+    determinant's packed width.
     """
     d, letters = w.strands - 1, w.letters
     if power == 1:
@@ -259,14 +260,15 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     stride = _stride(lows, highs)
     x_columns = _burau_pass(d, inverse, first_power, k, stride)
     y_columns = _burau_pass(d, steps, second_power, k, stride)
-    columns = []
-    for x, x_low, y, y_low, low in zip(x_columns, x_lows, y_columns, y_lows, lows):
-        # Entry r is t^low (t^(y_low+u-low) y_r - t^(x_low-low) x_r), both shifts non-negative.
-        column = (y << k * (y_low + u - low)) - (x << k * (x_low - low))
-        if not column:
-            return LaurentPoly()
-        columns.append([_trusted(terms) for terms in _unpack_rows(column, k, low, stride, d)])
-    det = LaurentMatrix.from_rows(zip(*columns)).det()
+    # Entry r of column c is t^low (t^(y_low+u-low) y_r - t^(x_low-low) x_r), both shifts non-negative.
+    columns = [
+        (y << k * (y_low + u - low)) - (x << k * (x_low - low))
+        for x, x_low, y, y_low, low in zip(x_columns, x_lows, y_columns, y_lows, lows)
+    ]
+    if not all(columns):
+        return LaurentPoly()
+    entries = [[_trusted(t) for t in _unpack_rows(column, k, low, stride, d)] for column, low in zip(columns, lows)]
+    det = LaurentMatrix.from_rows(zip(*entries)).det()
     exponent = _writhe(first) * first_power
     return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
 
@@ -435,8 +437,11 @@ def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     else:
         return _det_numerator(w, power, twists)
     elementary = [LaurentPoly.one()] + _elementary(lower, _writhe(w.letters) * power, d)
-    terms = [e.shift(k * u) if (d - k) % 2 == 0 else -e.shift(k * u) for k, e in enumerate(elementary)]
-    return sum(terms, LaurentPoly())
+    coeffs: dict[int, int] = {}
+    for k, e in enumerate(elementary):
+        for exponent, c in e.terms:
+            coeffs[exponent + k * u] = coeffs.get(exponent + k * u, 0) + (c if (d - k) % 2 == 0 else -c)
+    return LaurentPoly.from_dict(coeffs)
 
 
 def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> AlexanderPoly:

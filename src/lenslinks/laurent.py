@@ -7,9 +7,9 @@ with exact division by the previous pivot, on one of two entry types.  When
 the entries' terms fill at least a tenth of their packed slots and the
 determinant packs into at most 2^14 bits, every entry is packed once at
 t = 2^K as in Kronecker substitution (below), the elimination runs on plain
-integers, and the one result is decoded; K comes from the Goldstein-Graham
-bound on the determinant's coefficients.  Sparser or larger matrices stay
-on the polynomials.
+integers, and the one result is decoded; K is the least multiple of 8 that
+holds the Goldstein-Graham bound on the determinant's coefficients as a
+signed digit.  Sparser or larger matrices stay on the polynomials.
 
 Large dense products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from math import isqrt
+from math import isqrt, prod
 
 from ._value import Value
 from .errors import DivisibilityError
@@ -86,7 +86,7 @@ def _coefficients(terms: tuple[tuple[int, int], ...], fill: int = 0) -> list[int
 def _pack(terms: tuple[tuple[int, int], ...], k: int) -> int:
     """The sum of c * 2^(k*(e - low)) over the terms, low being the lowest exponent.
 
-    Every |c| must be below 2^(k-1), and k a width from :func:`slot_bits`.
+    Every |c| must be below 2^(k-1), and k a multiple of 8.
     """
     dense = _coefficients(terms, 1 << (k - 1))
     slots = len(dense)
@@ -197,7 +197,7 @@ class LaurentPoly(Value):
 
         ``x`` is the polynomial's value at t = 2^k, shifted to start at
         t^0; every coefficient must lie strictly between -2^(k-1) and
-        2^(k-1), and k be a width from :func:`slot_bits`.
+        2^(k-1), and k be a multiple of 8.
         """
         return _trusted(_unpack(x, k, low))
 
@@ -381,8 +381,8 @@ def _term_count(poly: LaurentPoly) -> int:
     return len(poly.terms)
 
 
-def _coefficient_bound(columns) -> int:
-    """A strict bound on |c| for every coefficient c of the determinant of the matrix with these columns.
+def _coefficient_bound(squares: list[int]) -> int:
+    """A strict bound on |c| for every coefficient c of a determinant whose column j has sum_r |a_rj|_1^2 = squares[j].
 
     Hadamard's inequality at each point of the unit circle bounds every
     coefficient by sqrt(prod_j sum_r |a_rj|_1^2), the L1 norm being the sum
@@ -390,10 +390,7 @@ def _coefficient_bound(columns) -> int:
     bound on the coefficients of a determinant of polynomials", SIAM Review
     16, 1974).
     """
-    norms = 1
-    for column in columns:
-        norms *= sum([sum([abs(c) for _, c in entry.terms]) ** 2 for entry in column])
-    return isqrt(norms) + 1
+    return isqrt(prod(squares)) + 1
 
 
 class LaurentMatrix(Value):
@@ -423,14 +420,17 @@ class LaurentMatrix(Value):
     def det(self) -> LaurentPoly:
         """Determinant by :func:`_bareiss` elimination, on one of two entry types.
 
-        A zero column gives 0 at once.  Packed: each column is shifted by
-        its lowest exponent, which divides the determinant by the unit
-        t^(sum of the lows), and every entry is packed once at t = 2^K.
-        t -> 2^K is a ring homomorphism from Z[t] to Z, so elimination with
-        exact ``//`` on the packed integers gives the determinant's value
-        there, and one ``_unpack`` reads back its coefficients.  K leaves
-        room for :func:`_coefficient_bound` as a signed digit, so they never
-        overlap.
+        One loop over the columns gives each column's lowest exponent,
+        span, term count and sum of squared L1 norms; a zero column gives 0
+        at once.  Packed: each column is shifted by its lowest exponent,
+        which divides the determinant by the unit t^(sum of the lows), and
+        every entry is packed once at t = 2^K as the sum of its terms'
+        shifts c << K*(e - low).  t -> 2^K is a ring homomorphism from Z[t]
+        to Z, so elimination with exact ``//`` on the packed integers gives
+        the determinant's value there, whatever the entries' coefficients,
+        and one ``_unpack`` reads back its coefficients.  K is the least
+        multiple of 8 that holds :func:`_coefficient_bound` as a signed
+        digit, so they never overlap.
 
         Polynomial: the same elimination on the :class:`LaurentPoly`
         entries, dividing with :func:`divide_exact`.
@@ -445,9 +445,8 @@ class LaurentMatrix(Value):
         ``//`` costs more than the polynomial products.
         """
         d = self.size
-        columns = list(zip(*self.rows))
-        lows, spans, terms = [], 0, 0
-        for column in columns:
+        lows, spans, terms, squares = [], 0, 0, []
+        for column in zip(*self.rows):
             present = [entry.terms for entry in column if entry.terms]
             if not present:
                 return LaurentPoly()
@@ -455,14 +454,13 @@ class LaurentMatrix(Value):
             lows.append(low)
             spans += max([t[-1][0] for t in present]) - low
             terms += sum([len(t) for t in present])
+            squares.append(sum([sum([abs(c) for _, c in t]) ** 2 for t in present]))
         # Column j packs into d * (span_j + 1) slots.
         if terms >= _PACKED_MIN_FILL * d * (spans + d):
-            k = slot_bits(_coefficient_bound(columns).bit_length() + 1)
+            k = 8 * -(-(_coefficient_bound(squares).bit_length() + 1) // 8)
             if k * (spans + 1) <= _PACKED_MAX_BITS:
-                # Each |coefficient| of an entry is at most its column's norm,
-                # below the bound too, so every entry packs at width k.
                 packed = [
-                    [_pack(e.terms, k) << k * (e.terms[0][0] - low) if e.terms else 0 for e, low in zip(row, lows)]
+                    [sum([c << k * (e - low) for e, c in entry.terms]) for entry, low in zip(row, lows)]
                     for row in self.rows
                 ]
                 value = _bareiss(packed, int.bit_length, int.__floordiv__, 0)

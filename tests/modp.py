@@ -19,6 +19,27 @@ def poly_mod(poly, r: int, modulus=P) -> int:
     return sum(c * pow(r, e, modulus) for e, c in poly.terms) % modulus
 
 
+def closure_mod(strands: int, letters, r: int, modulus=P) -> list[list[int]]:
+    """The rows of burau(w) - id at t = r, modulo ``modulus``, from the generator matrices.
+
+    The product is kept as columns: right-multiplying by the generator of
+    ``letter`` replaces column i = |letter| - 1 by the combination of columns
+    i - 1, i, i + 1 that the generator's column i holds.
+    """
+    d = strands - 1
+    cols = [[int(row == col) for row in range(d)] for col in range(d)]
+    inverse = pow(r, -1, modulus)
+    for letter in letters:
+        i = abs(letter) - 1
+        weights = (r, -r, 1) if letter > 0 else (1, -inverse, inverse)
+        new = [0] * d
+        for j, weight in zip((i - 1, i, i + 1), weights):
+            if 0 <= j < d:
+                new = [(x + weight * y) % modulus for x, y in zip(new, cols[j])]
+        cols[i] = new
+    return [[cols[c][row] - (row == c) for c in range(d)] for row in range(d)]
+
+
 def det_mod(rows: list[list[int]], modulus=P) -> int:
     """Determinant modulo the prime ``modulus`` by Gaussian elimination with row swaps."""
     a = [[x % modulus for x in row] for row in rows]

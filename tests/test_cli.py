@@ -22,7 +22,7 @@ import lenslinks.invariants
 import lenslinks.laurent
 import lenslinks.lens
 from lenslinks.errors import ConsistencyError, DivisibilityError
-from modp import P, det_mod, random_point
+from modp import P, closure_mod, det_mod, random_point
 
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
 SRC = str(Path(lenslinks.__file__).resolve().parent.parent)
@@ -120,9 +120,7 @@ def test_import_leaves_out_dataclasses_inspect_and_fractions():
 
 
 # Public code that no subcommand needs, each with the reason it stays.
-REACH_EXEMPT = {
-    "LaurentPoly.from_dict": "the benchmark's kernel rows build their entries with it",
-}
+REACH_EXEMPT: dict[str, str] = {}
 
 
 def _method_code(cls, name):
@@ -183,10 +181,10 @@ def test_every_public_name_is_reached():
 # Code of the arithmetic layers that no golden argv enters, each with the
 # reason it stays.
 PRIVATE_REACH_EXEMPT = {
-    "laurent.LaurentPoly.from_dict": "public, in REACH_EXEMPT",
     "laurent._kronecker": (
         "pays only on products of two dense operands of 16 terms or more: without it the 8-strand lift "
-        "at p = 32 and 64 and --braid at n = 24 and 32 took 1.2-1.9 times as long"
+        "at p = 32 and 64 took 2.0-2.4 times as long and --braid at n = 32 1.5-1.8 times; --braid at "
+        "n = 24 eliminates on packed integers and makes no such product"
     ),
     "laurent._dense": "the spread test of _kronecker's gate, asked only of operands of 16 terms or more",
 }
@@ -465,24 +463,8 @@ def test_torus_test_agrees_with_genus(capsys):
 
 
 def alexander_mod(strands, letters, r):
-    """det(burau - id) / (1 + t + ... + t^(n-1)) at t = r mod P, from the generator matrices.
-
-    The product is kept as columns: right-multiplying by the generator of
-    ``letter`` replaces column i = |letter| - 1 by the combination of columns
-    i - 1, i, i + 1 that the generator's column i holds.
-    """
-    d = strands - 1
-    cols = [[int(row == col) for row in range(d)] for col in range(d)]
-    inverse = pow(r, -1, P)
-    for letter in letters:
-        i = abs(letter) - 1
-        weights = (r, -r, 1) if letter > 0 else (1, -inverse, inverse)
-        new = [0] * d
-        for j, weight in zip((i - 1, i, i + 1), weights):
-            if 0 <= j < d:
-                new = [(x + weight * y) % P for x, y in zip(new, cols[j])]
-        cols[i] = new
-    numerator = det_mod([[cols[c][row] - (row == c) for c in range(d)] for row in range(d)])
+    """det(burau - id) / (1 + t + ... + t^(n-1)) at t = r mod P, from the generator matrices."""
+    numerator = det_mod(closure_mod(strands, letters, r))
     return numerator * pow(sum(pow(r, k, P) for k in range(strands)), -1, P) % P
 
 

@@ -27,7 +27,7 @@ from lenslinks.laurent import (
     slot_bits,
 )
 from lenslinks.lens import parse_band_diagram
-from modp import det_mod, poly_mod, random_point
+from modp import closure_mod, det_mod, poly_mod, random_point
 from reference import (
     burau_reduced,
     closure_matrix,
@@ -109,16 +109,22 @@ def poly_det(m: LaurentMatrix) -> LaurentPoly:
     return _bareiss([list(row) for row in m.rows], _term_count, divide_exact, ZERO)
 
 
+def coefficient_bound(columns) -> int:
+    """_coefficient_bound of the matrix with these columns, from each column's sum of squared L1 norms."""
+    return _coefficient_bound([sum([sum([abs(c) for _, c in e.terms]) ** 2 for e in column]) for column in columns])
+
+
 def packed_det(m: LaurentMatrix) -> LaurentPoly:
     """_bareiss on the entries' values at t = 2^k, whatever route det() would take.
 
     Column j is shifted by its lowest exponent low_j first, so the result
-    is the determinant times t^-(sum of the lows); k leaves room for the
-    coefficient bound of the nonzero columns as a signed digit.
+    is the determinant times t^-(sum of the lows); each entry is packed by
+    _pack, and k leaves room for the coefficient bound of the nonzero
+    columns as a signed digit.
     """
     columns = list(zip(*m.rows))
     lows = [min([e.min_exp() for e in column if e], default=0) for column in columns]
-    k = slot_bits(_coefficient_bound([column for column in columns if any(column)]).bit_length() + 1)
+    k = 8 * (coefficient_bound([column for column in columns if any(column)]).bit_length() // 8 + 1)
     packed = [[_pack(e.terms, k) << k * (e.min_exp() - low) if e else 0 for e, low in zip(row, lows)] for row in m.rows]
     return LaurentPoly.from_packed(_bareiss(packed, int.bit_length, int.__floordiv__, 0), k, sum(lows))
 
@@ -566,7 +572,7 @@ class TestPackedDet:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda d: matrices(d, polys(max_terms=4, exp_range=3, coeff_range=2**40))))
     def test_coefficients_below_the_bound(self, m):
-        bound = _coefficient_bound(zip(*m.rows))
+        bound = coefficient_bound(zip(*m.rows))
         assert all(abs(c) < bound for _, c in m.det().terms)
 
     def test_bound_is_attained_by_a_hadamard_matrix(self):
@@ -575,19 +581,25 @@ class TestPackedDet:
         for d, bound in [(4, 17), (8, 4097)]:
             rows = [[T(j, (-1) ** bin(i & j).count("1")) for j in range(d)] for i in range(d)]
             m = LaurentMatrix.from_rows(rows)
-            assert _coefficient_bound(zip(*m.rows)) == bound
+            assert coefficient_bound(zip(*m.rows)) == bound
             assert [abs(c) for _, c in m.det().terms] == [bound - 1]
 
     @pytest.mark.parametrize("d", [1, 4, 5])
-    @pytest.mark.parametrize("bits", [8, 16, 64, 128])
-    def test_width_holds_the_sign(self, d, bits):
+    @pytest.mark.parametrize("bits", [8, 16, 23, 24, 39, 40, 64, 71, 72, 128])
+    def test_width_holds_the_sign(self, monkeypatch, d, bits):
         # A diagonal matrix of monomials attains the bound minus 1, here
-        # 2^bits - 2: it takes all ``bits`` bits of magnitude, so only the
-        # sign bit on top moves the slot to the next width.
+        # 2^bits - 2: it takes all ``bits`` bits of magnitude, so the slot
+        # is the least multiple of 8 bits that also holds the sign bit.  At
+        # 23, 39 and 71 bits that is 24, 40 and 72 where a power of two
+        # would take 32, 64 and 128; at a multiple of 8 the sign bit alone
+        # moves the slot a byte up.
         diagonal = [T(1 - i, -1 if i % 2 else 1) for i in range(d - 1)] + [T(-2, 2**bits - 2)]
         m = LaurentMatrix.from_rows([[diagonal[i] if i == j else ZERO for j in range(d)] for i in range(d)])
-        assert _coefficient_bound(zip(*m.rows)).bit_length() == bits
+        assert coefficient_bound(zip(*m.rows)).bit_length() == bits
+        widths, unpack = [], laurent._unpack
+        monkeypatch.setattr(laurent, "_unpack", lambda x, k, low: widths.append(k) or unpack(x, k, low))
         assert m.det() == leibniz_det(m)
+        assert widths == [8 * -(-(bits + 1) // 8)]
 
     def test_wide_closure_makes_no_polynomial_products(self, monkeypatch):
         # The 11x11 u Y - X^-1 of the two half-length passes over 60-66
@@ -610,6 +622,23 @@ class TestPackedDet:
         assert dets == expected
         assert entry_types == [int] * 5
         assert not calls
+
+    def test_24_strands_eliminate_on_integers(self, monkeypatch):
+        # The 8n seeded mixed-sign letters on n = 24 strands of
+        # tests/test_cli.py::TestSizeLimits: the 23x23 u Y - X^-1 packs at a
+        # byte width into under 2^14 bits, so it eliminates on integers.
+        n = 24
+        rng = random.Random(n)
+        letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(8 * n)]
+        det, matrices = LaurentMatrix.det, []
+        monkeypatch.setattr(LaurentMatrix, "det", lambda m: matrices.append(m) or det(m))
+        entry_types = spy_entry_types(monkeypatch)
+        numerator = _det_numerator(BraidWord(n, tuple(letters)), 1, 0)
+        assert entry_types == [int]
+        (m,) = matrices
+        assert det(m) == poly_det(m)
+        r = random_point(n)
+        assert poly_mod(numerator, r) == det_mod(closure_mod(n, letters, r))
 
     @pytest.mark.parametrize(
         "argv, entry_type",
