@@ -77,14 +77,15 @@ def _check_lift_size(space, word) -> None:
 
 
 def _torus_on(a: int, b: int, strands: int) -> tuple[int, int]:
-    """(A, B) with {A, B} = {a, b} and B = ``strands`` if either is, else B = min(a, b), after a size check.
+    """(A, B) with {A, B} = {a, b} and B = ``strands`` if either is, else B = min(a, b), after a sign and size check.
 
     T(a,b) = T(b,a) is the closure of a braid on B strands with A*(B - 1)
     letters (torus_closure), so both orders are sized, and built, alike.
-    torus_closure itself rejects a < 1 or b < 1.
     """
+    if a < 1 or b < 1:
+        raise ValueError("torus parameters must be positive")
     a, b = (a, b) if b == strands else (b, a) if a == strands else (max(a, b), min(a, b))
-    _check_size(max(a, 0) * max(b - 1, 0), f"torus braid T({a},{b})")
+    _check_size(a * (b - 1), f"torus braid T({a},{b})")
     return a, b
 
 
@@ -108,9 +109,8 @@ def _cmd_lift(args) -> dict:
     fields = {**_band_fields(diagram), "lifted_word": lifted.letters, "components": count}
     if args.compare_torus:
         fields["compare_torus"] = list(args.compare_torus)
-        # The torus braid must go on the lift's n strands.  torus_closure
-        # refuses a < 1 or b < 1 first.
-        if b != n and min(a, b) >= 1:
+        # The torus braid must go on the lift's n strands.
+        if b != n:
             fields["equal_up_to_unit"] = None
             fields["note"] = "incomparable presentations"
         else:

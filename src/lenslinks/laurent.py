@@ -4,12 +4,11 @@ Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
 exact.  Determinants use Bareiss fraction-free elimination, O(d^3) products
 with exact division by the previous pivot, on one of two entry types.  When
-the entries' terms fill at least a tenth of their packed slots and the
-determinant packs into at most 2^14 bits, every entry is packed once at
+the determinant packs into at most 2^14 bits, every entry is packed once at
 t = 2^K as in Kronecker substitution (below), the elimination runs on plain
 integers, and the one result is decoded; K is the least multiple of 8 that
 holds the Goldstein-Graham bound on the determinant's coefficients as a
-signed digit.  Sparser or larger matrices stay on the polynomials.
+signed digit.  Larger matrices stay on the polynomials.
 
 Large dense products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
@@ -321,11 +320,8 @@ def divide_cyclic(num: LaurentPoly, n: int) -> LaurentPoly:
         raise DivisibilityError(f"non-exact division by 1 + t + ... + t^{n - 1}") from None
 
 
-# LaurentMatrix.det eliminates on packed integers when the stored terms
-# fill at least this share of the packed slots and the determinant packs
-# into at most this many bits; sparser or larger matrices stay on
-# polynomials.
-_PACKED_MIN_FILL = 0.1
+# LaurentMatrix.det eliminates on packed integers when the determinant packs
+# into at most this many bits; larger matrices stay on polynomials.
 _PACKED_MAX_BITS = 1 << 14
 
 
@@ -403,7 +399,7 @@ class LaurentMatrix(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        d = len(self.rows)
+        d = self.size
         if d == 0:
             raise ValueError("matrices must have positive size")
         if any(len(row) != d for row in self.rows):
@@ -420,17 +416,17 @@ class LaurentMatrix(Value):
     def det(self) -> LaurentPoly:
         """Determinant by :func:`_bareiss` elimination, on one of two entry types.
 
-        One loop over the columns gives each column's lowest exponent,
-        span, term count and sum of squared L1 norms; a zero column gives 0
-        at once.  Packed: each column is shifted by its lowest exponent,
-        which divides the determinant by the unit t^(sum of the lows), and
-        every entry is packed once at t = 2^K as the sum of its terms'
-        shifts c << K*(e - low).  t -> 2^K is a ring homomorphism from Z[t]
-        to Z, so elimination with exact ``//`` on the packed integers gives
-        the determinant's value there, whatever the entries' coefficients,
-        and one ``_unpack`` reads back its coefficients.  K is the least
-        multiple of 8 that holds :func:`_coefficient_bound` as a signed
-        digit, so they never overlap.
+        One loop over the columns gives each column's lowest exponent, span
+        and sum of squared L1 norms; a zero column gives 0 at once.  Packed:
+        each column is shifted by its lowest exponent, which divides the
+        determinant by the unit t^(sum of the lows), and every entry is
+        packed once at t = 2^K as the sum of its terms' shifts
+        c << K*(e - low).  t -> 2^K is a ring homomorphism from Z[t] to Z, so
+        elimination with exact ``//`` on the packed integers gives the
+        determinant's value there, whatever the entries' coefficients, and
+        one ``_unpack`` reads back its coefficients.  K is the least multiple
+        of 8 that holds :func:`_coefficient_bound` as a signed digit, so they
+        never overlap.
 
         Polynomial: the same elimination on the :class:`LaurentPoly`
         entries, dividing with :func:`divide_exact`.
@@ -438,14 +434,11 @@ class LaurentMatrix(Value):
         The packed route replaces each polynomial product by one integer
         product; the packed determinant has at most K * (sum of column
         spans + 1) bits, and the minors that elimination builds no more.
-        It runs when the stored terms fill at least ``_PACKED_MIN_FILL`` of
-        the packed slots and that size is at most ``_PACKED_MAX_BITS``: on
-        sparser entries the slots hold mostly zeros that the polynomial
-        route never touches, and on larger integers elimination's quadratic
+        It runs when that size is at most ``_PACKED_MAX_BITS``, however
+        sparse the entries: on larger integers elimination's quadratic
         ``//`` costs more than the polynomial products.
         """
-        d = self.size
-        lows, spans, terms, squares = [], 0, 0, []
+        lows, spans, squares = [], 0, []
         for column in zip(*self.rows):
             present = [entry.terms for entry in column if entry.terms]
             if not present:
@@ -453,16 +446,13 @@ class LaurentMatrix(Value):
             low = min([t[0][0] for t in present])
             lows.append(low)
             spans += max([t[-1][0] for t in present]) - low
-            terms += sum([len(t) for t in present])
             squares.append(sum([sum([abs(c) for _, c in t]) ** 2 for t in present]))
-        # Column j packs into d * (span_j + 1) slots.
-        if terms >= _PACKED_MIN_FILL * d * (spans + d):
-            k = 8 * -(-(_coefficient_bound(squares).bit_length() + 1) // 8)
-            if k * (spans + 1) <= _PACKED_MAX_BITS:
-                packed = [
-                    [sum([c << k * (e - low) for e, c in entry.terms]) for entry, low in zip(row, lows)]
-                    for row in self.rows
-                ]
-                value = _bareiss(packed, int.bit_length, int.__floordiv__, 0)
-                return _trusted(_unpack(value, k, sum(lows)))
+        k = 8 * -(-(_coefficient_bound(squares).bit_length() + 1) // 8)
+        if k * (spans + 1) <= _PACKED_MAX_BITS:
+            packed = [
+                [sum([c << k * (e - low) for e, c in entry.terms]) for entry, low in zip(row, lows)]
+                for row in self.rows
+            ]
+            value = _bareiss(packed, int.bit_length, int.__floordiv__, 0)
+            return _trusted(_unpack(value, k, sum(lows)))
         return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())

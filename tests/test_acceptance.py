@@ -21,7 +21,7 @@ from lenslinks.curves import (
     torus_poly,
 )
 from lenslinks.genus import bennequin_fiber, quotient_genus
-from lenslinks.invariants import AlexanderPoly, alexander_of_closure
+from lenslinks.invariants import AlexanderPoly, alexander_of_closure, torus_closure
 from lenslinks.laurent import LaurentPoly, divide_exact
 from lenslinks.lens import BandDiagram, LensSpace, homology_classes, lift, lifted_component_count
 from lenslinks.curves import parse_poly
@@ -190,23 +190,27 @@ def test_criterion_9_power_substitution_is_invariant():
     report(9, "f(x^p, y^p) has invariance class 0 for 200 random polynomials")
 
 
-def _torus_knot_alexander_formula(a, b):
-    """(t^{ab} - 1)(t - 1) / ((t^a - 1)(t^b - 1)), the classical oracle."""
+def _torus_alexander_formula(a, b):
+    """(t - 1)(t^{ab/g} - 1)^g / ((t^a - 1)(t^b - 1)) with g = gcd(a, b), the classical oracle."""
 
     def t_power_minus_one(k):
         return LaurentPoly.from_dict({k: 1, 0: -1})
 
-    numerator = t_power_minus_one(a * b) * t_power_minus_one(1)
+    g = math.gcd(a, b)
+    numerator = t_power_minus_one(1)
+    for _ in range(g):
+        numerator = numerator * t_power_minus_one(a * b // g)
     quotient = divide_exact(numerator, t_power_minus_one(a))
     quotient = divide_exact(quotient, t_power_minus_one(b))
     return AlexanderPoly.from_laurent(quotient)
 
 
 def test_criterion_10_torus_alexander_oracle():
-    for a in range(2, 8):
-        for b in range(2, 8):
-            if math.gcd(a, b) != 1:
-                continue
-            computed = alexander_of_closure(torus_braid(a, b))
-            assert computed == _torus_knot_alexander_formula(a, b), (a, b)
-    report(10, "Burau-route Alexander matches the torus-knot formula, coprime 2..7")
+    # Every torus knot and link T(a,b), coprime or not, by the spelled-out
+    # braid and by its (word, power, twists) triple.
+    for a in range(1, 13):
+        for b in range(1, 9):
+            expected = _torus_alexander_formula(a, b)
+            assert alexander_of_closure(*torus_closure(a, b)) == expected, (a, b)
+            assert alexander_of_closure(torus_braid(a, b)) == expected, (a, b)
+    report(10, "Burau-route Alexander matches the torus-link formula, 1 <= a <= 12, 1 <= b <= 8")

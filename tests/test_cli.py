@@ -180,14 +180,7 @@ def test_every_public_name_is_reached():
 
 # Code of the arithmetic layers that no golden argv enters, each with the
 # reason it stays.
-PRIVATE_REACH_EXEMPT = {
-    "laurent._kronecker": (
-        "pays only on products of two dense operands of 16 terms or more: without it the 8-strand lift "
-        "at p = 32 and 64 took 2.0-2.4 times as long and --braid at n = 32 1.5-1.8 times; --braid at "
-        "n = 24 eliminates on packed integers and makes no such product"
-    ),
-    "laurent._dense": "the spread test of _kronecker's gate, asked only of operands of 16 terms or more",
-}
+PRIVATE_REACH_EXEMPT: dict[str, str] = {}
 
 
 def _module_code(module):
@@ -512,6 +505,23 @@ class TestSizeLimits:
             ["homology", "--band", "3 2 1000 :"],
         ):
             assert run(capsys, argv)[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lift", "--band", "3 1 2 : 1 1", "--compare-torus", a, b] for a, b in [("0", "2"), ("-8", "2"), ("2", "-8"), ("2", "0")]]
+        + [["genus", "--torus", "0", "3"]],
+        ids=["lift 0 2", "lift -8 2", "lift 2 -8", "lift 2 0", "genus 0 3"],
+    )
+    def test_non_positive_torus_refused_before_building(self, capsys, monkeypatch, argv):
+        # _torus_on checks the signs before the lift, its component count or
+        # the torus braid is built.
+        def forbidden(*args):
+            raise AssertionError("built before the sign check")
+
+        for name in ("torus_closure", "lift", "lifted_component_count", "bennequin_fiber"):
+            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setattr(lenslinks.lens, "lift", forbidden)
+        assert run(capsys, argv) == (1, "", "error: torus parameters must be positive\n")
 
     def test_torus_link_never_spelled_out(self, capsys):
         # T(333333, 4) enters as run^1 . Delta^(2*83333): spelled out, its

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lenslinks.invariants as invariants
 from lenslinks.braid import BraidWord, garside, permutation
+from lenslinks.genus import bennequin_fiber
 from lenslinks.invariants import (
     AlexanderPoly,
     _burau_pass,
@@ -602,6 +603,48 @@ class TestAlexanderOfClosure:
             g = 1
         conjugated = BraidWord(w.strands, (g,) + w.letters + (-g,))
         assert alexander_of_closure(conjugated) == alexander_of_closure(w)
+
+
+@st.composite
+def fibration_lifts(draw):
+    """(w, p, q): a word of at most 5 letters on 2-8 strands, all positive or of any signs, p <= 8 and q a unit of p (0 at p = 1)."""
+    n, p = draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    q = 0 if p == 1 else draw(st.sampled_from([q for q in range(1, p) if math.gcd(p, q) == 1]))
+    letters = st.integers(1, n - 1) if draw(st.booleans()) else signed_letters(n)
+    return BraidWord(n, tuple(draw(st.lists(letters, max_size=5)))), p, q
+
+
+class TestFibration:
+    """The lift of (w, p, q) closes w^p . Delta^(2q) against its Bennequin surface.
+
+    That surface has Euler characteristic n - p|w| - q n(n-1) for a word of
+    any signs.  A positive closure is fibered with it as the fiber
+    (Stallings, "Constructions of fibred knots and links", 1978), and a
+    fibered link has a monic Alexander polynomial of span 1 - chi (Milnor,
+    "Singular Points of Complex Hypersurfaces", 1968).
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(fibration_lifts())
+    # Packs into 17,584 bits, above 2^14, so det eliminates on polynomials;
+    # random draws this far out are rare.
+    @example((BraidWord(8, (-4, 3, -2, -4, 5)), 8, 5))
+    def test_alexander_against_the_bennequin_surface(self, lifted):
+        w, p, q = lifted
+        n = w.strands
+        terms = alexander_of_closure(w, p, q).poly.terms
+        # Delta(1) is +-1 on a knot and 0 on a link of two or more components.
+        knot = permutation(w).cycle_count(p) == 1
+        assert abs(sum([c for _, c in terms])) == (1 if knot else 0)
+        if terms:
+            assert terms[-1][0] <= p * len(w.letters) + q * n * (n - 1) - n + 1
+        if all(letter > 0 for letter in w.letters):
+            # Split exactly when no twist joins the strands a missing
+            # generator leaves apart.
+            assert (not terms) == (q == 0 and len(set(w.letters)) < n - 1)
+            if terms:
+                assert abs(terms[0][1]) == abs(terms[-1][1]) == 1
+                assert terms[-1][0] == 1 - bennequin_fiber(w, p, q).euler
 
 
 class TestTorusBraid:

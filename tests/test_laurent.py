@@ -643,21 +643,21 @@ class TestPackedDet:
     @pytest.mark.parametrize(
         "argv, entry_type",
         [
-            (["alexander", "--band", "30 29 6 : 1"], LaurentPoly),
-            (["alexander", "--band", "30 29 5 : 1"], LaurentPoly),
+            (["alexander", "--band", "30 29 6 : 1"], int),
+            (["alexander", "--band", "30 29 5 : 1"], int),
             (["alexander", "--band", "32 1 5 : 1 -2 3 -4"], LaurentPoly),
             (["alexander", "--band", "10 3 5 : 1 -3 -4 2"], int),
             (["alexander", "--braid", "1 -2 3 -4 1", "--strands", "5"], int),
         ],
-        ids=["fill under 1%", "fill 1.5%", "above 2^14 bits", "dense lift", "5-strand braid"],
+        ids=["14,416 bits", "9,776 bits", "69,904 bits", "4,000 bits", "88 bits"],
     )
-    def test_sparse_lift_keeps_polynomial_entries(self, monkeypatch, capsys, argv, entry_type):
-        # The route of det() on B - id of each closure.  The lifts of
-        # "30 29 6 : 1" and "30 29 5 : 1" fill under 1% and 1.5% of their
-        # packed slots, and "32 1 5 : 1 -2 3 -4" would pack into 82,240
-        # bits: they keep polynomial entries.  The lift of
-        # "10 3 5 : 1 -3 -4 2" fills 68% of its 6,400 packed bits, and it
-        # and the braid eliminate on integers, with no polynomial product.
+    def test_route_follows_packed_size(self, monkeypatch, capsys, argv, entry_type):
+        # The route of det() on B - id of each closure, by the bits its
+        # determinant packs into alone.  "32 1 5 : 1 -2 3 -4" would pack
+        # into 69,904 bits, above 2^14, and keeps polynomial entries.  The
+        # others pack into at most 2^14 bits and eliminate on integers, with
+        # no polynomial product, though the lifts of "30 29 6 : 1" and
+        # "30 29 5 : 1" store terms in under 1% and 1.6% of their slots.
         if argv[1] == "--band":
             d = parse_band_diagram(argv[2])
             n, m = d.word.strands, closure_matrix(d.word, d.space.p, d.space.q)
