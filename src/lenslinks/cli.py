@@ -10,6 +10,9 @@ JSON field names are a stability contract for scripting; they, the text
 output and the ``--help`` pages are pinned by the golden outputs in
 ``tests/fixtures/cli_golden.json``.
 
+Each call parses once: ``run`` hands ``argv[1:]`` to the parser of the
+subcommand ``argv[0]`` names; the top-level parser serves only help and errors.
+
 Exit codes: 0 success, 1 domain error, 2 usage or parse error, 3 internal
 consistency fault.
 """
@@ -236,9 +239,9 @@ def _text(command: str, f: dict) -> str:
     return "\n".join(lines)
 
 
-# One parser serves every call in a process: parse_args does not change it.
+# One parser and its subcommand table serve every call in a process: parsing does not change them.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="lenslinks",
         # argparse spells the subcommand choices out on this line, and 3.13
@@ -312,11 +315,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top-level ``parse_args(argv)``; a named subcommand's parser reads ``argv[1:]`` in the one pass."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute, and print the result; returns the process exit code.
+
+    ``argv[1:]`` goes straight to the parser of the subcommand ``argv[0]``
+    names (``_parse``); the top-level parser serves only help and errors.
 
     This is the one place that writes output.  The handler's fields are the
     only result: they are printed as one JSON object with ``--json``, else
@@ -324,9 +342,8 @@ def run(argv: list[str] | None = None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -634,7 +634,15 @@ class TestSizeLimits:
 class TestRepeatedCalls:
     @pytest.mark.parametrize(
         "failing",
-        [["frobnicate"], ["lift"], ["alexander", "--band", "3 1 : 1"], ["genus", "--torus", "6", "2"]],
+        [
+            ["frobnicate"],
+            ["lift"],
+            ["alexander", "--band", "3 1 : 1"],
+            ["genus", "--torus", "6", "2"],
+            ["genus", "--torus", "2", "3", "extra"],
+            ["genus", "-h"],
+            ["genus", "--tor", "2", "x"],
+        ],
     )
     def test_error_then_valid_call_matches_fresh_process(self, capsys, monkeypatch, failing):
         monkeypatch.setenv("COLUMNS", "80")
@@ -755,7 +763,10 @@ class TestRepeatedCalls:
         run(capsys, ["frobnicate"])
         run(capsys, ["torus-test", "--a", "3", "--b", "2", "--p", "5"])
         run(capsys, ["genus", "--help"])
+        parser, commands = cli._build_parser()
         assert cli._build_parser.cache_info().misses == 1
+        assert set(commands) == {case["argv"][0] for case in JSON_CASES}
+        assert all(p.prog == f"lenslinks {name}" for name, p in commands.items())
 
     def test_help_unchanged_by_reuse(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -915,3 +926,80 @@ class TestArgvFuzz:
         assert (json_code, json_err) == (code, err)
         if code == 0:
             assert text == cli._text(argv[0], json.loads(out)) + "\n"
+
+
+def parsed(parse, argv):
+    """vars() of ``parse(argv)``'s namespace, or (SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def top_level_parse(argv):
+    return cli._build_parser()[0].parse_args(argv)
+
+
+_EDGE_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--json", "genus", "--torus", "2", "3"],
+    ["frobnicate"],
+    ["alex"],
+    ["genus", "--torus", "2", "3", "extra"],
+    ["genus", "--torus", "2", "3", "--", "x"],
+    ["genus", "-h"],
+    ["alexander", "--br", "1 2", "--str", "3"],
+    ["alexander", "--braid=1", "--strands=3", "--js"],
+    ["genus", "--torus", "2", "3", "--torus", "3", "5"],
+    ["alexander", "--braid", "1", "--braid", "1 1", "--strands", "2", "--strands", "3"],
+    ["nullhomologous", "--band", "4 1 2 : 1", "junk", "--json"],
+]
+
+
+class TestOnePassParse:
+    # _parse must give what the top-level parse_args gives: the same
+    # namespace, or the same exit with the same usage and error text.
+    @pytest.mark.parametrize(
+        "argv",
+        [case["argv"] + extra for case in GOLDEN for extra in ([], ["--json"])] + _EDGE_ARGV,
+        ids=lambda argv: " ".join(argv) or "(none)",
+    )
+    def test_matches_top_level_parse(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert parsed(cli._parse, argv) == parsed(top_level_parse, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGV)
+    def test_any_argv_matches_top_level_parse(self, argv):
+        assert parsed(cli._parse, argv) == parsed(top_level_parse, argv)
+
+    @pytest.mark.parametrize(
+        "argv, entered",
+        [
+            (["genus", "--torus", "9", "3"], 0),
+            (["lift", "--band", "3 1 2 : 1 1", "--compare-torus", "8", "2", "--json"], 0),
+            (["genus", "--torus", "2", "3", "extra"], 0),
+            (["genus", "-h"], 0),
+            (["frobnicate"], 1),
+            (["-h"], 1),
+            ([], 1),
+        ],
+        ids=["genus", "lift --json", "leftover token", "genus -h", "frobnicate", "-h", "(none)"],
+    )
+    def test_top_level_parser_only_for_help_and_errors(self, capsys, monkeypatch, argv, entered):
+        # A named subcommand's parser reads its own tokens; the top-level
+        # parser's parse_known_args runs only where argv[0] names none.
+        parser, calls = cli._build_parser()[0], []
+        original = parser.parse_known_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counted)
+        run(capsys, argv)
+        assert len(calls) == entered
