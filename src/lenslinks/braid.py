@@ -156,8 +156,12 @@ def permutation(w: BraidWord) -> StrandPermutation:
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices, e.g. ``"2 1 -2 1"``.
 
-    An empty (or all-whitespace) string is the identity braid.
+    An empty (or all-whitespace) string is the identity braid.  The strand
+    count is checked first, so a count below 1 gives one message whatever
+    the letters.
     """
+    if strands < 1:
+        raise ValueError("a braid needs at least one strand")
     letters = []
     pos = 0
     for token in text.split():
@@ -173,6 +177,4 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         letters.append(letter)
         pos += len(token)
     # Every letter is checked above, with its position.
-    if strands < 1:
-        raise ValueError("a braid needs at least one strand")
     return _trusted_word(strands, tuple(letters))

@@ -54,9 +54,13 @@ e_h, h = d//2, is needed.  Its source is one route table
   fraction-free elimination, packed at t = 2^K or on the polynomials, see
   :meth:`lenslinks.laurent.LaurentMatrix.det`.
 
-Before any of these, a closure with no twist whose word misses some
-generator s_i is split: column i - 1 of A - id is zero, and the
-numerator is 0 with no pass.
+Before any of these, at power >= 1, the word is cyclically reduced
+(:func:`_reduce`): s_i^e cancels s_i^-e across letters that commute with
+s_i, and inverse pairs that conjugate the word are peeled off its ends.
+Neither step changes the closure of w^p . Delta^(2q), and every route
+then runs on fewer letters.  A closure with no twist whose reduced word
+misses some generator s_i is split: column i - 1 of A - id is zero, and
+the numerator is 0 with no pass.
 
 Burau is faithful on at most 3 strands; on more strands equal matrices are
 a strong necessary condition, not a proof of braid equality.
@@ -73,7 +77,7 @@ from itertools import combinations
 from math import comb
 
 from ._value import Value
-from .braid import BraidWord
+from .braid import BraidWord, _trusted_word
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -407,6 +411,63 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     return [LaurentPoly.from_packed(first, width, low), LaurentPoly.from_packed(second, width, low_pairs)]
 
 
+def _reduce(letters: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The cyclically reduced form of a word on n strands, with s_i s_j = s_j s_i for |i - j| >= 2 as the only relation.
+
+    The closure of w^p . Delta^(2q) does not change when s_i^e cancels
+    s_i^-e across letters that commute with s_i, nor when w is conjugated:
+    conjugation commutes with the power, and Delta^2 is central.  This is
+    free and cyclic reduction in a partially commutative group (Cartier and
+    Foata, LNM 85, 1969), in O(|w| + n) steps, and the result is reduced
+    and has no shorter conjugate there.
+
+    Free reduction keeps, for each generator, a stack of the positions of
+    its uncancelled letters.  s_i^e cancels the top s_i^-e unless the top
+    s_(i-1) or s_(i+1) lies after it.  Cyclic reduction then peels pairs:
+    the first s_i, when no s_(i-1) or s_(i+1) comes before it, against an
+    opposite last s_i, when none comes after it.  A peel changes only what
+    s_(i-1), s_i and s_(i+1) can peel, so those three go back on the
+    worklist.
+    """
+    live: list[list[int]] = [[] for _ in range(n + 1)]
+    keep = [True] * len(letters)
+    for pos, letter in enumerate(letters):
+        g = letter if letter > 0 else -letter
+        stack = live[g]
+        if stack:
+            top = stack[-1]
+            if letters[top] == -letter:
+                below, above = live[g - 1], live[g + 1]
+                if (not below or below[-1] < top) and (not above or above[-1] < top):
+                    keep[stack.pop()] = keep[pos] = False
+                    continue
+        stack.append(pos)
+    # The first and last uncancelled s_g; with none left, past either end.
+    end = len(letters)
+    firsts = [0] * (n + 1)
+    heads = [stack[0] if stack else end for stack in live]
+    tails = [stack[-1] if stack else -1 for stack in live]
+    work = list(range(1, n))
+    while work:
+        g = work.pop()
+        a, b = heads[g], tails[g]
+        if (
+            a < b
+            and letters[a] == -letters[b]
+            and a < heads[g - 1]
+            and a < heads[g + 1]
+            and b > tails[g - 1]
+            and b > tails[g + 1]
+        ):
+            keep[a] = keep[b] = False
+            stack = live[g]
+            stack.pop()
+            first = firsts[g] = firsts[g] + 1
+            heads[g], tails[g] = (stack[first], stack[-1]) if first < len(stack) else (end, -1)
+            work += (g - 1, g, g + 1)
+    return tuple([letter for letter, kept in zip(letters, keep) if kept])
+
+
 def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     """det(u * M^power - id) for the d x d Burau matrix M of w, d = n - 1, and u = t^{n*twists}: the route table.
 
@@ -416,8 +477,10 @@ def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     det(A) = D^power, D = det M = (-t)^(exponent sum of w)
     (:func:`_elementary`).  What A and h need picks the source of the lower
     half.  With u = 1 and power >= 1, a generator s_i missing from w
-    leaves column i - 1 of A - id zero, and the numerator is 0.  At power 0
-    or on the empty word A = id and e_k = C(d, k), and on d = 1 (h = 0) the
+    leaves column i - 1 of A - id zero, and the numerator is 0; w comes
+    cyclically reduced from :func:`alexander_of_closure` (:func:`_reduce`),
+    so a generator whose letters all cancel is missing too.  At power 0 or
+    on the empty word A = id and e_k = C(d, k), and on d = 1 (h = 0) the
     sum is u D^power - 1.  None of these reads more than the letters' set,
     nor takes ``power`` steps.  Otherwise e_1 = tr(M^power) is
     :func:`_power_sum` at h = 1, e_1 and e_2 are :func:`_principal_minors`
@@ -455,16 +518,21 @@ def alexander_of_closure(w: BraidWord, power: int = 1, twists: int = 0) -> Alexa
     unlinks on >= 2 strands) give the zero polynomial; one strand closes to
     the unknot, whose polynomial is 1.
 
-    :func:`_numerator` picks the route from h = (n - 1)//2 and the power:
-    on 2 to 6 strands, at power 0 or on the empty word on any n, and on a
-    closure with no twist whose word misses a generator, it takes no
-    determinant.
+    At power >= 1, :func:`_numerator` gets the cyclically reduced word
+    (:func:`_reduce`), whose closure is the same; its writhe and the sign
+    of det X follow from that word.  ``w`` itself is not changed, so the
+    fields that print the word print the input.  :func:`_numerator` picks
+    the route from h = (n - 1)//2 and the power: on 2 to 6 strands, at
+    power 0 or on the empty word on any n, and on a closure with no twist
+    whose reduced word misses a generator, it takes no determinant.
     """
     if power < 0 or twists < 0:
         raise ValueError("power and twists must be non-negative")
     n = w.strands
     if n == 1:
         return AlexanderPoly(LaurentPoly.one())
+    if power:
+        w = _trusted_word(n, _reduce(w.letters, n))
     return AlexanderPoly.from_laurent(divide_cyclic(_numerator(w, power, twists), n))
 
 

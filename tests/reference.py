@@ -8,9 +8,10 @@ decodes the whole Burau matrix, determinants
 are eliminated and never expanded by minors, exact division runs from the
 lowest term up on dense coefficients, a lift or a torus link is a
 (word, power, twists) triple, a band diagram holds its closure
-permutation, and no subcommand multiplies bivariate polynomials or reduces
-braid words.  This module imports no private name of the library,
-so a route here shares no code with the route it checks.
+permutation, no subcommand multiplies bivariate polynomials, and a braid
+word is reduced by one stack per generator, not by rescanning.  This
+module imports no private name of the library, so a route here shares no
+code with the route it checks.
 """
 
 from fractions import Fraction
@@ -237,6 +238,34 @@ def free_reduce(w: BraidWord) -> BraidWord:
         else:
             stack.append(letter)
     return BraidWord(w.strands, tuple(stack))
+
+
+def cyclic_reduce(w: BraidWord) -> BraidWord:
+    """Cancel s_i^e against s_i^-e across commuting letters, and peel conjugating pairs, until neither applies.
+
+    A letter commutes with s_i when its index is 2 or more away from i.  A
+    letter cancels when the first later letter that does not commute with
+    it is its inverse.  A pair peels when the first and the last s_i are
+    inverse and no s_(i-1) or s_(i+1) comes before the first or after the
+    last.  Each removal rescans the whole word.
+    """
+    letters = list(w.letters)
+    while True:
+        for i, a in enumerate(letters):
+            j = next((j for j in range(i + 1, len(letters)) if abs(abs(letters[j]) - abs(a)) <= 1), None)
+            if j is not None and letters[j] == -a:
+                del letters[j], letters[i]
+                break
+        else:
+            for g in {abs(letter) for letter in letters}:
+                at = [k for k, letter in enumerate(letters) if abs(letter) == g]
+                a, b = at[0], at[-1]
+                outside = letters[:a] + letters[b + 1 :]
+                if a < b and letters[a] == -letters[b] and all(abs(abs(x) - g) != 1 for x in outside):
+                    del letters[b], letters[a]
+                    break
+            else:
+                return BraidWord(w.strands, tuple(letters))
 
 
 def support_mul(f: SupportPoly, g: SupportPoly) -> SupportPoly:

@@ -246,20 +246,22 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, code, err",
+        "argv, code",
         [
-            (["alexander", "--braid", "", "--strands", "0"], 1, "a braid needs at least one strand"),
-            (["alexander", "--band", "3 1 0 :"], 2, "a braid needs at least one strand"),
-            (
-                ["alexander", "--band", "3 1 -2 : 1"],
-                2,
-                "letter 1 is not a generator index for -2 strands (at position 1)",
-            ),
+            (["alexander", "--braid", "", "--strands", "0"], 1),
+            (["alexander", "--braid", "1", "--strands", "0"], 1),
+            (["alexander", "--braid", "1", "--strands", "-3"], 1),
+            (["alexander", "--braid", "x", "--strands", "0"], 1),
+            (["alexander", "--band", "3 1 0 :"], 2),
+            (["alexander", "--band", "3 1 0 : 1"], 2),
+            (["alexander", "--band", "3 1 -2 : 1"], 2),
+            (["lift", "--band", "3 1 0 : 1 x"], 2),
         ],
     )
-    def test_strand_count_checked_after_letters(self, capsys, argv, code, err):
-        # A letter is reported with its position before a bad strand count.
-        assert run(capsys, argv) == (code, "", f"error: {err}\n")
+    def test_strand_count_checked_before_letters(self, capsys, argv, code):
+        # A strand count below 1 gives one message whatever the letters: exit
+        # 1 on --braid, and 2 in a band diagram, where it is a parse error.
+        assert run(capsys, argv) == (code, "", "error: a braid needs at least one strand\n")
 
     @pytest.mark.parametrize(
         "poly, err",
@@ -629,6 +631,25 @@ class TestSizeLimits:
         # Equal up to a unit +-t^k; the normalized polynomial starts at t^0.
         units = {sign * pow(r, k, P) % P for sign in (1, -1) for k in range(-9 * n, 9 * n + 1)}
         assert any(printed * unit % P == expected for unit in units)
+
+    @pytest.mark.parametrize("n", [255, 24])
+    def test_word_that_reduces_to_a_split_closure_answered_quickly(self, capsys, n):
+        # Once reduced, each word misses a generator: its closure is split,
+        # and the answer 0 needs no pass.  Unreduced, the 255-strand word
+        # took 137 s to reach the same 0.  On 255 strands each generator
+        # comes twice with one sign, among 257 random letters; on 24 the
+        # word is the 8n-letter one above.
+        rng = random.Random(8 if n == 255 else n)
+        if n == 255:
+            letters = [sign * i for i in range(1, n) for sign in [rng.choice((1, -1))] * 2]
+            letters += [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(257)]
+            rng.shuffle(letters)
+        else:
+            letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(8 * n)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["alexander", "--braid", " ".join(map(str, letters)), "--strands", str(n)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "alexander: 0\n")
 
 
 class TestRepeatedCalls:

@@ -19,18 +19,20 @@ from lenslinks.invariants import (
     _newton,
     _numerator,
     _principal_minors,
+    _reduce,
     _steps,
     _stride,
     _windows,
     alexander_of_closure,
     torus_closure,
 )
-from lenslinks.laurent import LaurentMatrix, LaurentPoly, _unpack_rows, slot_bits
+from lenslinks.laurent import LaurentMatrix, LaurentPoly, _unpack_rows, divide_cyclic, slot_bits
 from lenslinks.lens import BandDiagram, LensSpace, lift
 from modp import lift_numerator_mod, poly_mod, random_point, root_of_unity_field
 import reference
 from reference import (
     burau_reduced,
+    cyclic_reduce,
     det_numerator,
     free_reduce,
     identity,
@@ -603,6 +605,82 @@ class TestAlexanderOfClosure:
             g = 1
         conjugated = BraidWord(w.strands, (g,) + w.letters + (-g,))
         assert alexander_of_closure(conjugated) == alexander_of_closure(w)
+
+
+@st.composite
+def reducible_words(draw, max_strands=9, max_len=6):
+    """u w u^-1 on 2 to ``max_strands`` strands, with pairs s s^-1 put in at random places: words that reduce."""
+    n = draw(st.integers(2, max_strands))
+    letters = st.lists(signed_letters(n), max_size=max_len)
+    u, core = draw(letters), draw(letters)
+    word = u + core + [-letter for letter in reversed(u)]
+    for letter in draw(letters):
+        i = draw(st.integers(0, len(word)))
+        word[i:i] = [letter, -letter]
+    return BraidWord(n, tuple(word))
+
+
+# Cyclically reduced words with an inverse pair s_i^e ... s_i^-e that only a
+# step across an s_(i-1) or s_(i+1) would remove: a cancellation, or a peel
+# that overlooks the neighbour after the last s_i.
+REDUCED_ACROSS_A_NEIGHBOUR = [
+    BraidWord(3, (1, 2, -1, 2)),
+    BraidWord(4, (2, 1, 3, -2, 1)),
+    BraidWord(4, (1, 3, 2, -1, -3, 2)),
+]
+
+
+class TestReduce:
+    # _reduce against the rescanning reference; the closure invariants it
+    # keeps; and Delta of the reduced word against Delta of the input.
+    any_words = st.one_of(words(max_strands=9, max_len=16), reducible_words())
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_words)
+    @example(BraidWord(4, (2, 1, 3, -2)))
+    @example(BraidWord(5, (1, 3, 2, -1, -3, 4, -2)))
+    def test_length_equals_the_reference(self, w):
+        assert len(_reduce(w.letters, w.strands)) == len(cyclic_reduce(w).letters)
+
+    # Free reduction leaves 2 1 3 -2 whole; the cyclic step peels its s_2
+    # pair, and then s_1 s_3 misses s_2.
+    @pytest.mark.parametrize(
+        "w, reduced",
+        [(w, w.letters) for w in REDUCED_ACROSS_A_NEIGHBOUR] + [(BraidWord(4, (2, 1, 3, -2)), (1, 3))],
+        ids=str,
+    )
+    def test_reduced_form(self, w, reduced):
+        assert _reduce(w.letters, w.strands) == reduced == cyclic_reduce(w).letters
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_words)
+    def test_idempotent(self, w):
+        reduced = _reduce(w.letters, w.strands)
+        assert _reduce(reduced, w.strands) == reduced
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_words)
+    def test_keeps_exponent_sums_and_cycle_type(self, w):
+        reduced = BraidWord(w.strands, _reduce(w.letters, w.strands))
+
+        def exponent_sums(word):
+            return [sum([(1 if x > 0 else -1) for x in word.letters if abs(x) == g]) for g in range(1, word.strands)]
+
+        def cycle_type(word):
+            return sorted([len(cycle) for cycle in permutation(word).cycles()])
+
+        assert exponent_sums(reduced) == exponent_sums(w)
+        assert cycle_type(reduced) == cycle_type(w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_words, st.integers(0, 3), st.sampled_from([0, 1, 2]))
+    @example(BraidWord(4, (2, 1, 3, -2)), 1, 0)
+    @example(BraidWord(4, (2, 1, 3, -2)), 3, 1)
+    @example(BraidWord(7, (1, -2, 3, -4, 5, -6, 6, 4)), 2, 0)
+    def test_alexander_equals_the_unreduced_numerator(self, w, power, twists):
+        n = w.strands
+        unreduced = AlexanderPoly.from_laurent(divide_cyclic(_numerator(w, power, twists), n))
+        assert alexander_of_closure(w, power, twists) == unreduced
 
 
 @st.composite
