@@ -10,8 +10,9 @@ what that loads) and per-class code generation would cost about twice the
 rest of importing :mod:`lenslinks.cli`.
 
 A slot whose name starts with ``_`` is not a field: it holds a value that
-``__init__`` derives from the fields, and it takes no part in equality,
-hashing, repr or pickling.
+``__init__`` derives from the fields, or one that a private constructor
+stores to derive the fields from on first read, and it takes no part in
+equality, hashing, repr or pickling.
 """
 
 from __future__ import annotations

@@ -50,9 +50,11 @@ e_h, h = d//2, is needed.  Its source is one route table
 - h >= 3 (7 or more strands): the lifted braid splits into halves X and
   Y, A = X Y, and det(u A - id) = det X * det(u Y - X^-1), with det X a
   unit and X^-1 the matrix of the inverted first half.  Each half is one
-  packed pass of half the letters, and the determinant is Bareiss
-  fraction-free elimination, packed at t = 2^K or on the polynomials, see
-  :meth:`lenslinks.laurent.LaurentMatrix.det`.
+  packed pass of half the letters, and the packed columns of u Y - X^-1
+  go to :meth:`lenslinks.laurent.LaurentMatrix.det` as they are: Bareiss
+  fraction-free elimination on their digits moved to the width t = 2^K
+  needs, with no polynomial per entry, or on the decoded polynomials when
+  the packed determinant would be too large.
 
 Before any of these, at power >= 1, the word is cyclically reduced
 (:func:`_reduce`): s_i^e cancels s_i^-e across letters that commute with
@@ -238,12 +240,14 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     half at its own power: a slot width k that holds the sum of the two
     halves' max(sums), so the difference of two entries fits too, and one
     stride that holds the union of column c's windows in u Y and in X^-1,
-    for every c.  Column c
-    of u Y - X^-1 is then one aligned subtraction of two integers; every
-    column is formed first, and a zero one makes the determinant 0 before
-    any is decoded.  Otherwise each column is decoded once and split by
-    row, and :meth:`LaurentMatrix.det` takes the determinant, packed at the
-    least multiple of 8 bits that its coefficient bound needs.  Each half
+    for every c.  Column c of u Y - X^-1 is then one aligned subtraction
+    of two integers; every column is formed first, and a zero one makes the
+    determinant 0 before :meth:`LaurentMatrix.det` is entered.  Otherwise the
+    columns go to it as they are (``LaurentMatrix._from_passes``): it reads
+    each column's window and norms from its digits and moves the digits to
+    the least multiple of 8 bits that its coefficient bound needs, with no
+    :class:`LaurentPoly` per entry unless the determinant is too large to
+    pack.  Each half
     has half the letters, so the entries have about half the coefficient
     bits and half the span of those of M^power, and so does the
     determinant's packed width.
@@ -271,8 +275,7 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     ]
     if not all(columns):
         return LaurentPoly()
-    entries = [[_trusted(t) for t in _unpack_rows(column, k, low, stride, d)] for column, low in zip(columns, lows)]
-    det = LaurentMatrix.from_rows(zip(*entries)).det()
+    det = LaurentMatrix._from_passes(columns, k, stride, lows).det()
     exponent = _writhe(first) * first_power
     return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
 

@@ -3,20 +3,27 @@
 Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
 exact.  Determinants use Bareiss fraction-free elimination, O(d^3) products
-with exact division by the previous pivot, on one of two entry types.  When
-the determinant packs into at most 2^14 bits, every entry is packed once at
-t = 2^K as in Kronecker substitution (below), the elimination runs on plain
-integers, and the one result is decoded; K is the least multiple of 8 that
-holds the Goldstein-Graham bound on the determinant's coefficients as a
-signed digit.  Larger matrices stay on the polynomials.
+with exact division by the previous pivot, on one of two entry types.  A
+matrix reaches ``det`` as packed columns, one integer per column holding
+every entry's coefficients as signed digits, either straight from the Burau
+passes of :mod:`lenslinks.invariants` or packed from its rows.  One read of
+each column's digits gives its exponent window and its entries' L1 norms.
+When the determinant packs into at most 2^14 bits, the digits are moved
+byte by byte to the width K at t = 2^K, as in Kronecker substitution
+(below), the elimination runs on plain integers, and the one result is
+decoded; K is the least multiple of 8 that holds the Goldstein-Graham bound
+on the determinant's coefficients as a signed digit.  Larger matrices are
+decoded and stay on the polynomials.
 
 Large dense products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
 2009): each operand is packed into one integer, its value at t = 2^k, the
 two integers are multiplied once, and the product's coefficients are read
-back as signed base-2^k digits.  k leaves room for the largest possible
-product coefficient, so the digits never overlap.  Small or sparse operands
-stay on the schoolbook loop, where packing costs more than it saves.
+back as signed base-2^k digits, k-bit two's complement slots from one
+``to_bytes`` (:func:`_twos_complement`).  k leaves room for the largest
+possible product coefficient, so the digits never overlap.  Small or sparse
+operands stay on the schoolbook loop, where packing costs more than it
+saves.
 ``LaurentPoly.from_packed`` decodes such an integer for other modules, and
 ``_unpack_rows`` one that holds several polynomials a fixed number of slots
 apart, as the Burau passes of :mod:`lenslinks.invariants` pack a column.
@@ -55,9 +62,9 @@ def _canonical(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...]:
 _KRONECKER_MIN_TERMS = 16
 _KRONECKER_MAX_SPREAD = 4
 
-# Slot widths whose digits memoryview.cast reads directly; on big-endian
-# hosts every width takes the per-slot route.
-_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {}
+# Slot widths whose signed digits array and memoryview.cast convert directly;
+# on big-endian hosts every width takes the per-slot route.
+_TYPECODES = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
 
 
 def slot_bits(bits: int) -> int:
@@ -73,51 +80,61 @@ def _bias(k: int, slots: int) -> int:
     return int.from_bytes((1 << (k - 1)).to_bytes(k // 8, "little") * slots, "little")
 
 
-def _coefficients(terms: tuple[tuple[int, int], ...], fill: int = 0) -> list[int]:
-    """The coefficients of the terms, each plus ``fill``, densely from the lowest exponent to the highest."""
+def _coefficients(terms: tuple[tuple[int, int], ...]) -> list[int]:
+    """The coefficients of the terms, densely from the lowest exponent to the highest."""
     low = terms[0][0]
-    dense = [fill] * (terms[-1][0] - low + 1)
+    dense = [0] * (terms[-1][0] - low + 1)
     for e, c in terms:
-        dense[e - low] = c + fill
+        dense[e - low] = c
     return dense
 
 
 def _pack(terms: tuple[tuple[int, int], ...], k: int) -> int:
     """The sum of c * 2^(k*(e - low)) over the terms, low being the lowest exponent.
 
-    Every |c| must be below 2^(k-1), and k a multiple of 8.
+    Every |c| must be below 2^(k-1), and k a multiple of 8.  The
+    coefficients are written as k-bit two's complement, and the inverse of
+    :func:`_twos_complement` turns those slots into the signed sum.
     """
-    dense = _coefficients(terms, 1 << (k - 1))
-    slots = len(dense)
+    dense = _coefficients(terms)
     code = _TYPECODES.get(k)
     if code is not None:
         raw = array(code, dense).tobytes()
     else:
         size = k // 8
-        raw = b"".join([v.to_bytes(size, "little") for v in dense])
-    return int.from_bytes(raw, "little") - _bias(k, slots)
+        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in dense])
+    bias = _bias(k, len(dense))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
-def _digits(x: int, k: int, slots: int):
-    """The ``slots`` base-2^k digits of a non-negative x below 2^(k*slots), lowest first, from one ``to_bytes``."""
-    raw = x.to_bytes(slots * k // 8, "little")
+def _twos_complement(x: int, k: int, slots: int) -> bytes:
+    """The ``slots`` signed base-2^k digits of x, lowest first, as k-bit two's complement from one ``to_bytes``.
+
+    Every digit must lie in [-2^(k-1), 2^(k-1)).  Adding 2^(k-1) to each
+    slot makes every digit non-negative, so no slot borrows from the next;
+    flipping that bit back in each slot leaves the digit's two's complement.
+    """
+    bias = _bias(k, slots)
+    return ((x + bias) ^ bias).to_bytes(slots * k // 8, "little")
+
+
+def _digits(raw: bytes, k: int):
+    """The signed values of the k-bit two's complement slots of ``raw``, lowest first."""
     code = _TYPECODES.get(k)
     if code is not None:
         return memoryview(raw).cast(code)
     size = k // 8
-    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
 
 
 def _unpack(x: int, k: int, low: int) -> tuple[tuple[int, int], ...]:
     """Canonical terms of the polynomial whose digit i in base 2^k is the coefficient of t^(low + i).
 
     The inverse of :func:`_pack`: every digit must lie strictly between
-    -2^(k-1) and 2^(k-1).  Adding 2^(k-1) to each slot makes them all
-    non-negative, so one ``to_bytes`` yields every digit at once.
+    -2^(k-1) and 2^(k-1), and one ``to_bytes`` yields them all.
     """
     slots = abs(x).bit_length() // k + 1
-    half = 1 << (k - 1)
-    return tuple([(low + i, v - half) for i, v in enumerate(_digits(x + _bias(k, slots), k, slots)) if v != half])
+    return tuple([(low + i, v) for i, v in enumerate(_digits(_twos_complement(x, k, slots), k)) if v])
 
 
 def _unpack_rows(x: int, k: int, low: int, stride: int, rows: int) -> list[tuple[tuple[int, int], ...]]:
@@ -128,12 +145,9 @@ def _unpack_rows(x: int, k: int, low: int, stride: int, rows: int) -> list[tuple
     -2^(k-1) and 2^(k-1), as for :func:`_unpack`, and x have no digit
     beyond the last row.  One ``to_bytes`` reads every row.
     """
-    slots = stride * rows
-    half = 1 << (k - 1)
-    digits = _digits(x + _bias(k, slots), k, slots)
+    digits = _digits(_twos_complement(x, k, stride * rows), k)
     return [
-        tuple([(e, v - half) for e, v in enumerate(digits[r * stride : (r + 1) * stride], low) if v != half])
-        for r in range(rows)
+        tuple([(e, v) for e, v in enumerate(digits[r * stride : (r + 1) * stride], low) if v]) for r in range(rows)
     ]
 
 
@@ -389,13 +403,67 @@ def _coefficient_bound(squares: list[int]) -> int:
     return isqrt(prod(squares)) + 1
 
 
-class LaurentMatrix(Value):
-    """A square matrix over Z[t, t^-1], stored as a tuple of row tuples."""
+def _column_window(raw: bytes, k: int, stride: int) -> tuple[int, int, int]:
+    """(first, last, square) of a nonzero packed column, ``raw`` holding its k-bit two's complement slots.
 
-    __slots__ = ("rows",)
+    Entry r of the column is slots r * stride .. r * stride + stride - 1.
+    Every nonzero digit of every entry lies in the entry's slots first ..
+    last, and square is the sum over the entries of their L1 norms squared.
+    Stripping an entry's zero bytes at both ends finds its nonzero slots,
+    and its norm sums the absolute digits between them.
+    """
+    size = k // 8
+    step = stride * size
+    digits = _digits(raw, k)
+    first, last, square = stride, 0, 0
+    for start in range(0, len(raw), step):
+        entry = raw[start : start + step]
+        top = len(entry.rstrip(b"\0"))
+        if top:
+            i, j = (step - len(entry.lstrip(b"\0"))) // size, (top - 1) // size
+            first, last = min(first, i), max(last, j)
+            offset = start // size
+            square += sum(map(abs, digits[offset + i : offset + j + 1])) ** 2
+    return first, last, square
+
+
+def _respace(raw: bytes, k: int, width: int, stride: int, first: int, last: int) -> list[int]:
+    """The entries of a packed column, ``raw`` holding its k-bit two's complement slots, at t = 2^width.
+
+    Entry r is slots r * stride + first .. r * stride + last, and each of
+    its digits must fit ``width`` bits as well as k.  The low m = min(k,
+    width) bits of every slot are copied byte by byte into a slot of
+    ``width`` bits, where they are the digit's m-bit two's complement.
+    Flipping bit m - 1 of each slot and subtracting it again, as
+    :func:`_twos_complement` added it, gives the signed sum, so each entry
+    costs one ``from_bytes``.
+    """
+    size, step = k // 8, width // 8
+    copied = min(size, step)
+    out = bytearray(len(raw) // size * step)
+    for b in range(copied):
+        out[b::step] = raw[b::size]
+    length = (last - first + 1) * step
+    half = _bias(width, last - first + 1) >> (width - 8 * copied)
+    return [
+        (int.from_bytes(out[start : start + length], "little") ^ half) - half
+        for start in range(first * step, len(out), stride * step)
+    ]
+
+
+class LaurentMatrix(Value):
+    """A square matrix over Z[t, t^-1], stored as a tuple of row tuples.
+
+    :meth:`_from_passes` builds one from packed columns instead; its rows are
+    decoded on first read, and :meth:`det` never reads them on its packed
+    route.
+    """
+
+    __slots__ = ("rows", "_passes")
 
     def __init__(self, rows: tuple[tuple[LaurentPoly, ...], ...]):
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_passes", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -405,30 +473,65 @@ class LaurentMatrix(Value):
         if any(len(row) != d for row in self.rows):
             raise ValueError("matrix must be square")
 
+    def __getattr__(self, name):
+        # Only an unset slot gets here: the rows of a matrix from
+        # _from_passes, decoded and checked once, on first read.
+        if name != "rows":
+            raise AttributeError(name)
+        columns, k, stride, lows = self._passes
+        d = len(columns)
+        entries = [[_trusted(t) for t in _unpack_rows(x, k, low, stride, d)] for x, low in zip(columns, lows)]
+        rows = LaurentMatrix.from_rows(zip(*entries)).rows
+        object.__setattr__(self, "rows", rows)
+        return rows
+
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._passes[0]) if self._passes else len(self.rows)
 
     @staticmethod
     def from_rows(rows) -> LaurentMatrix:
         return LaurentMatrix(tuple([tuple(row) for row in rows]))
 
+    @staticmethod
+    def _from_passes(columns: list[int], k: int, stride: int, lows: list[int]) -> LaurentMatrix:
+        """The d x d matrix, d = len(columns), whose entry (r, c) is t^lows[c] times the polynomial X_rc.
+
+        Signed base-2^k digit r * stride + i of columns[c] is the
+        coefficient of t^i in X_rc, for i < stride: the form in which
+        :func:`~lenslinks.invariants._burau_pass` packs a column.  Every
+        digit must lie strictly between -2^(k-1) and 2^(k-1), and k be a
+        multiple of 8.  Nothing is decoded here.
+        """
+        m = object.__new__(LaurentMatrix)
+        object.__setattr__(m, "_passes", (columns, k, stride, lows))
+        return m
+
     def det(self) -> LaurentPoly:
-        """Determinant by :func:`_bareiss` elimination, on one of two entry types.
+        """Determinant by :func:`_bareiss` elimination, on packed integers or on the polynomials.
 
-        One loop over the columns gives each column's lowest exponent, span
-        and sum of squared L1 norms; a zero column gives 0 at once.  Packed:
-        each column is shifted by its lowest exponent, which divides the
-        determinant by the unit t^(sum of the lows), and every entry is
-        packed once at t = 2^K as the sum of its terms' shifts
-        c << K*(e - low).  t -> 2^K is a ring homomorphism from Z[t] to Z, so
-        elimination with exact ``//`` on the packed integers gives the
-        determinant's value there, whatever the entries' coefficients, and
-        one ``_unpack`` reads back its coefficients.  K is the least multiple
-        of 8 that holds :func:`_coefficient_bound` as a signed digit, so they
-        never overlap.
+        Both routes start from packed columns, as :meth:`_from_passes` takes
+        them; a matrix built from its rows is packed into that form first, at
+        the least slot width that holds its coefficients.  A zero column
+        gives 0 at once.  Each column is read as two's complement digits
+        with one ``to_bytes`` (:func:`_column_window`): the slots that hold a
+        nonzero digit in some entry, first .. last, give the column's lowest
+        exponent and its span, and the entries' L1 norms its sum of squared
+        norms.
 
-        Polynomial: the same elimination on the :class:`LaurentPoly`
+        Packed: each column is shifted by its lowest exponent, which divides
+        the determinant by the unit t^(sum of the lows), and its digits are
+        moved byte by byte from the pass width k to the determinant's width
+        K (:func:`_respace`), which may be wider or narrower than k, so each
+        entry is its value at t = 2^K.  t -> 2^K is a ring homomorphism from
+        Z[t] to Z, so elimination with exact ``//`` on these integers gives
+        the determinant's value there, and one ``_unpack`` reads back its
+        coefficients.  K is the least multiple of 8 that holds
+        :func:`_coefficient_bound` as a signed digit, so they never overlap;
+        every entry's coefficient is below that bound too, so its digits fit
+        K bits.  No :class:`LaurentPoly` is built for an entry.
+
+        Polynomial: the same elimination on the decoded :class:`LaurentPoly`
         entries, dividing with :func:`divide_exact`.
 
         The packed route replaces each polynomial product by one integer
@@ -438,21 +541,24 @@ class LaurentMatrix(Value):
         sparse the entries: on larger integers elimination's quadratic
         ``//`` costs more than the polynomial products.
         """
-        lows, spans, squares = [], 0, []
-        for column in zip(*self.rows):
-            present = [entry.terms for entry in column if entry.terms]
-            if not present:
-                return LaurentPoly()
-            low = min([t[0][0] for t in present])
-            lows.append(low)
-            spans += max([t[-1][0] for t in present]) - low
-            squares.append(sum([sum([abs(c) for _, c in t]) ** 2 for t in present]))
-        k = 8 * -(-(_coefficient_bound(squares).bit_length() + 1) // 8)
-        if k * (spans + 1) <= _PACKED_MAX_BITS:
-            packed = [
-                [sum([c << k * (e - low) for e, c in entry.terms]) for entry, low in zip(row, lows)]
-                for row in self.rows
+        if self._passes is not None:
+            columns, k, stride, lows = self._passes
+        else:
+            rows = self.rows
+            lows = [min([e.terms[0][0] for e in column if e.terms], default=0) for column in zip(*rows)]
+            stride = max([e.terms[-1][0] - low for row in rows for e, low in zip(row, lows) if e.terms], default=0) + 1
+            k = slot_bits(max([abs(c) for row in rows for e in row for _, c in e.terms], default=0).bit_length() + 1)
+            columns = [
+                sum([c << k * (stride * r + e - low) for r, entry in enumerate(column) for e, c in entry.terms])
+                for column, low in zip(zip(*rows), lows)
             ]
-            value = _bareiss(packed, int.bit_length, int.__floordiv__, 0)
-            return _trusted(_unpack(value, k, sum(lows)))
-        return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())
+        if not all(columns):
+            return LaurentPoly()
+        raws = [_twos_complement(x, k, stride * len(columns)) for x in columns]
+        windows = [_column_window(raw, k, stride) for raw in raws]
+        width = 8 * -(-(_coefficient_bound([square for _, _, square in windows]).bit_length() + 1) // 8)
+        if width * (sum([last - first for first, last, _ in windows]) + 1) > _PACKED_MAX_BITS:
+            return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())
+        packed = [_respace(raw, k, width, stride, first, last) for raw, (first, last, _) in zip(raws, windows)]
+        value = _bareiss([list(row) for row in zip(*packed)], int.bit_length, int.__floordiv__, 0)
+        return _trusted(_unpack(value, width, sum(lows) + sum([first for first, _, _ in windows])))

@@ -617,15 +617,22 @@ class TestSizeLimits:
         assert json.loads(out)["exists"] is False
 
     @pytest.mark.parametrize("n", [24, 28, 32])
-    def test_long_dense_braids_answered_quickly(self, capsys, n):
+    def test_long_dense_braids_answered_quickly(self, capsys, monkeypatch, n):
         # 8n mixed-sign letters on n strands: a cofactor determinant of the
-        # (n-1)x(n-1) Burau matrix would take tens of seconds.
-        rng = random.Random(n)
+        # (n-1)x(n-1) Burau matrix would take tens of seconds.  Each reduced
+        # word keeps every generator, so the answer takes the determinant of
+        # the two half-length passes.  The seed is n, except on 24 strands:
+        # the word of random.Random(24) reduces to a split closure (see
+        # below), and 25 is the next seed whose reduced word keeps them all.
+        rng = random.Random(25 if n == 24 else n)
         letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(8 * n)]
+        det_numerator, calls = lenslinks.invariants._det_numerator, []
+        monkeypatch.setattr(lenslinks.invariants, "_det_numerator", lambda *args: calls.append(1) or det_numerator(*args))
         start = time.perf_counter()
         code, out, _ = run(capsys, ["alexander", "--braid", " ".join(map(str, letters)), "--strands", str(n), "--json"])
         assert time.perf_counter() - start < 5
         assert code == 0
+        assert calls == [1]
         r = random_point(n)
         printed, expected = printed_mod(json.loads(out)["alexander"], r), alexander_mod(n, letters, r)
         # Equal up to a unit +-t^k; the normalized polynomial starts at t^0.
@@ -638,7 +645,7 @@ class TestSizeLimits:
         # and the answer 0 needs no pass.  Unreduced, the 255-strand word
         # took 137 s to reach the same 0.  On 255 strands each generator
         # comes twice with one sign, among 257 random letters; on 24 the
-        # word is the 8n-letter one above.
+        # word is the 8n letters of random.Random(24), drawn as above.
         rng = random.Random(8 if n == 255 else n)
         if n == 255:
             letters = [sign * i for i in range(1, n) for sign in [rng.choice((1, -1))] * 2]
@@ -776,8 +783,23 @@ class TestRepeatedCalls:
 
         counted(lenslinks.invariants, "_det_numerator")
         counted(lenslinks.laurent.LaurentMatrix, "det")
+        # The determinant route splits no packed column into rows of terms
+        # and makes no LaurentPoly per entry of the 6x6 u Y - X^-1.
+        decoded = {"_unpack_rows": 0, "_trusted": 0}
+        for name in decoded:
+            original = getattr(lenslinks.laurent, name)
+
+            def spy(*args, name=name, original=original):
+                decoded[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(lenslinks.laurent, name, spy)
+            monkeypatch.setattr(lenslinks.invariants, name, spy)
         assert run(capsys, argv)[0] == 0
         assert counts == {"_det_numerator": calls, "det": calls}
+        if calls:
+            assert decoded["_unpack_rows"] == 0
+            assert decoded["_trusted"] < 6 * 6
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()

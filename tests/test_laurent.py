@@ -3,12 +3,13 @@
 import json
 import random
 import time
-from math import comb
+from math import comb, prod
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lenslinks.invariants as invariants
 import lenslinks.laurent as laurent
 from lenslinks import cli
 from lenslinks.braid import BraidWord, parse_braid_word
@@ -37,6 +38,7 @@ from reference import (
     leibniz_det,
     long_division,
     matmul,
+    spelled_out,
 )
 
 
@@ -617,16 +619,27 @@ class TestPackedDet:
         entry_types = spy_entry_types(monkeypatch)
         mul, calls = LaurentPoly.__mul__, []
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        # The pass columns go to Bareiss as integers: no column is split
+        # into rows of terms, and no LaurentPoly is made per entry.
+        unpack_rows, trusted, split, made = laurent._unpack_rows, laurent._trusted, [], []
+        monkeypatch.setattr(laurent, "_unpack_rows", lambda *args: split.append(1) or unpack_rows(*args))
+        monkeypatch.setattr(invariants, "_unpack_rows", laurent._unpack_rows)
+        monkeypatch.setattr(laurent, "_trusted", lambda terms: made.append(1) or trusted(terms))
+        monkeypatch.setattr(invariants, "_trusted", laurent._trusted)
         dets = [_det_numerator(w, 1, 0) for w in words]
-        monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+        monkeypatch.undo()
         assert dets == expected
         assert entry_types == [int] * 5
         assert not calls
+        assert not split
+        # One each for the determinant, its shift by det X and its sign,
+        # against 121 entries a matrix.
+        assert len(made) <= 3 * 5
 
     def test_24_strands_eliminate_on_integers(self, monkeypatch):
-        # The 8n seeded mixed-sign letters on n = 24 strands of
-        # tests/test_cli.py::TestSizeLimits: the 23x23 u Y - X^-1 packs at a
-        # byte width into under 2^14 bits, so it eliminates on integers.
+        # 8n seeded mixed-sign letters on n = 24 strands, unreduced: the
+        # 23x23 u Y - X^-1 packs at a byte width into under 2^14 bits, so it
+        # eliminates on integers.
         n = 24
         rng = random.Random(n)
         letters = [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(8 * n)]
@@ -677,6 +690,149 @@ class TestPackedDet:
         expected = divide_cyclic(AlexanderPoly.from_laurent(det).poly, n)
         assert cli.run(argv + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["alexander"] == str(expected)
+
+
+def centered_digits(x: int, k: int, count: int) -> list[int]:
+    """The ``count`` signed base-2^k digits of x, lowest first, each in [-2^(k-1), 2^(k-1)), by repeated division."""
+    half, digits = 1 << (k - 1), []
+    for _ in range(count):
+        digit = (x + half) % (2 * half) - half
+        digits.append(digit)
+        x = (x - digit) >> k
+    assert x == 0
+    return digits
+
+
+def pass_rows(columns, k: int, stride: int, lows) -> list[list[LaurentPoly]]:
+    """The rows of LaurentMatrix._from_passes(columns, k, stride, lows), decoded digit by digit."""
+    d = len(columns)
+    entries = []
+    for x, low in zip(columns, lows):
+        digits = centered_digits(x, k, d * stride)
+        chunks = [digits[r * stride : (r + 1) * stride] for r in range(d)]
+        entries.append([LaurentPoly.from_dict({low + i: c for i, c in enumerate(chunk)}) for chunk in chunks])
+    return [list(row) for row in zip(*entries)]
+
+
+def pass_columns(rows, k: int, stride: int, lows) -> list[int]:
+    """The columns that pass_rows decodes back to ``rows``: entry (r, c) from t^lows[c] up, r * stride slots of k bits up."""
+    return [
+        sum(c << k * (stride * r + e - low) for r, entry in enumerate(column) for e, c in entry.terms)
+        for column, low in zip(zip(*rows), lows)
+    ]
+
+
+def handed_to_det(w: BraidWord, power: int, twists: int):
+    """(numerator, arguments) of _det_numerator: the (columns, k, stride, lows) it gives LaurentMatrix._from_passes, if any."""
+    make, handed = LaurentMatrix._from_passes, []
+    with mock.patch.object(LaurentMatrix, "_from_passes", staticmethod(lambda *args: handed.append(args) or make(*args))):
+        numerator = _det_numerator(w, power, twists)
+    return numerator, handed
+
+
+@st.composite
+def lift_draws(draw):
+    n = draw(st.integers(7, 14))
+    letters = draw(st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))), min_size=n // 2, max_size=2 * n))
+    return BraidWord(n, tuple(letters)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+
+
+# T(11, 7) as the run on 7 strands at power 4 with one full twist: K = 8
+# bits holds its determinant's coefficients, below the pass width k = 16.
+TORUS_11_7 = (BraidWord(7, (6, 5, 4, 3, 2, 1)), 4, 1)
+# Alternating letters on 7 strands: K = 24 above the pass width k = 8.
+ALTERNATING_7 = (BraidWord(7, (1, -2, 3, -4, 5, -6) * 3), 1, 0)
+
+
+class TestPassColumns:
+    # det() on the packed columns of u Y - X^-1 that _det_numerator hands
+    # over (LaurentMatrix._from_passes): the digits go straight to Bareiss.
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lift_draws(),
+        st.sampled_from([None, 8, 16, 24, 40, 64, 128, 192]),
+        st.sampled_from(["as is", "zero column", "equal columns"]),
+        st.booleans(),
+    )
+    @example(TORUS_11_7, None, "as is", True)
+    @example(ALTERNATING_7, None, "as is", True)
+    @example(ALTERNATING_7, 128, "as is", True)
+    @example(TORUS_11_7, 192, "zero column", True)
+    @example(ALTERNATING_7, 16, "equal columns", False)
+    def test_against_polynomial_bareiss_and_mod_p(self, lift, width, shape, typecodes):
+        # The columns are packed again at ``width`` where it holds every
+        # coefficient (128 and 192 have no typecode), and optionally read
+        # without typecodes, as on a big-endian host.  A zero column and two
+        # equal columns make the determinant 0.
+        w, power, twists = lift
+        numerator, handed = handed_to_det(w, power, twists)
+        r = random_point(str(lift))
+        assert poly_mod(numerator, r) == det_mod(closure_mod(w.strands, spelled_out(w, power, twists).letters, r))
+        if not handed:
+            # A zero column of u Y - X^-1: the numerator is 0 before det.
+            assert numerator.is_zero
+            return
+        ((columns, k, stride, lows),) = handed
+        rows, lows = pass_rows(columns, k, stride, lows), list(lows)
+        if shape == "zero column":
+            for row in rows:
+                row[len(rows) // 2] = ZERO
+        elif shape == "equal columns":
+            for row in rows:
+                row[-1] = row[0]
+            lows[-1] = lows[0]
+        top = max([abs(c) for row in rows for entry in row for _, c in entry.terms])
+        if width is None or top.bit_length() >= width:
+            width = k
+        m = LaurentMatrix._from_passes(pass_columns(rows, width, stride, lows), width, stride, lows)
+        with mock.patch.object(laurent, "_TYPECODES", laurent._TYPECODES if typecodes else {}):
+            assert m.size == len(rows)
+            det = m.det()
+            assert m.rows == tuple([tuple(row) for row in rows])
+        assert det == poly_det(LaurentMatrix.from_rows(rows))
+        assert poly_mod(det, r) == det_mod([[poly_mod(entry, r) for entry in row] for row in rows])
+        assert det.is_zero or shape == "as is"
+
+    @pytest.mark.parametrize("lift, k, width", [(TORUS_11_7, 16, 8), (ALTERNATING_7, 8, 24)], ids=["narrower", "wider"])
+    def test_width_against_the_pass(self, monkeypatch, lift, k, width):
+        # The determinant's width K may lie below the pass width k or above
+        # it; its digits move either way.
+        numerator, handed = handed_to_det(*lift)
+        ((columns, pass_k, stride, lows),) = handed
+        widths, unpack = [], laurent._unpack
+        monkeypatch.setattr(laurent, "_unpack", lambda x, k, low: widths.append(k) or unpack(x, k, low))
+        m = LaurentMatrix._from_passes(columns, pass_k, stride, lows)
+        assert m.det() == poly_det(m)
+        assert (pass_k, widths) == (k, [width])
+
+    @pytest.mark.parametrize(
+        "k, diagonal",
+        [
+            (16, [1, -1, 1, 2**15 - 2]),
+            (64, [1, -1, 1, 2**23 - 2]),
+            (64, [1, -1, 1, 2**40 - 2]),
+            (128, [1, -1, 1, 2**71 - 2]),
+            (8, [127, -127, 127, 127]),
+            (16, [2**15 - 1, -(2**15 - 1), 2**15 - 1, 2**15 - 2]),
+        ],
+    )
+    def test_width_holds_the_sign(self, monkeypatch, k, diagonal):
+        # A diagonal matrix of monomials attains the coefficient bound minus
+        # 1, so its determinant takes every bit of magnitude that the bound
+        # has, and K is the least multiple of 8 bits that also holds the
+        # sign: 16, 24, 48, 72, 32 and 64 bits here, at, below or above the
+        # pass width k.
+        d, stride = len(diagonal), 3
+        rows = [[T(i - 1, diagonal[i]) if i == j else ZERO for j in range(d)] for i in range(d)]
+        lows = [i - 2 for i in range(d)]
+        bound = coefficient_bound(zip(*rows))
+        assert bound == abs(prod(diagonal)) + 1
+        widths, unpack = [], laurent._unpack
+        monkeypatch.setattr(laurent, "_unpack", lambda x, k, low: widths.append(k) or unpack(x, k, low))
+        m = LaurentMatrix._from_passes(pass_columns(rows, k, stride, lows), k, stride, lows)
+        assert m.det() == T(sum(range(-1, d - 1)), prod(diagonal))
+        assert widths == [8 * -(-(bound.bit_length() + 1) // 8)]
 
 
 class TestPackedLaplace:
