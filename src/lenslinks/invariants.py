@@ -83,9 +83,9 @@ from .braid import BraidWord, _trusted_word
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
-    _pack,
-    _trusted,
-    _unpack_rows,
+    _column_window,
+    _respace,
+    _twos_complement,
     divide_cyclic,
     slot_bits,
 )
@@ -200,7 +200,7 @@ def _burau_pass(d: int, steps: list[tuple[int, list[tuple[int, int, int]]]], pow
     over the same passes sizes it: k must hold max(sums) as a signed digit,
     and ``stride`` be at least :func:`_stride` of (lows, highs), so every
     coefficient fits its slot, every X has fewer than ``stride`` slots, and
-    each column decodes exactly by :func:`~lenslinks.laurent._unpack_rows`.
+    each column reads exactly through the reader of :mod:`lenslinks.laurent`.
     """
     # An empty word takes no passes, however large the power.
     passes = power if steps else 0
@@ -280,8 +280,8 @@ def _det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     return det.shift(exponent) if exponent % 2 == 0 else -det.shift(exponent)
 
 
-def _elementary(lower: list[LaurentPoly], exponent: int, d: int) -> list[LaurentPoly]:
-    """e_1..e_d of the eigenvalues of a d x d Burau image A, from ``lower`` = [e_1 .. e_(d//2)] and det A = (-t)^exponent.
+def _elementary(lower: list[tuple[tuple[int, int], ...]], exponent: int, d: int) -> list[tuple[tuple[int, int], ...]]:
+    """Terms of e_1..e_d of a d x d Burau image A, from those of e_1 .. e_(d//2), ``lower``, and det A = (-t)^exponent.
 
     e_d = det A, and e_(d-k) = det(A) e_k(A^-1) = det(A) e_k(1/t) for every
     k < d/2: the Burau representation is unitary (Squier, "The Burau
@@ -293,10 +293,9 @@ def _elementary(lower: list[LaurentPoly], exponent: int, d: int) -> list[Laurent
     """
     sign = -1 if exponent % 2 else 1
     upper = [
-        _trusted(tuple([(exponent - e, sign * c) for e, c in reversed(lower[d - k - 1].terms)]))
-        for k in range(len(lower) + 1, d)
+        tuple([(exponent - e, sign * c) for e, c in reversed(lower[d - k - 1])]) for k in range(len(lower) + 1, d)
     ]
-    return lower + upper + [_trusted(((exponent, sign),))]
+    return lower + upper + [((exponent, sign),)]
 
 
 def _newton(parts: list[list[tuple[int, int]]], power: int) -> int:
@@ -343,10 +342,12 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     signed digit, so ``from_packed`` reads s back exactly.  Newton's bound
     is the one that stays small where the entries grow but the trace does
     not.  The one pass over w packs at the power-1 walk's max(sums), and
-    its diagonal is read by ``_unpack_rows``.  On d = 4 and 5 the lower
-    half of the e_k(M^power) is e_1 and e_2, and e_2 = (s_power^2 -
-    s_(2*power))/2 would need twice the steps at twice the width, so those
-    take :func:`_principal_minors` instead.
+    only its diagonal entries are read: tr M sums them at a width that holds
+    the sum of their L1 norms, since the pass width holds each entry's
+    coefficients but not their sum.  On d = 4 and 5 the lower half of the
+    e_k(M^power) is e_1 and e_2, and e_2 = (s_power^2 - s_(2*power))/2
+    would need twice the steps at twice the width, so those take
+    :func:`_principal_minors`.
     """
     d = w.strands - 1
     steps = _steps(w.letters, d)
@@ -354,19 +355,23 @@ def _power_sum(w: BraidWord, power: int) -> LaurentPoly:
     width = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
     columns = _burau_pass(d, steps, 1, width, stride)
-    trace = sum(
-        [_trusted(_unpack_rows(x, width, low, stride, d)[r]) for r, (x, low) in enumerate(zip(columns, lows))],
-        LaurentPoly(),
-    )
+    # Entry (r, r) of column r becomes entry r of one packed column.
+    step = stride * width // 8
+    raws = [_twos_complement(x, width, stride * d) for x in columns]
+    diagonal = b"".join([raw[r * step : (r + 1) * step] for r, raw in enumerate(raws)])
+    bits = slot_bits(sum(_column_window(diagonal, width, stride)[2]).bit_length() + 1)
+    low = min(lows)
+    entries = _respace(diagonal, width, bits, stride, 0, stride - 1)
+    trace = LaurentPoly.from_packed(sum([x << bits * (x_low - low) for x, x_low in zip(entries, lows)]), bits, low)
     if power == 1:
         return trace
-    elementary = _elementary([trace], _writhe(w.letters), d)
-    m = max([-(poly.terms[0][0] // i) for i, poly in enumerate(elementary, 1) if poly.terms])
-    norms = [[(0, sum([abs(c) for _, c in poly.terms]))] for poly in elementary]
+    elementary = _elementary([trace.terms], _writhe(w.letters), d)
+    m = max([-(terms[0][0] // i) for i, terms in enumerate(elementary, 1) if terms])
+    norms = [[(0, sum([abs(c) for _, c in terms]))] for terms in elementary]
     k = slot_bits(min(_newton(norms, power), sum(_windows(d, steps, power)[2])).bit_length() + 1)
     # (shift, signed coefficient) of each term of (-1)^(i-1) e_i t^(i*m) at t = 2^k.
     parts = [
-        [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in poly.terms] for i, poly in enumerate(elementary, 1)
+        [(k * (e + i * m), -c if i % 2 == 0 else c) for e, c in terms] for i, terms in enumerate(elementary, 1)
     ]
     return LaurentPoly.from_packed(_newton(parts, power), k, -power * m)
 
@@ -376,12 +381,12 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
 
     A comes from ``power`` packed passes over w (:func:`_burau_pass`), one
     integer per column, at the width and stride of the one walk of
-    :func:`_windows` over the same passes.  Each column is split into its
-    entries' terms once, and the L1 norms N_rj of the entries bound every
-    |coefficient| of e_1 by sum N_ii and of e_2 by sum_(i<j) N_ii N_jj +
-    N_ij N_ji.  Entry (r, j) is t^lows[j] X_rj(t), and X_rj(2^width) is
-    packed again from its terms at a width that holds both that bound and
-    the pass's entries.  a_ii a_jj and a_ij a_ji share the unit
+    :func:`_windows` over the same passes.  One read of each column's
+    digits gives its entries' L1 norms N_rj, which bound every |coefficient|
+    of e_1 by sum N_ii and of e_2 by sum_(i<j) N_ii N_jj + N_ij N_ji.  Entry
+    (r, j) is t^lows[j] X_rj(t), and the digits of X_rj, from slot 0 up, are
+    moved to a width that holds both that bound and the pass's entries,
+    giving X_rj(2^width).  a_ii a_jj and a_ij a_ji share the unit
     t^(lows[i] + lows[j]): the diagonal entries, and the minors, are
     aligned by shifts to their lowest unit, and e_1 and e_2 are read back
     by one ``_unpack`` each.
@@ -391,16 +396,15 @@ def _principal_minors(w: BraidWord, power: int) -> list[LaurentPoly]:
     lows, highs, sums = _windows(d, steps, power)
     k = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
-    packed = _burau_pass(d, steps, power, k, stride)
-    terms = [_unpack_rows(x, k, 0, stride, d) for x in packed]
-    norms = [[sum([abs(c) for _, c in entry]) for entry in column] for column in terms]
+    raws = [_twos_complement(x, k, stride * d) for x in _burau_pass(d, steps, power, k, stride)]
+    norms = [_column_window(raw, k, stride)[2] for raw in raws]
     pairs = list(combinations(range(d), 2))
     bound = max(
         sum([norms[i][i] for i in range(d)]),
         sum([norms[i][i] * norms[j][j] + norms[j][i] * norms[i][j] for i, j in pairs]),
     )
     width = max(k, slot_bits(bound.bit_length() + 1))
-    columns = [[_pack(entry, width) << width * entry[0][0] if entry else 0 for entry in column] for column in terms]
+    columns = [_respace(raw, k, width, stride, 0, stride - 1) for raw in raws]
     low = min(lows)
     first = sum([columns[i][i] << width * (lows[i] - low) for i in range(d)])
     low_pairs = min([lows[i] + lows[j] for i, j in pairs])
@@ -495,17 +499,17 @@ def _numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     if power and not twists and len({abs(letter) for letter in w.letters}) < d:
         return LaurentPoly()
     if not (power and w.letters and h):
-        lower = [LaurentPoly(((0, comb(d, k)),)) for k in range(1, h + 1)]
+        lower = [((0, comb(d, k)),) for k in range(1, h + 1)]
     elif h == 1:
-        lower = [_power_sum(w, power)]
+        lower = [_power_sum(w, power).terms]
     elif h == 2:
-        lower = _principal_minors(w, power)
+        lower = [e.terms for e in _principal_minors(w, power)]
     else:
         return _det_numerator(w, power, twists)
-    elementary = [LaurentPoly.one()] + _elementary(lower, _writhe(w.letters) * power, d)
+    elementary = [LaurentPoly.one().terms] + _elementary(lower, _writhe(w.letters) * power, d)
     coeffs: dict[int, int] = {}
-    for k, e in enumerate(elementary):
-        for exponent, c in e.terms:
+    for k, terms in enumerate(elementary):
+        for exponent, c in terms:
             coeffs[exponent + k * u] = coeffs.get(exponent + k * u, 0) + (c if (d - k) % 2 == 0 else -c)
     return LaurentPoly.from_dict(coeffs)
 

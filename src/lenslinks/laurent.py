@@ -24,9 +24,11 @@ back as signed base-2^k digits, k-bit two's complement slots from one
 possible product coefficient, so the digits never overlap.  Small or sparse
 operands stay on the schoolbook loop, where packing costs more than it
 saves.
-``LaurentPoly.from_packed`` decodes such an integer for other modules, and
-``_unpack_rows`` one that holds several polynomials a fixed number of slots
-apart, as the Burau passes of :mod:`lenslinks.invariants` pack a column.
+``LaurentPoly.from_packed`` decodes such an integer for other modules.  A
+column of the Burau passes of :mod:`lenslinks.invariants`, polynomials a
+fixed number of slots apart, is read only by :func:`_column_window`, for
+each entry's window and L1 norm, and :func:`_respace`, for its values at
+any width, both on the slots of :func:`_twos_complement`.
 Exact division runs from the lowest term up; :func:`divide_cyclic` first
 multiplies by 1 - t, so its divisor 1 + ... + t^(n-1) becomes 1 - t^n.
 
@@ -135,20 +137,6 @@ def _unpack(x: int, k: int, low: int) -> tuple[tuple[int, int], ...]:
     """
     slots = abs(x).bit_length() // k + 1
     return tuple([(low + i, v) for i, v in enumerate(_digits(_twos_complement(x, k, slots), k)) if v])
-
-
-def _unpack_rows(x: int, k: int, low: int, stride: int, rows: int) -> list[tuple[tuple[int, int], ...]]:
-    """Canonical terms of ``rows`` polynomials packed ``stride`` slots apart in x.
-
-    Digit r * stride + i of x in base 2^k is the coefficient of t^(low + i)
-    in polynomial r, for i < stride; every digit must lie strictly between
-    -2^(k-1) and 2^(k-1), as for :func:`_unpack`, and x have no digit
-    beyond the last row.  One ``to_bytes`` reads every row.
-    """
-    digits = _digits(_twos_complement(x, k, stride * rows), k)
-    return [
-        tuple([(e, v) for e, v in enumerate(digits[r * stride : (r + 1) * stride], low) if v]) for r in range(rows)
-    ]
 
 
 def _dense(terms: tuple[tuple[int, int], ...]) -> bool:
@@ -403,28 +391,30 @@ def _coefficient_bound(squares: list[int]) -> int:
     return isqrt(prod(squares)) + 1
 
 
-def _column_window(raw: bytes, k: int, stride: int) -> tuple[int, int, int]:
-    """(first, last, square) of a nonzero packed column, ``raw`` holding its k-bit two's complement slots.
+def _column_window(raw: bytes, k: int, stride: int) -> tuple[int, int, list[int]]:
+    """(first, last, norms) of a packed column, ``raw`` holding its k-bit two's complement slots.
 
-    Entry r of the column is slots r * stride .. r * stride + stride - 1.
-    Every nonzero digit of every entry lies in the entry's slots first ..
-    last, and square is the sum over the entries of their L1 norms squared.
-    Stripping an entry's zero bytes at both ends finds its nonzero slots,
-    and its norm sums the absolute digits between them.
+    Entry r of the column is slots r * stride .. r * stride + stride - 1,
+    and norms[r] is its L1 norm.  Every nonzero digit of every entry lies
+    in the entry's slots first .. last; a zero column has first = stride
+    and last = 0.  Stripping an entry's zero bytes at both ends finds its
+    nonzero slots, and its norm sums the absolute digits between them.
     """
     size = k // 8
     step = stride * size
     digits = _digits(raw, k)
-    first, last, square = stride, 0, 0
+    first, last, norms = stride, 0, []
     for start in range(0, len(raw), step):
         entry = raw[start : start + step]
         top = len(entry.rstrip(b"\0"))
+        norm = 0
         if top:
             i, j = (step - len(entry.lstrip(b"\0"))) // size, (top - 1) // size
             first, last = min(first, i), max(last, j)
             offset = start // size
-            square += sum(map(abs, digits[offset + i : offset + j + 1])) ** 2
-    return first, last, square
+            norm = sum(map(abs, digits[offset + i : offset + j + 1]))
+        norms.append(norm)
+    return first, last, norms
 
 
 def _respace(raw: bytes, k: int, width: int, stride: int, first: int, last: int) -> list[int]:
@@ -479,8 +469,11 @@ class LaurentMatrix(Value):
         if name != "rows":
             raise AttributeError(name)
         columns, k, stride, lows = self._passes
-        d = len(columns)
-        entries = [[_trusted(t) for t in _unpack_rows(x, k, low, stride, d)] for x, low in zip(columns, lows)]
+        raws = [_twos_complement(x, k, stride * len(columns)) for x in columns]
+        entries = [
+            [_trusted(_unpack(value, k, low)) for value in _respace(raw, k, k, stride, 0, stride - 1)]
+            for raw, low in zip(raws, lows)
+        ]
         rows = LaurentMatrix.from_rows(zip(*entries)).rows
         object.__setattr__(self, "rows", rows)
         return rows
@@ -556,7 +549,8 @@ class LaurentMatrix(Value):
             return LaurentPoly()
         raws = [_twos_complement(x, k, stride * len(columns)) for x in columns]
         windows = [_column_window(raw, k, stride) for raw in raws]
-        width = 8 * -(-(_coefficient_bound([square for _, _, square in windows]).bit_length() + 1) // 8)
+        bound = _coefficient_bound([sum([n * n for n in norms]) for _, _, norms in windows])
+        width = 8 * -(-(bound.bit_length() + 1) // 8)
         if width * (sum([last - first for first, last, _ in windows]) + 1) > _PACKED_MAX_BITS:
             return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())
         packed = [_respace(raw, k, width, stride, first, last) for raw, (first, last, _) in zip(raws, windows)]

@@ -84,6 +84,17 @@ def burau_columns(d: int, steps, power: int, k: int):
     return columns, offsets
 
 
+def centered_digits(x: int, k: int, count: int) -> list[int]:
+    """The ``count`` signed base-2^k digits of x, lowest first, each in [-2^(k-1), 2^(k-1)), by repeated division."""
+    half, digits = 1 << (k - 1), []
+    for _ in range(count):
+        digit = (x + half) % (2 * half) - half
+        digits.append(digit)
+        x = (x - digit) >> k
+    assert x == 0
+    return digits
+
+
 def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
     """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
 

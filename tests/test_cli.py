@@ -783,23 +783,18 @@ class TestRepeatedCalls:
 
         counted(lenslinks.invariants, "_det_numerator")
         counted(lenslinks.laurent.LaurentMatrix, "det")
-        # The determinant route splits no packed column into rows of terms
-        # and makes no LaurentPoly per entry of the 6x6 u Y - X^-1.
-        decoded = {"_unpack_rows": 0, "_trusted": 0}
-        for name in decoded:
-            original = getattr(lenslinks.laurent, name)
-
-            def spy(*args, name=name, original=original):
-                decoded[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(lenslinks.laurent, name, spy)
-            monkeypatch.setattr(lenslinks.invariants, name, spy)
+        # The determinant route splits no packed column into rows of terms,
+        # which would unpack each of the 36 entries of the 6x6 u Y - X^-1,
+        # and makes no LaurentPoly per entry: it unpacks the determinant
+        # alone, at its width K = 16 bits; the passes pack at 8.
+        unpack, trusted, widths, made = lenslinks.laurent._unpack, lenslinks.laurent._trusted, [], []
+        monkeypatch.setattr(lenslinks.laurent, "_unpack", lambda x, k, low: widths.append(k) or unpack(x, k, low))
+        monkeypatch.setattr(lenslinks.laurent, "_trusted", lambda terms: made.append(1) or trusted(terms))
         assert run(capsys, argv)[0] == 0
         assert counts == {"_det_numerator": calls, "det": calls}
         if calls:
-            assert decoded["_unpack_rows"] == 0
-            assert decoded["_trusted"] < 6 * 6
+            assert widths == [16]
+            assert len(made) < 6 * 6
 
     def test_parser_is_built_once(self, capsys):
         cli._build_parser.cache_clear()

@@ -18,6 +18,7 @@ from lenslinks.invariants import (
     _elementary,
     _newton,
     _numerator,
+    _power_sum,
     _principal_minors,
     _reduce,
     _steps,
@@ -26,12 +27,13 @@ from lenslinks.invariants import (
     alexander_of_closure,
     torus_closure,
 )
-from lenslinks.laurent import LaurentMatrix, LaurentPoly, _unpack_rows, divide_cyclic, slot_bits
+from lenslinks.laurent import LaurentMatrix, LaurentPoly, divide_cyclic, slot_bits
 from lenslinks.lens import BandDiagram, LensSpace, lift
 from modp import lift_numerator_mod, poly_mod, random_point, root_of_unity_field
 import reference
 from reference import (
     burau_reduced,
+    centered_digits,
     cyclic_reduce,
     det_numerator,
     free_reduce,
@@ -281,14 +283,21 @@ def shaped_words(max_strands=12, max_len=12):
 
 
 def column_pass(w, power):
-    """(lows, highs, stride, entries) of the packed pass: entries[c][r] holds the terms of entry (r, c)."""
+    """(lows, highs, stride, entries) of the packed pass: entries[c][r] holds the terms of entry (r, c).
+
+    Each column is decoded digit by digit by repeated division, not by the library's reader.
+    """
     d = w.strands - 1
     steps = _steps(w.letters, d)
     lows, highs, sums = _windows(d, steps, power)
     k = slot_bits(max(sums).bit_length() + 1)
     stride = _stride(lows, highs)
-    columns = _burau_pass(d, steps, power, k, stride)
-    return lows, highs, stride, [_unpack_rows(x, k, low, stride, d) for x, low in zip(columns, lows)]
+    entries = []
+    for x, low in zip(_burau_pass(d, steps, power, k, stride), lows):
+        digits = centered_digits(x, k, d * stride)
+        chunks = [digits[r * stride : (r + 1) * stride] for r in range(d)]
+        entries.append([tuple([(low + i, c) for i, c in enumerate(chunk) if c]) for chunk in chunks])
+    return lows, highs, stride, entries
 
 
 class TestColumnPass:
@@ -392,7 +401,7 @@ class TestTraceRoute:
         d = w.strands - 1
         expected = principal_minor_sums(burau_reduced(w, power))
         exponent = sum(1 if letter > 0 else -1 for letter in w.letters) * power
-        assert _elementary(expected[: d // 2], exponent, d) == expected
+        assert _elementary([e.terms for e in expected[: d // 2]], exponent, d) == [e.terms for e in expected]
 
     @settings(max_examples=40, deadline=None)
     @given(lift_words((3, 4), max_len=8), st.integers(1, 30))
@@ -402,8 +411,8 @@ class TestTraceRoute:
         # tr(M^p) may exceed it.  The half twist on 3 strands has trace 0, so
         # there only the e_2 term bounds tr(M^2) = -2 e_2.
         writhe = sum(1 if letter > 0 else -1 for letter in w.letters)
-        elementary = _elementary([trace(burau_reduced(w))], writhe, w.strands - 1)
-        bound = _newton([[(0, sum(abs(c) for _, c in e.terms))] for e in elementary], p)
+        elementary = _elementary([trace(burau_reduced(w)).terms], writhe, w.strands - 1)
+        bound = _newton([[(0, sum(abs(c) for _, c in terms))] for terms in elementary], p)
         assert all(abs(c) <= bound for _, c in trace(burau_reduced(w, p)).terms)
 
     @pytest.mark.parametrize(
@@ -439,6 +448,19 @@ class TestTraceRoute:
         for p in (50, 200) if n == 3 else (64,):
             assert _numerator(w, p, 1) == det_numerator(w, p, 1), p
 
+    def test_trace_is_summed_wider_than_the_pass(self, monkeypatch):
+        # Sized by the largest coefficient of M, 116, instead of the walk's
+        # looser bound, the pass packs at 8 bits, yet tr M has a coefficient
+        # of 137: the diagonal entries are summed at a width that holds the
+        # sum of their L1 norms, never at the pass width.
+        w = BraidWord(3, (-2, 1, -2, 1, -1, -2, -2, 1, -1, 1, -2, 1, 1, 1, -2, 1, -2, -2, 1, 1))
+        m = burau_reduced(w)
+        top = max([abs(c) for row in m.rows for entry in row for _, c in entry.terms])
+        windows = invariants._windows
+        monkeypatch.setattr(invariants, "_windows", lambda d, steps, power: (*windows(d, steps, power)[:2], [top] * d))
+        assert max([abs(c) for _, c in trace(m).terms]) >= 2**7 > top
+        assert _power_sum(w, 1) == trace(m)
+
     @settings(max_examples=40, deadline=None)
     @given(lift_words((3, 4, 5, 6), max_len=8), st.integers(1, 10))
     @example(BraidWord(5, (1, -2, 3, -4)), 7)
@@ -447,6 +469,38 @@ class TestTraceRoute:
         pairs = combinations(range(w.strands - 1), 2)
         second = sum([a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in pairs], LaurentPoly())
         assert _principal_minors(w, p) == [trace(burau_reduced(w, p)), second]
+
+    @pytest.mark.parametrize(
+        "w, power, k, width",
+        [(BraidWord(5, (2, 4, -3, 1, 4, -2)), 2, 8, 16), (BraidWord(5, (3, -2, 4, 1)), 1, 8, 8)],
+        ids=["wider than the pass", "at the pass width"],
+    )
+    def test_principal_minors_move_whole_windows(self, monkeypatch, w, power, k, width):
+        # The minors' bound needs 16 bits where the pass packs at 8 in the
+        # first case and fits the pass width in the second.  In both, some
+        # column's digits start above slot 0 of its window, so its entries
+        # are moved from slot 0, where t^lows[c] puts them.
+        moved, firsts = [], []
+        respace, window = invariants._respace, invariants._column_window
+
+        def spy_respace(raw, k, width, stride, first, last):
+            moved.append((k, width, first, last - stride))
+            return respace(raw, k, width, stride, first, last)
+
+        def spy_window(raw, k, stride):
+            read = window(raw, k, stride)
+            firsts.append(read[0])
+            return read
+
+        monkeypatch.setattr(invariants, "_respace", spy_respace)
+        monkeypatch.setattr(invariants, "_column_window", spy_window)
+        minors = _principal_minors(w, power)
+        monkeypatch.undo()
+        assert set(moved) == {(k, width, 0, -1)}
+        assert max(firsts) > 0
+        a = burau_reduced(w, power).rows
+        second = sum([a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in combinations(range(4), 2)], LaurentPoly())
+        assert minors == [trace(burau_reduced(w, power)), second]
 
     @settings(max_examples=40, deadline=None)
     @given(lift_words(range(2, 10)), st.integers(2, 12), st.integers(0, 3), st.integers(0, 2**32))

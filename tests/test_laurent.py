@@ -9,7 +9,6 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import lenslinks.invariants as invariants
 import lenslinks.laurent as laurent
 from lenslinks import cli
 from lenslinks.braid import BraidWord, parse_braid_word
@@ -20,9 +19,12 @@ from lenslinks.laurent import (
     LaurentPoly,
     _bareiss,
     _coefficient_bound,
+    _column_window,
     _kronecker,
     _pack,
+    _respace,
     _term_count,
+    _twos_complement,
     divide_cyclic,
     divide_exact,
     slot_bits,
@@ -31,6 +33,7 @@ from lenslinks.lens import parse_band_diagram
 from modp import closure_mod, det_mod, poly_mod, random_point
 from reference import (
     burau_reduced,
+    centered_digits,
     closure_matrix,
     det_numerator,
     identity,
@@ -261,6 +264,54 @@ class TestKronecker:
 
     def test_slot_widths(self):
         assert [slot_bits(b) for b in (1, 8, 9, 16, 17, 33, 64, 65, 129)] == [8, 8, 16, 16, 32, 64, 64, 128, 192]
+
+
+WIDTHS = [8, 16, 24, 64, 128, 192]
+
+
+@st.composite
+def packed_entries(draw):
+    """(k, stride, columns): columns[c][r] holds the stride digits of entry (r, c), each a k-bit signed digit.
+
+    Entries are often zero, and one column is zero throughout.
+    """
+    k, d, stride = draw(st.sampled_from(WIDTHS)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    digit = st.one_of(st.just(0), st.integers(-(2 ** (k - 1)), 2 ** (k - 1) - 1))
+    entry = st.one_of(st.just([0] * stride), st.lists(digit, min_size=stride, max_size=stride))
+    columns = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    columns[draw(st.integers(0, d - 1))] = [[0] * stride] * d
+    return k, stride, columns
+
+
+class TestColumnReader:
+    # _column_window and _respace on packed columns, against the entries
+    # packed into them, with the typecodes and without them, as on a
+    # big-endian host.
+
+    @pytest.mark.parametrize("typecodes", [True, False], ids=["typecodes", "per slot"])
+    @settings(max_examples=100, deadline=None)
+    @given(packed_entries(), st.sampled_from(WIDTHS))
+    @example((8, 2, [[[-128, 0], [0, 127]], [[0, 0], [0, 0]]]), 8)
+    @example((24, 3, [[[0, 0, 0]]]), 8)
+    @example((64, 1, [[[5], [-3]], [[0], [0]]]), 8)
+    def test_window_norms_and_values(self, typecodes, drawn, width):
+        # The digits move to ``width`` where it holds every one of them,
+        # narrower or wider than k, and stay at k otherwise.
+        k, stride, columns = drawn
+        if max([abs(c) for column in columns for entry in column for c in entry]).bit_length() >= width:
+            width = k
+        d = len(columns)
+        with mock.patch.object(laurent, "_TYPECODES", laurent._TYPECODES if typecodes else {}):
+            for column in columns:
+                x = sum([c << k * (r * stride + i) for r, entry in enumerate(column) for i, c in enumerate(entry)])
+                raw = _twos_complement(x, k, d * stride)
+                first, last, norms = _column_window(raw, k, stride)
+                assert norms == [sum(map(abs, entry)) for entry in column]
+                slots = [i for entry in column for i, c in enumerate(entry) if c]
+                assert (first, last) == ((min(slots), max(slots)) if slots else (stride, 0))
+                # From slot 0, each entry's value at t = 2^width.
+                values = _respace(raw, k, width, stride, 0, stride - 1)
+                assert values == [sum([c << width * i for i, c in enumerate(entry)]) for entry in column]
 
 
 class TestDivideExact:
@@ -616,22 +667,28 @@ class TestPackedDet:
             if all(any(column) for column in zip(*closure_matrix(w).rows)):
                 words.append(w)
         expected = [det_numerator(w, 1, 0) for w in words]
+        # K of each determinant, from the digits of the columns handed to det.
+        widths = []
+        for w in words:
+            ((columns, k, stride, lows),) = handed_to_det(w, 1, 0)[1]
+            bound = coefficient_bound(zip(*pass_rows(columns, k, stride, lows)))
+            widths.append(8 * -(-(bound.bit_length() + 1) // 8))
         entry_types = spy_entry_types(monkeypatch)
         mul, calls = LaurentPoly.__mul__, []
         monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         # The pass columns go to Bareiss as integers: no column is split
-        # into rows of terms, and no LaurentPoly is made per entry.
-        unpack_rows, trusted, split, made = laurent._unpack_rows, laurent._trusted, [], []
-        monkeypatch.setattr(laurent, "_unpack_rows", lambda *args: split.append(1) or unpack_rows(*args))
-        monkeypatch.setattr(invariants, "_unpack_rows", laurent._unpack_rows)
+        # into rows of terms, which would unpack each of its 11 entries, and
+        # no LaurentPoly is made per entry; each determinant is unpacked
+        # once, at its K.
+        unpack, trusted, unpacked, made = laurent._unpack, laurent._trusted, [], []
+        monkeypatch.setattr(laurent, "_unpack", lambda x, k, low: unpacked.append(k) or unpack(x, k, low))
         monkeypatch.setattr(laurent, "_trusted", lambda terms: made.append(1) or trusted(terms))
-        monkeypatch.setattr(invariants, "_trusted", laurent._trusted)
         dets = [_det_numerator(w, 1, 0) for w in words]
         monkeypatch.undo()
         assert dets == expected
         assert entry_types == [int] * 5
         assert not calls
-        assert not split
+        assert unpacked == widths
         # One each for the determinant, its shift by det X and its sign,
         # against 121 entries a matrix.
         assert len(made) <= 3 * 5
@@ -690,17 +747,6 @@ class TestPackedDet:
         expected = divide_cyclic(AlexanderPoly.from_laurent(det).poly, n)
         assert cli.run(argv + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["alexander"] == str(expected)
-
-
-def centered_digits(x: int, k: int, count: int) -> list[int]:
-    """The ``count`` signed base-2^k digits of x, lowest first, each in [-2^(k-1), 2^(k-1)), by repeated division."""
-    half, digits = 1 << (k - 1), []
-    for _ in range(count):
-        digit = (x + half) % (2 * half) - half
-        digits.append(digit)
-        x = (x - digit) >> k
-    assert x == 0
-    return digits
 
 
 def pass_rows(columns, k: int, stride: int, lows) -> list[list[LaurentPoly]]:
@@ -803,7 +849,10 @@ class TestPassColumns:
         widths, unpack = [], laurent._unpack
         monkeypatch.setattr(laurent, "_unpack", lambda x, k, low: widths.append(k) or unpack(x, k, low))
         m = LaurentMatrix._from_passes(columns, pass_k, stride, lows)
-        assert m.det() == poly_det(m)
+        det = m.det()
+        # poly_det decodes the rows, through _unpack too, so it runs uncounted.
+        monkeypatch.undo()
+        assert det == poly_det(m)
         assert (pass_k, widths) == (k, [width])
 
     @pytest.mark.parametrize(
