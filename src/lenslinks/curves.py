@@ -11,6 +11,25 @@ Only the monomial support and exact rational coefficients are stored;
 irreducibility over C is never checked and remains a caller obligation
 where the geometry needs it.
 
+:func:`parse_poly` reads polynomial text by this grammar::
+
+    poly   := sign* term (sign+ term)*
+    term   := [coef '*'] factor ('*' factor)*
+    factor := ('x' | 'y') ['^' uint]
+    coef   := uint ['/' uint]
+    sign   := '+' | '-'
+
+Whitespace (whatever ``str.isspace`` accepts) may stand before and after
+any token.  A uint is a run of decimal digits, of any script that
+``str.isdecimal`` and ``int`` accept, and no longer than the interpreter's
+limit on digits (4,300 by default); a denominator may not be 0.  An odd
+number of '-' before a term negates it, and like terms are added.  A term
+must have positive degree: at least one of its exponents is above 0, so
+"x^0" and "x^0*y^0" are refused, and ``str`` of every nonzero polynomial
+that :func:`parse_poly` returns reads back as the same polynomial.  That
+rule is checked once the whole text has been read, so a text that also
+breaks the grammar reports the grammar error.
+
 The Puiseux half of the module rewrites a fractional power series exponent
 list (m; N_1 < N_2 < ...) into the coprime cable pairs (m_i, n_i) of the
 corresponding iterated torus knot, via e_0 = m, e_i = gcd(e_{i-1}, N_i),
@@ -63,12 +82,6 @@ class SupportPoly(Value):
             if c == 0:
                 raise ValueError("zero coefficients may not be stored")
 
-    @staticmethod
-    def from_dict(coeffs: dict[tuple[int, int], Fraction | int]) -> SupportPoly:
-        Fraction = _fraction_type()
-        items = sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0)
-        return SupportPoly(tuple(items))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -80,131 +93,163 @@ class SupportPoly(Value):
         if not self.terms:
             return "0"
         pieces = []
-        for (i, j), c in sorted(self.terms, reverse=True):
+        for (i, j), c in reversed(self.terms):
             factors = []
             if i:
                 factors.append("x" if i == 1 else f"x^{i}")
             if j:
                 factors.append("y" if j == 1 else f"y^{j}")
-            mag = abs(c)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
+            num, den = c.numerator, c.denominator
+            mag = -num if num < 0 else num
+            if not factors or mag != 1 or den != 1:
+                factors.insert(0, str(mag) if den == 1 else f"{mag}/{den}")
             body = "*".join(factors)
             if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
+                pieces.append(f"-{body}" if num < 0 else body)
             else:
-                pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
+                pieces.append(f"{' - ' if num < 0 else ' + '}{body}")
         return "".join(pieces)
 
 
-class _PolyParser:
-    """Recursive descent for  poly := term (('+'|'-') term)*,
-    term := [coef '*'] factor ('*' factor)*,  factor := ('x'|'y') ['^' uint],
-    coef := int | int '/' uint.  A sign directly before a term is also accepted.
+@functools.cache
+def _poly_patterns() -> tuple:
+    """The term and extra-factor patterns of :func:`parse_poly`, compiled on first use.
+
+    Every piece of a term is optional, so the term pattern always matches,
+    and it stops where the grammar's one-character lookahead would.  A
+    trigger ('/', '^' or '*') is read even when what must follow it is
+    missing, and the lookbehinds then let nothing more be read, so the
+    last character read says what was expected.  Whitespace is read before
+    a token, never after it, except after the signs and at the end; so no
+    two runs of whitespace meet, and no match backtracks further than one
+    run of whitespace.  A term's first two factors have groups of their
+    own; any further ones are read again by the factor pattern.
     """
+    import re
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    term = re.compile(
+        r"""\s*((?:[+-]\s*)*)                     # 1 signs
+        (                                          # 2 the term, up to its last token
+          (?:(\d+)                                 # 3 numerator
+             (?:\s*/(?:\s*(\d+))?)?                # 4 denominator
+             (?:(?<=\d)\s*\*)?
+          )?
+          (?:(?<![\d/])\s*([xy])(?:\s*\^(?:\s*(\d+))?)?                # 5, 6
+             (?:(?<!\^)\s*\*(?:\s*([xy])(?:\s*\^(?:\s*(\d+))?)?)?)?     # 7, 8
+             ((?:(?<![*^])\s*\*(?:\s*[xy](?:\s*\^(?:\s*\d+)?)?)?)*)   # 9
+          )?
+        )\s*""",
+        re.VERBOSE,
+    )
+    return term, re.compile(r"\*\s*([xy])(?:\s*\^\s*(\d+))?")
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _too_long(m, group: int) -> ParseError:
+    return ParseError(f"a number of {len(m.group(group))} digits is too long", m.start(group))
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_uint(self) -> int:
-        # isdecimal, not isdigit: int() rejects digits such as superscripts.
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past the interpreter's limit on digits
-            raise ParseError(f"a number of {self.pos - start} digits is too long", start) from None
+def _number_error(m) -> ParseError:
+    """The first fault among a term's numbers, in reading order: a number
+    past the interpreter's limit on digits, or a zero denominator."""
+    for group in (3, 4, 6, 8):
+        if m.group(group) is not None:
+            try:
+                value = int(m.group(group))
+            except ValueError:
+                return _too_long(m, group)
+            if group == 4 and not value:
+                return ParseError("zero denominator", m.end(4))
+    raise AssertionError("the term's numbers are all valid")
 
-    def take_sign(self) -> int:
-        sign = 1
-        while self.peek() and self.peek() in "+-":
-            if self.peek() == "-":
-                sign = -sign
-            self.pos += 1
-            self.skip_ws()
-        return sign
 
-    def parse(self) -> SupportPoly:
-        Fraction = _fraction_type()
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        self.skip_ws()
-        if not self.peek():
-            raise self.error("empty polynomial")
-        while True:
-            sign = self.take_sign()
-            key, coef = self.parse_term()
-            coeffs[key] = coeffs.get(key, Fraction(0)) + sign * coef
-            self.skip_ws()
-            if not self.peek():
-                break
-            if self.peek() not in "+-":
-                raise self.error(f"expected '+' or '-', got {self.peek()!r}")
-        return SupportPoly.from_dict(coeffs)
-
-    def parse_term(self) -> tuple[tuple[int, int], Fraction]:
-        Fraction = _fraction_type()
-        coef = Fraction(1)
-        if self.peek().isdecimal():
-            num = self.take_uint()
-            self.skip_ws()
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                den = self.take_uint()
-                if den == 0:
-                    raise self.error("zero denominator")
-                coef = Fraction(num, den)
-            else:
-                coef = Fraction(num)
-            self.skip_ws()
-            if self.peek() != "*":
-                raise self.error("a coefficient must be followed by '*' and a variable")
-            self.pos += 1
-            self.skip_ws()
-        i = j = 0
-        while True:
-            di, dj = self.parse_factor()
-            i, j = i + di, j + dj
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_ws()
-                continue
-            return (i, j), coef
-
-    def parse_factor(self) -> tuple[int, int]:
-        ch = self.peek()
-        if not ch.isalpha():
-            raise self.error(f"expected a variable, got {ch!r}" if ch else "expected a variable")
-        if ch not in "xy":
-            raise self.error(f"unknown variable {ch!r}")
-        self.pos += 1
-        exp = 1
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            exp = self.take_uint()
-        return (exp, 0) if ch == "x" else (0, exp)
+def _missing(text: str, m, first: bool) -> ParseError:
+    """The error of a term that the term pattern read only part of."""
+    end = m.end()
+    if m.end(2) > m.start(2):
+        last = text[m.end(2) - 1]
+        if last in "/^":
+            return ParseError("expected a number", end)
+        if last != "*":  # a digit of the coefficient
+            return ParseError("a coefficient must be followed by '*' and a variable", end)
+    elif first and end == len(text) and not m.group(1):
+        return ParseError("empty polynomial", end)
+    ch = text[end : end + 1]
+    if ch.isalpha():
+        return ParseError(f"unknown variable {ch!r}", end)
+    return ParseError(f"expected a variable, got {ch!r}" if ch else "expected a variable", end)
 
 
 def parse_poly(text: str) -> SupportPoly:
-    """Parse ASCII polynomial text such as ``"x^8 + y^2"`` or ``"3*x^2*y - 1/2*y^3"``."""
-    return _PolyParser(text).parse()
+    """Parse polynomial text such as ``"x^8 + y^2"`` or ``"3*x^2*y - 1/2*y^3"``.
+
+    The grammar is in the module docstring.  Raises :class:`ParseError`,
+    with the position of the first character that breaks the grammar.
+    """
+    if not text:  # also argparse's value of "--poly=--", an empty list
+        raise ParseError("empty polynomial", 0)
+    term, factor = _poly_patterns()
+    sums: dict[tuple[int, int], list[int]] = {}
+    pos, size = 0, len(text)
+    degree_zero = None  # where the first term of degree 0 starts
+    while True:
+        m = term.match(text, pos)
+        signs, num, den, v1, e1, v2, e2, more = m.group(1, 3, 4, 5, 6, 7, 8, 9)
+        i = j = 0
+        try:
+            n = 1 if num is None else int(num)
+            d = 1 if den is None else int(den)
+            if v1 is not None:
+                e = 1 if e1 is None else int(e1)
+                if v1 == "x":
+                    i = e
+                else:
+                    j = e
+                if v2 is not None:
+                    e = 1 if e2 is None else int(e2)
+                    if v2 == "x":
+                        i += e
+                    else:
+                        j += e
+        except ValueError:  # a number past the interpreter's limit on digits
+            raise _number_error(m) from None
+        if not d:
+            raise _number_error(m)
+        if more:
+            for f in factor.finditer(text, m.start(9), m.end(9)):
+                try:
+                    e = 1 if f.group(2) is None else int(f.group(2))
+                except ValueError:
+                    raise _too_long(f, 2) from None
+                if f.group(1) == "x":
+                    i += e
+                else:
+                    j += e
+        if v1 is None or text[m.end(2) - 1] in "*^":
+            raise _missing(text, m, pos == 0)
+        if not i + j and degree_zero is None:
+            degree_zero = m.start(2)
+        if signs.count("-") % 2:
+            n = -n
+        key = (i, j)
+        old = sums.get(key)
+        if old is None:
+            sums[key] = [n, d]
+        elif old[1] == d:
+            old[0] += n
+        else:
+            old[0] = old[0] * d + n * old[1]
+            old[1] *= d
+        pos = m.end()
+        if pos == size:
+            break
+        if text[pos] not in "+-":
+            raise ParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
+    if degree_zero is not None:
+        raise ParseError("a term must have positive degree", degree_zero)
+    Fraction = _fraction_type()
+    return SupportPoly(
+        tuple(sorted([(k, Fraction(n) if d == 1 else Fraction(n, d)) for k, (n, d) in sums.items() if n]))
+    )
 
 
 def invariance_class(f: SupportPoly, p: int, q: int) -> int | None:

@@ -8,8 +8,10 @@ decodes the whole Burau matrix, determinants
 are eliminated and never expanded by minors, exact division runs from the
 lowest term up on dense coefficients, a lift or a torus link is a
 (word, power, twists) triple, a band diagram holds its closure
-permutation, no subcommand multiplies bivariate polynomials, and a braid
-word is reduced by one stack per generator, not by rescanning.  This
+permutation, no subcommand multiplies bivariate polynomials, a braid
+word is reduced by one stack per generator, not by rescanning, and
+polynomial text is read one compiled pattern per term, not one character
+at a time.  This
 module imports no private name of the library, so a route here shares no
 code with the route it checks.
 """
@@ -19,7 +21,7 @@ from itertools import combinations, permutations
 
 from lenslinks.braid import BraidWord, garside, permutation
 from lenslinks.curves import SupportPoly
-from lenslinks.errors import DivisibilityError
+from lenslinks.errors import DivisibilityError, ParseError
 from lenslinks.laurent import LaurentMatrix, LaurentPoly, slot_bits
 
 
@@ -279,6 +281,11 @@ def cyclic_reduce(w: BraidWord) -> BraidWord:
                 return BraidWord(w.strands, tuple(letters))
 
 
+def support_poly(coeffs: dict[tuple[int, int], Fraction | int]) -> SupportPoly:
+    """The polynomial with these coefficients, zero ones left out."""
+    return SupportPoly(tuple(sorted((k, Fraction(c)) for k, c in coeffs.items() if c != 0)))
+
+
 def support_mul(f: SupportPoly, g: SupportPoly) -> SupportPoly:
     """The product f * g of two bivariate polynomials."""
     coeffs: dict[tuple[int, int], Fraction] = {}
@@ -286,4 +293,115 @@ def support_mul(f: SupportPoly, g: SupportPoly) -> SupportPoly:
         for (i2, j2), c2 in g.terms:
             key = (i1 + i2, j1 + j2)
             coeffs[key] = coeffs.get(key, Fraction(0)) + c1 * c2
-    return SupportPoly.from_dict(coeffs)
+    return support_poly(coeffs)
+
+
+class PolyParser:
+    """Recursive descent for  poly := term (('+'|'-') term)*,
+    term := [coef '*'] factor ('*' factor)*,  factor := ('x'|'y') ['^' uint],
+    coef := int | int '/' uint.  A sign directly before a term is also accepted.
+
+    It peeks one character at a time, and it accepts a term of degree 0.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_uint(self) -> int:
+        # isdecimal, not isdigit: int() rejects digits such as superscripts.
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a number")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError(f"a number of {self.pos - start} digits is too long", start) from None
+
+    def take_sign(self) -> int:
+        sign = 1
+        while self.peek() and self.peek() in "+-":
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+            self.skip_ws()
+        return sign
+
+    def parse(self) -> SupportPoly:
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        self.skip_ws()
+        if not self.peek():
+            raise self.error("empty polynomial")
+        while True:
+            sign = self.take_sign()
+            key, coef = self.parse_term()
+            coeffs[key] = coeffs.get(key, Fraction(0)) + sign * coef
+            self.skip_ws()
+            if not self.peek():
+                break
+            if self.peek() not in "+-":
+                raise self.error(f"expected '+' or '-', got {self.peek()!r}")
+        return support_poly(coeffs)
+
+    def parse_term(self) -> tuple[tuple[int, int], Fraction]:
+        coef = Fraction(1)
+        if self.peek().isdecimal():
+            num = self.take_uint()
+            self.skip_ws()
+            if self.peek() == "/":
+                self.pos += 1
+                self.skip_ws()
+                den = self.take_uint()
+                if den == 0:
+                    raise self.error("zero denominator")
+                coef = Fraction(num, den)
+            else:
+                coef = Fraction(num)
+            self.skip_ws()
+            if self.peek() != "*":
+                raise self.error("a coefficient must be followed by '*' and a variable")
+            self.pos += 1
+            self.skip_ws()
+        i = j = 0
+        while True:
+            di, dj = self.parse_factor()
+            i, j = i + di, j + dj
+            self.skip_ws()
+            if self.peek() == "*":
+                self.pos += 1
+                self.skip_ws()
+                continue
+            return (i, j), coef
+
+    def parse_factor(self) -> tuple[int, int]:
+        ch = self.peek()
+        if not ch.isalpha():
+            raise self.error(f"expected a variable, got {ch!r}" if ch else "expected a variable")
+        if ch not in "xy":
+            raise self.error(f"unknown variable {ch!r}")
+        self.pos += 1
+        exp = 1
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            exp = self.take_uint()
+        return (exp, 0) if ch == "x" else (0, exp)
+
+
+def descent_parse_poly(text: str) -> SupportPoly:
+    """Polynomial text read by :class:`PolyParser`."""
+    return PolyParser(text).parse()
+

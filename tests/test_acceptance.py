@@ -15,7 +15,6 @@ import lenslinks.cli as cli
 from lenslinks.braid import BraidWord, permutation, garside
 from lenslinks.curves import (
     PuiseuxData,
-    SupportPoly,
     invariance_class,
     puiseux_pairs,
     torus_poly,
@@ -25,7 +24,7 @@ from lenslinks.invariants import AlexanderPoly, alexander_of_closure, torus_clos
 from lenslinks.laurent import LaurentPoly, divide_exact
 from lenslinks.lens import BandDiagram, LensSpace, homology_classes, lift, lifted_component_count
 from lenslinks.curves import parse_poly
-from reference import burau_reduced, closure_components, torus_braid
+from reference import burau_reduced, closure_components, support_poly, torus_braid
 
 
 def report(number, label):
@@ -184,7 +183,7 @@ def test_criterion_9_power_substitution_is_invariant():
                 i = 1
             terms[(i, j)] = rng.randint(1, 9)
         p = rng.randint(1, 7)
-        g = SupportPoly.from_dict({(p * i, p * j): c for (i, j), c in terms.items()})
+        g = support_poly({(p * i, p * j): c for (i, j), c in terms.items()})
         for q in valid_q_values(p):
             assert invariance_class(g, p, q) == 0
     report(9, "f(x^p, y^p) has invariance class 0 for 200 random polynomials")

@@ -278,6 +278,24 @@ class TestExitCodes:
     def test_malformed_poly_number(self, capsys, poly, err):
         assert run(capsys, ["invariance", "--poly", poly, "--p", "3", "--q", "1"]) == (2, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize(
+        "poly, err",
+        [
+            ("x^0 + y^0", "a term must have positive degree (at position 0)"),
+            ("2", "a coefficient must be followed by '*' and a variable (at position 1)"),
+        ],
+    )
+    def test_poly_of_degree_zero_is_refused(self, capsys, poly, err):
+        # "x^0 + y^0" would print as "2", which does not parse.
+        argv = ["invariance", "--poly", poly, "--p", "3", "--q", "1", "--json"]
+        assert run(capsys, argv) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("option", ["--poly=", "--poly=--"])
+    def test_empty_poly(self, capsys, option):
+        # argparse hands "--poly=--" over as an empty list, not as text.
+        argv = ["invariance", option, "--p", "3", "--q", "1"]
+        assert run(capsys, argv) == (2, "", "error: empty polynomial (at position 0)\n")
+
     def test_poly_accepts_any_decimal_digit(self, capsys):
         # ARABIC-INDIC DIGIT THREE is a decimal digit, which int() reads as 3.
         argv = ["invariance", "--poly", "x^\u0663 + y", "--p", "3", "--q", "1", "--json"]
@@ -882,7 +900,12 @@ _BANDS = st.builds(
     st.sampled_from(["", " | +", " | + -", " | - - -", " | x"]),
 )
 _POLYS = st.one_of(
-    st.sampled_from(["x^8 + y^2", "x^1000000000000 + y^2", "x^2*y^3 - 1/2*x*y", "x^-1", "0", "x + + y"]),
+    st.sampled_from(
+        [
+            "x^8 + y^2", "x^1000000000000 + y^2", "x^2*y^3 - 1/2*x*y", "x^-1", "0", "x + + y",
+            "x^0", "x^0 + y^0", "2*y^0 - x", "x*" * 50, "+ " * 50 + "x", "x^2*y" + " + x^2*y" * 50,
+        ]
+    ),
     st.builds(lambda a, b: f"x^{a} + y^{b}", _INTS, _INTS),
 )
 _EXPONENTS = st.lists(_INTS, max_size=4).map(lambda xs: ",".join(map(str, xs)))
@@ -955,6 +978,20 @@ class TestArgvFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert len(out) + len(err) < 100_000
+
+    @pytest.mark.parametrize(
+        "poly",
+        ["x*" * 50000, "+ " * 50000 + "x", " " * 10**5, "x^2*y" + " + x^2*y" * 20000, "1/" + "9" * 4000 + "*x"],
+        ids=["trailing-star", "signs", "spaces", "like-terms", "long-denominator"],
+    )
+    def test_long_polynomial_text_in_bounded_time(self, poly):
+        # About 10^5 characters each: a pattern that backtracked over them
+        # would take minutes.
+        start = time.perf_counter()
+        code, _, err = run_captured(["invariance", f"--poly={poly}", "--p", "3", "--q", "1"])
+        assert time.perf_counter() - start < 1
+        assert code in (0, 2)
+        assert "Traceback" not in err
 
     @settings(max_examples=100, deadline=None)
     @given(_COMMANDS)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lenslinks.curves import (
     CableSequence,
@@ -18,7 +18,48 @@ from lenslinks.curves import (
 )
 from lenslinks.errors import ParseError
 from lenslinks.lens import LensSpace, lifted_component_count, parse_band_diagram
-from reference import closure_components, support_mul
+from reference import closure_components, descent_parse_poly, support_mul, support_poly
+
+
+def _outcome(parse, text):
+    """``parse(text)``, or the message and position of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# The grammar's alphabet; digits and spaces that only some str predicates
+# accept (ARABIC-INDIC DIGIT THREE is decimal, SUPERSCRIPT TWO is a digit
+# but not decimal, NO-BREAK SPACE, EM SPACE and the file separator \x1c
+# are spaces); letters that are no variable; and numbers past the
+# interpreter's limit of 4,300 digits.
+_POLY_PIECES = st.sampled_from(
+    list("xy^*/+- 0123456789")
+    + ["\u0663", "\u00b2", "\u00a0", "\u2003", "\x1c", "z", "\u00e9", "/0", "x^0", " + ", "1/2*"]
+)
+_LONG_NUMBERS = st.sampled_from(["9" * 5000, "0" * 5000, "1" * 4301, "2" * 4300])
+_SOUP_TEXTS = st.lists(_POLY_PIECES, max_size=12).map("".join)
+_LONG_SOUP_TEXTS = st.tuples(_SOUP_TEXTS, _LONG_NUMBERS, _SOUP_TEXTS).map("".join)
+_COEFFICIENTS = st.sampled_from(["", "", "3*", "1/2 * ", "007\u2003*", "0*", "2/0*", "\u0663/4*"])
+_FACTOR = st.sampled_from(["x", "y", "x^2", "y ^ \u0663", "x^0", "y\x1c^10"])
+_TERMS = st.builds(
+    lambda coefficient, factors, glue: coefficient + glue.join(factors),
+    _COEFFICIENTS,
+    st.lists(_FACTOR, min_size=1, max_size=3),
+    st.sampled_from(["*", " * ", "\u00a0*"]),
+)
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Text of the grammar, with one piece inserted or replaced half the time."""
+    glue = draw(st.sampled_from([" + ", " - ", "-", " +- ", "\u2003-\u2003"]))
+    text = draw(st.sampled_from(["", "-", " + "])) + glue.join(draw(st.lists(_TERMS, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.one_of(_POLY_PIECES, _LONG_NUMBERS)) + text[at + draw(st.integers(0, 1)) :]
+    return text
 
 
 class TestParsePoly:
@@ -47,7 +88,7 @@ class TestParsePoly:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "0", "3", "z^2", "x +", "x^", "x^y", "1/0*x", "x & y", "2x"],
+        ["", "0", "3", "z^2", "x +", "x^", "x^y", "1/0*x", "x & y", "2x", "x^0", "2*y^0", "x^0*y^0 + x"],
     )
     def test_errors(self, text):
         with pytest.raises(ParseError):
@@ -62,6 +103,52 @@ class TestParsePoly:
         for text in ["x^8 + y^2", "3*x^2*y - y", "x*y - 1/2*y^3"]:
             f = parse_poly(text)
             assert parse_poly(str(f)) == f
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x^0 + y^0", 0), ("x + 2*y^0", 4), ("x^0 - x^0", 0), ("-  3/4*x^0*y^0*x^0", 3), ("x + y^0 + x^0", 4)],
+    )
+    def test_a_term_of_degree_zero_is_refused(self, text, position):
+        # str would print such a term as a bare number, which does not parse.
+        with pytest.raises(ParseError) as excinfo:
+            parse_poly(text)
+        assert str(excinfo.value) == f"a term must have positive degree (at position {position})"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x^0 z", "expected '+' or '-', got 'z' (at position 4)"),
+            ("x^0 + z", "unknown variable 'z' (at position 6)"),
+            ("y^0 + 1/0*x", "zero denominator (at position 9)"),
+        ],
+    )
+    def test_grammar_errors_come_before_the_degree_rule(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_poly(text)
+        assert str(excinfo.value) == message
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 40), st.integers(0, 12)).filter(lambda key: key != (0, 0)),
+            st.fractions(max_denominator=10**6).filter(bool),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_every_printed_polynomial_parses_back(self, coeffs):
+        f = support_poly(coeffs)
+        assert parse_poly(str(f)) == f
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(_SOUP_TEXTS, _LONG_SOUP_TEXTS, _grammar_texts()))
+    def test_matches_the_descent_parser(self, text):
+        # The same polynomial, or the same error at the same position, as
+        # the character-by-character parser, which accepts terms of degree 0.
+        mine, theirs = _outcome(parse_poly, text), _outcome(descent_parse_poly, text)
+        if isinstance(mine, tuple) and mine[0].startswith("a term must have positive degree"):
+            assert isinstance(theirs, SupportPoly)
+        else:
+            assert mine == theirs
 
 
 class TestInvarianceClass:
@@ -107,7 +194,7 @@ class TestInvarianceClass:
                 base = (k - q * j) % p
                 i = base + p * data.draw(st.integers(0, 3))
                 terms[(i, j)] = terms.get((i, j), 0) + data.draw(st.integers(1, 4))
-            return SupportPoly.from_dict(terms)
+            return support_poly(terms)
 
         k1 = data.draw(st.integers(0, p - 1))
         k2 = data.draw(st.integers(0, p - 1))
@@ -132,7 +219,7 @@ class TestSubstitutePowers:
             if (i, j) == (0, 0):
                 i = 1
             terms[(i, j)] = data.draw(st.integers(1, 9))
-        g = SupportPoly.from_dict({(p * i, p * j): c for (i, j), c in terms.items()})
+        g = support_poly({(p * i, p * j): c for (i, j), c in terms.items()})
         qs = [0] if p == 1 else [q for q in range(1, p) if math.gcd(p, q) == 1]
         for q in qs:
             assert invariance_class(g, p, q) == 0
