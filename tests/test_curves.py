@@ -88,7 +88,7 @@ class TestParsePoly:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "0", "3", "z^2", "x +", "x^", "x^y", "1/0*x", "x & y", "2x", "x^0", "2*y^0", "x^0*y^0 + x"],
+        ["", "0", "3", "z^2", "x +", "x^", "x^y", "1/0*x", "x & y", "2x"],
     )
     def test_errors(self, text):
         with pytest.raises(ParseError):
