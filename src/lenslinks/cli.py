@@ -10,11 +10,18 @@ JSON field names are a stability contract for scripting; they, the text
 output and the ``--help`` pages are pinned by the golden outputs in
 ``tests/fixtures/cli_golden.json``.
 
-Each call parses once: ``run`` hands ``argv[1:]`` to the parser of the
-subcommand ``argv[0]`` names; the top-level parser serves only help and errors.
+Each call reads its argv once.  ``_build_parser`` declares every option,
+and argparse alone writes help and usage errors.  A well-formed argv never
+enters argparse: ``_parse`` reads it in one pass over the tokens through the
+subcommand's option table, which ``_table`` derives from that subcommand's
+parser and so declares no option a second time.  Every other argv goes to
+the subcommand's argparse parser (``_parse`` says which).  Either way,
+``--opt=VALUE`` hands the text VALUE to the option's ``type``, whatever it
+looks like: ``--opt=--`` means the text ``--`` on every interpreter.
 
 Exit codes: 0 success, 1 domain error, 2 usage or parse error, 3 internal
-consistency fault.
+consistency fault or any other exception, which is reported with its class
+and the argv that reproduces it, never with a traceback.
 """
 
 from __future__ import annotations
@@ -239,10 +246,26 @@ def _text(command: str, f: dict) -> str:
     return "\n".join(lines)
 
 
-# One parser and its subcommand table serve every call in a process: parsing does not change them.
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that an option's value ``--`` is text on every interpreter.
+
+    Before 3.13, argparse drops the ``--`` of ``--opt=--`` and hands the
+    option an empty list without calling its ``type``; 3.13 reads the text
+    ``--`` through the ``type``, as this does everywhere.  An option's own
+    arguments never hold the separator ``--`` otherwise.  The subcommand
+    parsers are of this class too.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
+# One parser and its subcommand parsers serve every call in a process: parsing does not change them.
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lenslinks",
         # argparse spells the subcommand choices out on this line, and 3.13
         # wraps them differently; the subcommands keep their own usage lines.
@@ -318,14 +341,129 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _table(parser: argparse.ArgumentParser) -> tuple:
+    """What ``_read`` needs of a subcommand's ``parser``, read from the actions ``_build_parser`` declared.
+
+    That is the option strings, ``dest``, ``nargs``, ``type``, ``required``
+    and default of each action, the mutually exclusive groups, and
+    ``set_defaults``.  Every action is an option that stores its values or a
+    flag, besides help, without choices or a default given as text, which
+    argparse would check or convert (a test holds the declarations to that).
+    """
+    options, defaults = {}, {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._HelpAction):
+            options.update(dict.fromkeys(action.option_strings, action))
+            defaults[action.dest] = action.default
+    defaults.update(parser._defaults)
+    required = frozenset(action.dest for action in options.values() if action.required)
+    groups = tuple(
+        (frozenset(action.dest for action in group._group_actions), group.required)
+        for group in parser._mutually_exclusive_groups
+    )
+    # argparse's _parse_optional reads a token that starts with "-" as a value
+    # only if it matches no option string, whole or abbreviated, and is a
+    # negative number or holds a space (no option string here looks like a
+    # negative number).  A token of two leading dashes, or one whose first
+    # two characters begin a single-dash option string, goes to argparse,
+    # which may read it as an option.
+    short = frozenset(o[:2] for o in parser._option_string_actions if o[1:2] != "-")
+    negative = parser._negative_number_matcher.match
+
+    def is_value(token: str) -> bool:
+        if token[:1] != "-":
+            return True
+        if token[1:2] == "-" or token[:2] in short:
+            return False
+        return " " in token or negative(token) is not None
+
+    return parser, options, defaults, required, groups, is_value
+
+
+def _convert(parser: argparse.ArgumentParser, action: argparse.Action, text: str):
+    """``action.type(text)``, or exit 2 with the message argparse gives for it."""
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except (TypeError, ValueError):
+        name = getattr(action.type, "__name__", repr(action.type))
+        parser.error(str(argparse.ArgumentError(action, f"invalid {name} value: {text!r}")))
+
+
+def _read(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds from a well-formed ``tokens``, or None for argparse to read them.
+
+    Well-formed: each option is given once, by its exact option string and
+    its values, or as ``--name=VALUE`` for an option of one value; every
+    required option and exactly one option of each required group is given.
+    The values are converted, in the order given, only once the whole of
+    ``tokens`` is known to be well formed, so that any other argv reaches
+    argparse, which decides which of its errors comes first, before a
+    conversion could report one.
+    """
+    parser, options, defaults, required, groups, is_value = table
+    given = {}
+    i, end = 0, len(tokens)
+    while i < end:
+        token = tokens[i]
+        action = options.get(token)
+        if action is None:
+            name, eq, text = token.partition("=")
+            action = options.get(name) if eq else None
+            if action is None or action.nargs is not None:
+                return None
+            texts = (text,)
+            i += 1
+        else:
+            count = 1 if action.nargs is None else action.nargs
+            texts = tokens[i + 1 : i + 1 + count]
+            if len(texts) < count or not all(map(is_value, texts)):
+                return None
+            i += 1 + count
+        if action.dest in given:
+            return None
+        given[action.dest] = action, texts
+    if not required <= given.keys():
+        return None
+    for dests, needed in groups:
+        hits = len(dests & given.keys())
+        if hits > 1 or (needed and not hits):
+            return None
+    values = dict(defaults)
+    for dest, (action, texts) in given.items():
+        if action.nargs == 0:
+            values[dest] = action.const
+        elif action.nargs is None:
+            values[dest] = _convert(parser, action, texts[0])
+        else:
+            values[dest] = [_convert(parser, action, text) for text in texts]
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The top-level ``parse_args(argv)``; a named subcommand's parser reads ``argv[1:]`` in the one pass."""
+    """The top-level ``parse_args(argv)``, read in one pass where argv is well formed.
+
+    A named subcommand's table (``_table``) reads ``argv[1:]`` when every
+    token is an exact option string, ``--name=VALUE``, or one of an option's
+    values as argparse would read it, with every option given at most once
+    and the required ones and groups satisfied (``_read``).  Every other
+    argv goes to argparse, as does any argv whose ``argv[0]`` names no
+    subcommand: help, abbreviations, ``--``, repeated options, unknown
+    tokens, missing required options and group conflicts.  So argparse
+    writes every help page and every usage error but a value's conversion
+    error, whose text ``_convert`` takes from argparse.
+    """
     parser, commands = _build_parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    command = commands[argv[0]]
+    args = _read(_table(command), argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 
@@ -333,37 +471,43 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute, and print the result; returns the process exit code.
 
-    ``argv[1:]`` goes straight to the parser of the subcommand ``argv[0]``
-    names (``_parse``); the top-level parser serves only help and errors.
+    ``_parse`` reads ``argv`` once, through the option table of the
+    subcommand ``argv[0]`` names where argv is well formed, else through
+    argparse.
 
     This is the one place that writes output.  The handler's fields are the
     only result: they are printed as one JSON object with ``--json``, else
-    rendered to text by ``_text``.
+    rendered to text by ``_text``.  An exception no other clause expects
+    exits 3 with its class, its message and the argv that reproduces it.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _parse(argv)
+        fields = args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        fields = args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, DivisibilityError) as exc:
-        import shlex  # only this rare message needs it
-
-        print(
-            f"internal consistency fault: {exc}; reproduce with: lenslinks {shlex.join(argv)}",
-            file=sys.stderr,
-        )
-        return 3
+        return _fault(argv, f"internal consistency fault: {exc}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # The last resort: any other exception is a fault of the program.
+        return _fault(argv, f"internal error: {type(exc).__name__}: {exc}")
     print(json.dumps(fields) if args.json else _text(args.command, fields))
     return 0
+
+
+def _fault(argv: list[str], message: str) -> int:
+    """Print ``message`` with the command line that reproduces it; exit code 3."""
+    import shlex  # only this rare message needs it
+
+    print(f"{message}; reproduce with: lenslinks {shlex.join(argv)}", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

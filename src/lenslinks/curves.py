@@ -185,8 +185,6 @@ def parse_poly(text: str) -> SupportPoly:
     The grammar is in the module docstring.  Raises :class:`ParseError`,
     with the position of the first character that breaks the grammar.
     """
-    if not text:  # also argparse's value of "--poly=--", an empty list
-        raise ParseError("empty polynomial", 0)
     term, factor = _poly_patterns()
     sums: dict[tuple[int, int], list[int]] = {}
     pos, size = 0, len(text)

@@ -1,5 +1,6 @@
 """The command-line contract: JSON fields, exit codes and size refusals."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -24,7 +25,11 @@ import lenslinks.lens
 from lenslinks.errors import ConsistencyError, DivisibilityError
 from modp import P, closure_mod, det_mod, random_point
 
-GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text())
+# Error argv with their exit code and stderr, the same on every supported
+# interpreter; cli_errors.py checks them in new processes without pytest.
+ERRORS = json.loads((FIXTURES / "cli_errors.json").read_text(encoding="utf-8"))
 SRC = str(Path(lenslinks.__file__).resolve().parent.parent)
 
 
@@ -85,6 +90,12 @@ def test_json_builds_no_text(capsys, monkeypatch, case):
     code, out, err = run(capsys, case["argv"] + ["--json"])
     assert (code, err) == (0, "")
     assert json.loads(out) == case["json"]
+
+
+@pytest.mark.parametrize("case", ERRORS, ids=[" ".join(case["argv"])[:60] for case in ERRORS])
+def test_error_fixture(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, case["argv"]) == (case["code"], "", case["stderr"])
 
 
 def test_golden_covers_every_help():
@@ -281,9 +292,11 @@ class TestExitCodes:
         assert run(capsys, ["invariance", "--poly", poly, "--p", "3", "--q", "1"]) == (2, "", f"error: {err}\n")
 
     def test_empty_poly(self, capsys):
-        # argparse hands "--poly=--" over as an empty list, not as text.
+        # "--poly=--" is the text "--" on every interpreter, as on 3.13;
+        # argparse before 3.13 handed it over as an empty list, which read as
+        # an empty polynomial.
         argv = ["invariance", "--poly=--", "--p", "3", "--q", "1"]
-        assert run(capsys, argv) == (2, "", "error: empty polynomial (at position 0)\n")
+        assert run(capsys, argv) == (2, "", "error: expected a variable (at position 2)\n")
 
     def test_poly_accepts_any_decimal_digit(self, capsys):
         # ARABIC-INDIC DIGIT THREE is a decimal digit, which int() reads as 3.
@@ -339,6 +352,17 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("internal consistency fault: ")
         assert err.endswith(f"; reproduce with: lenslinks {shlex.join(argv)}\n")
+
+    def test_unexpected_exception_exits_3_with_its_class(self, capsys, monkeypatch):
+        # The last resort: an exception no clause expects is a fault of the
+        # program, reported like a consistency fault and never as a traceback.
+        def broken(*args):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(cli, "homology_classes", broken)
+        code, out, err = run(capsys, ["homology", "--band", "5 2 3 : 1 2", "--json"])
+        expected = "internal error: KeyError: 'injected'; reproduce with: lenslinks homology --band '5 2 3 : 1 2' --json\n"
+        assert (code, out, err) == (3, "", expected)
 
     def test_fault_message_from_process_argv(self, capsys, monkeypatch):
         def broken(*args):
@@ -931,6 +955,28 @@ _COMMANDS = st.one_of(
     _options(st.just("puiseux"), st.just("--m"), _INTS, st.just("--exponents"), _EXPONENTS, st.just("--characteristic-only")),
     _options(st.sampled_from(["homology", "nullhomologous"]), st.just("--band"), _BANDS),
 )
+# Options of one value, and values for their --opt=VALUE spelling that
+# would read as the separator, an option or nothing if given apart.
+_ONE_VALUE = {"--poly", "--p", "--q", "--band", "--a", "--b", "--braid", "--strands", "--m", "--exponents"}
+_EDGE_VALUES = st.sampled_from(["--", "", "-1", "-h", "=", "--json"])
+
+
+@st.composite
+def _spelled(draw, argvs):
+    """An argv of ``argvs`` with each option of one value given apart, as --opt=VALUE, or as --opt=EDGE."""
+    argv = draw(argvs)
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        if token not in _ONE_VALUE:
+            out.append(token)
+            continue
+        value = next(tokens)
+        how = draw(st.sampled_from(["apart", "joined", "edge"]))
+        out += [token, value] if how == "apart" else [f"{token}={value if how == 'joined' else draw(_EDGE_VALUES)}"]
+    return out
+
+
+_SPELLED = _spelled(_COMMANDS)
 _SUBCOMMANDS = st.sampled_from(
     ["invariance", "lift", "torus-test", "genus", "alexander", "puiseux", "homology", "nullhomologous", "frobnicate"]
 )
@@ -940,13 +986,20 @@ _FLAGS = st.sampled_from(
         "--braid", "--strands", "--m", "--exponents", "--characteristic-only", "--json",
     ]
 )
-# Any flags after any subcommand, each with up to three tokens.
+# Any flags after any subcommand, each with up to three tokens, some flags
+# spelled --flag=VALUE.
 _SOUP = st.builds(
     lambda command, options: [command] + [token for flag, values in options for token in (flag, *values)],
     _SUBCOMMANDS,
-    st.lists(st.tuples(_FLAGS, st.lists(_TOKENS, max_size=3)), max_size=5),
+    st.lists(
+        st.tuples(
+            st.one_of(_FLAGS, st.builds(lambda flag, value: f"{flag}={value}", _FLAGS, st.one_of(_EDGE_VALUES, _TOKENS))),
+            st.lists(_TOKENS, max_size=3),
+        ),
+        max_size=5,
+    ),
 )
-_ARGV = st.one_of(_COMMANDS, _COMMANDS.map(lambda argv: argv + ["--json"]), _SOUP)
+_ARGV = st.one_of(_COMMANDS, _SPELLED, _SPELLED.map(lambda argv: argv + ["--json"]), _SOUP)
 
 
 def run_captured(argv):
@@ -983,7 +1036,7 @@ class TestArgvFuzz:
         assert "Traceback" not in err
 
     @settings(max_examples=100, deadline=None)
-    @given(_COMMANDS)
+    @given(st.one_of(_COMMANDS, _SPELLED))
     def test_text_and_json_agree(self, argv):
         code, text, err = run_captured(argv)
         json_code, out, json_err = run_captured(argv + ["--json"])
@@ -1021,6 +1074,21 @@ _EDGE_ARGV = [
     ["genus", "--torus", "2", "3", "--torus", "3", "5"],
     ["alexander", "--braid", "1", "--braid", "1 1", "--strands", "2", "--strands", "3"],
     ["nullhomologous", "--band", "4 1 2 : 1", "junk", "--json"],
+    ["lift", "--band=--"],
+    ["lift", "--ban=--"],
+    ["lift", "--band=--", "--json", "--json"],
+    ["invariance", "--poly=", "--p=-1", "--q=="],
+    ["invariance", "--poly=x", "--p=-h", "--q", "1", "--p", "2"],
+    ["alexander", "--braid", "-1 2", "--strands", "-h"],
+    ["alexander", "--braid", "-1", "--strands", "--json"],
+    ["alexander", "--braid", "-x", "--strands", "2"],
+    ["alexander", "--braid", "-h 1", "--strands", "2"],
+    ["alexander", "--strands", "x", "--b", "1"],
+    ["genus", "--torus=2", "3"],
+    ["genus", "--torus", "-2", "-3", "--json=1"],
+    ["genus", "--quotient", "3", "0", "7", "--torus", "2", "3"],
+    ["puiseux", "--m", "-1", "--exponents", "--characteristic-only"],
+    ["torus-test", "--a", "x", "--b", "y", "--p", "3"],
 ]
 
 
@@ -1040,6 +1108,60 @@ class TestOnePassParse:
     @given(_ARGV)
     def test_any_argv_matches_top_level_parse(self, argv):
         assert parsed(cli._parse, argv) == parsed(top_level_parse, argv)
+
+    def test_dashes_after_equals_are_text(self):
+        # The one reading that argparse itself changes by interpreter: before
+        # 3.13 a plain parser reads --band=-- as [], without the type.  The
+        # table and cli's parser class read the text "--" on every one.
+        plain = argparse.ArgumentParser()
+        plain.add_argument("--band")
+        band = plain.parse_args(["--band=--"]).band
+        assert band == "--" if sys.version_info >= (3, 13) else band in ([], "--")
+        for argv in (["lift", "--band=--"], ["lift", "--ban=--"], ["lift", "--band=--", "--json", "--json"]):
+            assert parsed(cli._parse, argv)["band"] == parsed(top_level_parse, argv)["band"] == "--"
+        argv = ["invariance", "--poly=x", "--p=--", "--q", "1"]
+        usage = cli._build_parser()[1]["invariance"].format_usage()
+        assert parsed(cli._parse, argv) == (2, "", f"{usage}lenslinks invariance: error: argument --p: invalid int value: '--'\n")
+
+    def test_table_reads_every_declared_action(self):
+        # _read mirrors argparse for options that store their values and for
+        # flags; choices, a default given as text (which argparse converts),
+        # or an option string that looks like a negative number would each
+        # need their own reading there.
+        kinds = (argparse._StoreAction, argparse._StoreTrueAction)
+        for name, parser in cli._build_parser()[1].items():
+            assert not parser._has_negative_number_optionals, name
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert isinstance(action, kinds), (name, action.dest)
+                    assert action.choices is None and not isinstance(action.default, str), (name, action.dest)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [case["argv"] + extra for case in JSON_CASES for extra in ([], ["--json"])]
+        + [
+            ["alexander", "--braid", "-1 2 -1", "--strands", "3"],
+            ["alexander", "--braid", "-1", "--strands", "2", "--json"],
+            ["alexander", "--braid=-2 1 -2 1", "--strands=3", "--json"],
+            ["invariance", "--poly=x^8 + y^2", "--p", "3", "--q=1", "--json"],
+            ["puiseux", "--exponents=4,6,7", "--characteristic-only", "--m=4"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_well_formed_argv_never_enters_argparse(self, capsys, monkeypatch, argv):
+        # The option table reads every golden subcommand argv, with and
+        # without --json, a braid word that starts with "-" and --opt=VALUE:
+        # no parser's parse_known_args (which parse_args calls) runs.
+        calls = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert run(capsys, argv)[0] == 0
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, entered",
