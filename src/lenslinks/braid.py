@@ -14,7 +14,7 @@ No normal form is computed here; braid-level equality certificates live in
 
 from __future__ import annotations
 
-import math
+from math import gcd
 
 from ._value import Value
 from .errors import ConsistencyError, ParseError
@@ -51,14 +51,29 @@ def _trusted_word(strands: int, letters: tuple[int, ...]) -> BraidWord:
     return word
 
 
-class StrandPermutation(Value):
-    """A bijection of {1..n}; ``image[i-1]`` is where strand i ends."""
+def _trusted_perm(n: int, image: tuple[int, ...]) -> StrandPermutation:
+    """A StrandPermutation on an image already known to be a permutation of 1..n, without re-validating it."""
+    perm = object.__new__(StrandPermutation)
+    object.__setattr__(perm, "n", n)
+    object.__setattr__(perm, "image", image)
+    object.__setattr__(perm, "_cycles", None)
+    return perm
 
-    __slots__ = ("n", "image")
+
+class StrandPermutation(Value):
+    """A bijection of {1..n}; ``image[i-1]`` is where strand i ends.
+
+    ``_cycles`` is not a field: it is left None when the permutation is
+    built and filled by the first call of :meth:`cycles`, so every reader of
+    one permutation shares one walk of its cycles.
+    """
+
+    __slots__ = ("n", "image", "_cycles")
 
     def __init__(self, n: int, image: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "image", image)
+        object.__setattr__(self, "_cycles", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -70,10 +85,15 @@ class StrandPermutation(Value):
         return StrandPermutation(n, tuple(range(1, n + 1)))
 
     def then(self, other: StrandPermutation) -> StrandPermutation:
-        """Composite permutation: apply ``self`` first, then ``other``."""
+        """Composite permutation: apply ``self`` first, then ``other``.
+
+        A composite of two permutations of 1..n is one, so it is built
+        without checking its image again.
+        """
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different sizes")
-        return StrandPermutation(self.n, tuple(other.image[j - 1] for j in self.image))
+        image = other.image
+        return _trusted_perm(self.n, tuple([image[j - 1] for j in self.image]))
 
     def __pow__(self, e: int) -> StrandPermutation:
         """``self`` composed with itself e times (e >= 0), by squaring in O(n log e)."""
@@ -90,7 +110,13 @@ class StrandPermutation(Value):
         return result or StrandPermutation.identity(self.n)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition; cycles start at their minimum and are sorted by it."""
+        """Cycle decomposition; cycles start at their minimum and are sorted by it.
+
+        The cycles are walked on the first call and kept in ``_cycles``.
+        """
+        if self._cycles is not None:
+            return self._cycles
+        image = self.image
         seen = [False] * self.n
         out: list[tuple[int, ...]] = []
         for start in range(1, self.n + 1):
@@ -101,9 +127,11 @@ class StrandPermutation(Value):
             while not seen[i - 1]:
                 seen[i - 1] = True
                 cycle.append(i)
-                i = self.image[i - 1]
+                i = image[i - 1]
             out.append(tuple(cycle))
-        return tuple(out)
+        cycles = tuple(out)
+        object.__setattr__(self, "_cycles", cycles)
+        return cycles
 
     def cycle_count(self, power: int) -> int:
         """Number of cycles of ``self ** power`` (power >= 0), counted two ways.
@@ -115,7 +143,7 @@ class StrandPermutation(Value):
         every permutation; a disagreement is a fault in the code and raises
         :class:`ConsistencyError`.
         """
-        from_cycles = sum([math.gcd(len(cycle), power) for cycle in self.cycles()])
+        from_cycles = sum([gcd(len(cycle), power) for cycle in self.cycles()])
         from_power = len((self**power).cycles())
         if from_cycles != from_power:
             raise ConsistencyError(
@@ -158,23 +186,29 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
 
     An empty (or all-whitespace) string is the identity braid.  The strand
     count is checked first, so a count below 1 gives one message whatever
-    the letters.
+    the letters.  The tokens are read in one pass and checked by their
+    least and greatest letter; only a text that fails is walked again, token
+    by token, to report the first bad one with its position.
     """
     if strands < 1:
         raise ValueError("a braid needs at least one strand")
-    letters = []
+    tokens = text.split()
+    try:
+        letters = list(map(int, tokens))
+    except ValueError:  # some token is not an integer
+        pass
+    else:
+        if not letters or (-strands < min(letters) and max(letters) < strands and 0 not in letters):
+            return _trusted_word(strands, tuple(letters))
+    # Some token is not a letter: find the first, with its position.
     pos = 0
-    for token in text.split():
+    for token in tokens:
         pos = text.index(token, pos)
         try:
             letter = int(token)
         except ValueError:
             raise ParseError(f"expected a signed integer, got {token!r}", pos) from None
-        if letter == 0 or abs(letter) > strands - 1:
-            raise ParseError(
-                f"letter {letter} is not a generator index for {strands} strands", pos
-            )
-        letters.append(letter)
+        if letter == 0 or abs(letter) >= strands:
+            raise ParseError(f"letter {letter} is not a generator index for {strands} strands", pos)
         pos += len(token)
-    # Every letter is checked above, with its position.
-    return _trusted_word(strands, tuple(letters))
+    raise AssertionError("the one-pass check refused a word with no bad letter")

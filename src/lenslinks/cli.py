@@ -246,20 +246,39 @@ def _text(command: str, f: dict) -> str:
     return "\n".join(lines)
 
 
+def int_list(text: str) -> list[int]:
+    """The integers of comma-separated ``text``; argparse's conversion errors name this type by its ``__name__``."""
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that an option's value ``--`` is text on every interpreter.
 
     Before 3.13, argparse drops the ``--`` of ``--opt=--`` and hands the
     option an empty list without calling its ``type``; 3.13 reads the text
     ``--`` through the ``type``, as this does everywhere.  An option's own
-    arguments never hold the separator ``--`` otherwise.  The subcommand
-    parsers are of this class too.
+    arguments never hold the separator ``--`` otherwise.  The usage line
+    that a usage error prints is formatted once per parser and terminal
+    width (``_usage``); ``--help`` formats its page as argparse does.  The
+    subcommand parsers are of this class too.
     """
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
             return self._get_value(action, "--")
         return super()._get_values(action, arg_strings)
+
+    def format_usage(self):
+        # argparse's formatter takes its width from the terminal, read the same way.
+        import shutil
+
+        return _usage(self, shutil.get_terminal_size().columns)
+
+
+@functools.cache
+def _usage(parser: argparse.ArgumentParser, columns: int) -> str:
+    """The usage line argparse formats for ``parser`` at a terminal ``columns`` wide, formatted once per width."""
+    return argparse.ArgumentParser.format_usage(parser)
 
 
 # One parser and its subcommand parsers serve every call in a process: parsing does not change them.
@@ -321,7 +340,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--exponents",
-        type=lambda s: [int(x) for x in s.split(",") if x.strip()],
+        type=int_list,
         required=True,
         help="comma-separated numerators, e.g. 6,7",
     )
@@ -439,7 +458,10 @@ def _read(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
             values[dest] = _convert(parser, action, texts[0])
         else:
             values[dest] = [_convert(parser, action, text) for text in texts]
-    return argparse.Namespace(**values)
+    # One update, not the setattr per key of Namespace(**values).
+    args = argparse.Namespace()
+    args.__dict__.update(values)
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -12,7 +12,7 @@ from lenslinks.braid import (
 )
 from lenslinks.errors import ParseError
 from lenslinks.laurent import LaurentPoly
-from reference import burau_reduced, closure_components, free_reduce
+from reference import burau_reduced, closure_components, free_reduce, positional_parse_braid_word
 
 
 def signed_letters(n):
@@ -26,6 +26,29 @@ def braid_words(min_strands=2, max_strands=6, max_len=12):
         )
 
     return st.integers(min_strands, max_strands).flatmap(build)
+
+
+def braid_texts():
+    """(text, strands): token soups of letters, out-of-range and malformed tokens, between assorted whitespace."""
+
+    def build(n):
+        # Below 2 strands no token is a letter; past n - 1 every one is out of range.
+        m = max(n, 1)
+        letter = signed_letters(n).map(str) if n > 1 else st.just("1")
+        odd = st.one_of(
+            st.sampled_from(["0", "-0", "+1", "--1", "+-1", "1_0", "\u0663", "-\u0663", "x", "1x", "", "00"]),
+            st.integers(m, m + 3).map(str),
+            st.integers(-m - 3, -m).map(str),
+            st.integers(1, m + 1).map(lambda i: f"+{i}"),
+        )
+        gap = st.sampled_from([" ", "  ", "\t", "\n", " \t\n ", "\r\n", "\u3000"])
+        tokens = st.lists(st.one_of(letter, letter, letter, odd), max_size=8)
+        text = st.tuples(st.sampled_from(["", " ", "\t"]), tokens, gap, gap).map(
+            lambda parts: parts[0] + parts[2].join(parts[1]) + parts[3]
+        )
+        return st.tuples(text, st.just(n))
+
+    return st.integers(-1, 7).flatmap(build)
 
 
 def braid_word_pairs(max_strands=6, max_len=10):
@@ -233,3 +256,22 @@ class TestParseBraidWord:
     def test_out_of_range_letter(self):
         with pytest.raises(ParseError):
             parse_braid_word("3", 3)
+
+    @given(braid_texts())
+    @example(("", 3))
+    @example(("\t\n", 1))
+    @example(("1 \u0663\t--1", 5))
+    def test_agrees_with_positional_reader(self, case):
+        # Same word, or the same error with the same position.
+        text, strands = case
+
+        def outcome(read):
+            try:
+                word = read(text, strands)
+            except ParseError as exc:
+                return "ParseError", str(exc), exc.position
+            except ValueError as exc:
+                return "ValueError", str(exc)
+            return word.strands, word.letters
+
+        assert outcome(parse_braid_word) == outcome(positional_parse_braid_word)

@@ -332,27 +332,6 @@ class TestExitCodes:
         reproduce = err.rstrip("\n").split("; reproduce with: lenslinks ", 1)[1]
         assert shlex.split(reproduce) == argv
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["lift", "--band", "5 2 3 : 1 2"],
-            ["homology", "--band", "5 2 3 : 1 2"],
-            # Power 8 mod 3 = 2; at power 0 (as for 9 3) both routes give n.
-            ["genus", "--torus", "8", "3"],
-        ],
-    )
-    def test_broken_power_caught(self, capsys, monkeypatch, argv):
-        # Every component count goes through StrandPermutation.cycle_count,
-        # whose gcd route does not use __pow__.
-        def identity(perm, e):
-            return lenslinks.StrandPermutation.identity(perm.n)
-
-        monkeypatch.setattr(lenslinks.StrandPermutation, "__pow__", identity)
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (3, "")
-        assert err.startswith("internal consistency fault: ")
-        assert err.endswith(f"; reproduce with: lenslinks {shlex.join(argv)}\n")
-
     def test_unexpected_exception_exits_3_with_its_class(self, capsys, monkeypatch):
         # The last resort: an exception no clause expects is a fault of the
         # program, reported like a consistency fault and never as a traceback.
@@ -836,6 +815,29 @@ class TestRepeatedCalls:
         assert cli._build_parser.cache_info().misses == 1
         assert set(commands) == {case["argv"][0] for case in JSON_CASES}
         assert all(p.prog == f"lenslinks {name}" for name, p in commands.items())
+
+    def test_usage_cache_is_transparent(self, capsys, monkeypatch):
+        # A usage error prints the usage line argparse formats fresh at the
+        # width of that moment, however often the width changes; --help
+        # pages are formatted fresh, never from the cache.
+        parser, commands = cli._build_parser()
+        # An unknown name is an error of the top-level parser; every
+        # subcommand requires an option, so its name alone is an error of
+        # its own parser.
+        parsers = {"frobnicate": parser, **commands}
+        fresh = {}
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for name, owner in parsers.items():
+                usage = argparse.ArgumentParser.format_usage(owner)
+                code, out, err = run(capsys, [name])
+                assert (code, out) == (2, "")
+                assert err.startswith(usage + f"{owner.prog}: error: "), name
+                fresh[columns, name] = usage
+                help_argv = ["--help"] if owner is parser else [name, "--help"]
+                assert run(capsys, help_argv) == (0, owner.format_help(), ""), help_argv
+        # The widths give different lines, so a cache blind to the width would fail.
+        assert any(fresh["40", name] != fresh["200", name] for name in parsers)
 
     def test_help_unchanged_by_reuse(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
