@@ -56,24 +56,17 @@ def _trusted_perm(n: int, image: tuple[int, ...]) -> StrandPermutation:
     perm = object.__new__(StrandPermutation)
     object.__setattr__(perm, "n", n)
     object.__setattr__(perm, "image", image)
-    object.__setattr__(perm, "_cycles", None)
     return perm
 
 
 class StrandPermutation(Value):
-    """A bijection of {1..n}; ``image[i-1]`` is where strand i ends.
+    """A bijection of {1..n}; ``image[i-1]`` is where strand i ends."""
 
-    ``_cycles`` is not a field: it is left None when the permutation is
-    built and filled by the first call of :meth:`cycles`, so every reader of
-    one permutation shares one walk of its cycles.
-    """
-
-    __slots__ = ("n", "image", "_cycles")
+    __slots__ = ("n", "image")
 
     def __init__(self, n: int, image: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_cycles", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -110,13 +103,7 @@ class StrandPermutation(Value):
         return result or StrandPermutation.identity(self.n)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition; cycles start at their minimum and are sorted by it.
-
-        The cycles are walked on the first call and kept in ``_cycles``.
-        """
-        if self._cycles is not None:
-            return self._cycles
-        image = self.image
+        """Cycle decomposition; cycles start at their minimum and are sorted by it."""
         seen = [False] * self.n
         out: list[tuple[int, ...]] = []
         for start in range(1, self.n + 1):
@@ -127,11 +114,9 @@ class StrandPermutation(Value):
             while not seen[i - 1]:
                 seen[i - 1] = True
                 cycle.append(i)
-                i = image[i - 1]
+                i = self.image[i - 1]
             out.append(tuple(cycle))
-        cycles = tuple(out)
-        object.__setattr__(self, "_cycles", cycles)
-        return cycles
+        return tuple(out)
 
     def cycle_count(self, power: int) -> int:
         """Number of cycles of ``self ** power`` (power >= 0), counted two ways.
@@ -186,29 +171,23 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
 
     An empty (or all-whitespace) string is the identity braid.  The strand
     count is checked first, so a count below 1 gives one message whatever
-    the letters.  The tokens are read in one pass and checked by their
-    least and greatest letter; only a text that fails is walked again, token
-    by token, to report the first bad one with its position.
+    the letters.
     """
     if strands < 1:
         raise ValueError("a braid needs at least one strand")
-    tokens = text.split()
-    try:
-        letters = list(map(int, tokens))
-    except ValueError:  # some token is not an integer
-        pass
-    else:
-        if not letters or (-strands < min(letters) and max(letters) < strands and 0 not in letters):
-            return _trusted_word(strands, tuple(letters))
-    # Some token is not a letter: find the first, with its position.
+    letters = []
     pos = 0
-    for token in tokens:
+    for token in text.split():
         pos = text.index(token, pos)
         try:
             letter = int(token)
         except ValueError:
             raise ParseError(f"expected a signed integer, got {token!r}", pos) from None
-        if letter == 0 or abs(letter) >= strands:
-            raise ParseError(f"letter {letter} is not a generator index for {strands} strands", pos)
+        if letter == 0 or abs(letter) > strands - 1:
+            raise ParseError(
+                f"letter {letter} is not a generator index for {strands} strands", pos
+            )
+        letters.append(letter)
         pos += len(token)
-    raise AssertionError("the one-pass check refused a word with no bad letter")
+    # Every letter is checked above, with its position.
+    return _trusted_word(strands, tuple(letters))

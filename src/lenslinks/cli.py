@@ -458,10 +458,7 @@ def _read(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
             values[dest] = _convert(parser, action, texts[0])
         else:
             values[dest] = [_convert(parser, action, text) for text in texts]
-    # One update, not the setattr per key of Namespace(**values).
-    args = argparse.Namespace()
-    args.__dict__.update(values)
-    return args
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

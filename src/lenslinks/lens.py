@@ -19,11 +19,10 @@ count mod p.  The component count of the lift is tied to these classes by
 
 which this module recomputes both ways as a permanent cross-check.  A
 :class:`BandDiagram` walks its word once, when it is built, and every
-reader of the closure permutation perm(word) shares that walk and the
-cycles of perm(word), which are walked on first read and kept: the
-orientation check, the classes, the gcd route of the lifted components
-(through :meth:`StrandPermutation.cycle_count`, whose other route walks
-the cycles of perm(word)^p) and the nullhomologous orientation search.
+reader of the closure permutation perm(word) shares that walk: the
+orientation check, the classes (its cycles), the lifted components (the
+cycles of perm(word)^p, through :meth:`StrandPermutation.cycle_count`)
+and the nullhomologous orientation search.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ lowest term up on dense coefficients, a lift or a torus link is a
 permutation, no subcommand multiplies bivariate polynomials, a braid
 word is reduced by one stack per generator, not by rescanning, and
 polynomial text is read one compiled pattern per term, not one character
-at a time, and braid word text in one pass of ``int`` over its tokens,
-not one token at a time.  This
+at a time.  This
 module imports no private name of the library, so a route here shares no
 code with the route it checks.
 """
@@ -406,24 +405,3 @@ def descent_parse_poly(text: str) -> SupportPoly:
     """Polynomial text read by :class:`PolyParser`."""
     return PolyParser(text).parse()
 
-
-
-def positional_parse_braid_word(text: str, strands: int) -> BraidWord:
-    """Braid word text read one token at a time, each letter checked where it stands."""
-    if strands < 1:
-        raise ValueError("a braid needs at least one strand")
-    letters = []
-    pos = 0
-    for token in text.split():
-        pos = text.index(token, pos)
-        try:
-            letter = int(token)
-        except ValueError:
-            raise ParseError(f"expected a signed integer, got {token!r}", pos) from None
-        if letter == 0 or abs(letter) > strands - 1:
-            raise ParseError(
-                f"letter {letter} is not a generator index for {strands} strands", pos
-            )
-        letters.append(letter)
-        pos += len(token)
-    return BraidWord(strands, tuple(letters))

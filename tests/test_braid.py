@@ -12,7 +12,7 @@ from lenslinks.braid import (
 )
 from lenslinks.errors import ParseError
 from lenslinks.laurent import LaurentPoly
-from reference import burau_reduced, closure_components, free_reduce, positional_parse_braid_word
+from reference import burau_reduced, closure_components, free_reduce
 
 
 def signed_letters(n):
@@ -36,7 +36,7 @@ def braid_texts():
         m = max(n, 1)
         letter = signed_letters(n).map(str) if n > 1 else st.just("1")
         odd = st.one_of(
-            st.sampled_from(["0", "-0", "+1", "--1", "+-1", "1_0", "\u0663", "-\u0663", "x", "1x", "", "00"]),
+            st.sampled_from(["0", "-0", "-", "+", "+1", "--1", "+-1", "1_0", "\u0663", "-\u0663", "x", "1x", "", "00"]),
             st.integers(m, m + 3).map(str),
             st.integers(-m - 3, -m).map(str),
             st.integers(1, m + 1).map(lambda i: f"+{i}"),
@@ -261,17 +261,30 @@ class TestParseBraidWord:
     @example(("", 3))
     @example(("\t\n", 1))
     @example(("1 \u0663\t--1", 5))
-    def test_agrees_with_positional_reader(self, case):
-        # Same word, or the same error with the same position.
+    @example(("-1 -", 2))
+    def test_reads_token_soups(self, case):
+        # The word of the tokens, or an error at the first token that is no letter.
         text, strands = case
-
-        def outcome(read):
+        if strands < 1:
+            with pytest.raises(ValueError, match="at least one strand"):
+                parse_braid_word(text, strands)
+            return
+        letters, pos = [], 0
+        for token in text.split():
+            pos = text.index(token, pos)
             try:
-                word = read(text, strands)
-            except ParseError as exc:
-                return "ParseError", str(exc), exc.position
-            except ValueError as exc:
-                return "ValueError", str(exc)
-            return word.strands, word.letters
-
-        assert outcome(parse_braid_word) == outcome(positional_parse_braid_word)
+                value = int(token)
+            except ValueError:
+                expected = f"expected a signed integer, got {token!r}"
+                break
+            if not 0 < abs(value) < strands:
+                expected = f"letter {value} is not a generator index for {strands} strands"
+                break
+            letters.append(value)
+            pos += len(token)
+        else:
+            assert parse_braid_word(text, strands) == BraidWord(strands, tuple(letters))
+            return
+        with pytest.raises(ParseError) as info:
+            parse_braid_word(text, strands)
+        assert (str(info.value), info.value.position) == (f"{expected} (at position {pos})", pos)
