@@ -1,18 +1,18 @@
 """The immutable base of the package's value classes.
 
 A value class lists its fields in ``__slots__`` and writes its own
-``__init__``, which sets them with ``object.__setattr__`` and then calls
-``__post_init__`` to validate them.  :class:`Value` adds what a frozen
-dataclass would: equality and hashing over the fields in slot order, a
-``Name(field=value, ...)`` repr, and refusal to assign or delete.  It
-stands in for ``@dataclass(frozen=True)``, whose import (``inspect`` and
-what that loads) and per-class code generation would cost about twice the
-rest of importing :mod:`lenslinks.cli`.
+``__init__``, which sets them with ``object.__setattr__`` and then, where
+they need checking, calls ``__post_init__`` to validate them.
+:class:`Value` adds what a frozen dataclass would: equality and hashing
+over the fields in slot order, a ``Name(field=value, ...)`` repr, and
+refusal to assign or delete.  It stands in for
+``@dataclass(frozen=True)``, whose import (``inspect`` and what that
+loads) and per-class code generation would cost about twice the rest of
+importing :mod:`lenslinks.cli`.
 
 A slot whose name starts with ``_`` is not a field: it holds a value that
-``__init__`` derives from the fields, or one that a private constructor
-stores to derive the fields from on first read, and it takes no part in
-equality, hashing, repr or pickling.
+``__init__`` derives from the fields, and it takes no part in equality,
+hashing, repr or pickling.
 """
 
 from __future__ import annotations

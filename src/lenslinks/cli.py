@@ -378,8 +378,10 @@ def _table(parser: argparse.ArgumentParser) -> tuple:
     defaults.update(parser._defaults)
     required = frozenset(action.dest for action in options.values() if action.required)
     groups = tuple(
-        (frozenset(action.dest for action in group._group_actions), group.required)
-        for group in parser._mutually_exclusive_groups
+        [
+            (frozenset(action.dest for action in group._group_actions), group.required)
+            for group in parser._mutually_exclusive_groups
+        ]
     )
     # argparse's _parse_optional reads a token that starts with "-" as a value
     # only if it matches no option string, whole or abbreviated, and is a

@@ -87,7 +87,7 @@ class SupportPoly(Value):
         return not self.terms
 
     def support(self) -> tuple[tuple[int, int], ...]:
-        return tuple(k for k, _ in self.terms)
+        return tuple([k for k, _ in self.terms])
 
     def __str__(self) -> str:
         if not self.terms:

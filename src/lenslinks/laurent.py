@@ -4,10 +4,11 @@ Laurent polynomials are stored sparsely as sorted (exponent, coefficient)
 pairs with arbitrary-precision integer coefficients, so every operation is
 exact.  Determinants use Bareiss fraction-free elimination, O(d^3) products
 with exact division by the previous pivot, on one of two entry types.  A
-matrix reaches ``det`` as packed columns, one integer per column holding
-every entry's coefficients as signed digits, either straight from the Burau
-passes of :mod:`lenslinks.invariants` or packed from its rows.  One read of
-each column's digits gives its exponent window and its entries' L1 norms.
+matrix is stored in one form, packed columns: one integer per column
+holding every entry's coefficients as signed digits, as the Burau passes
+of :mod:`lenslinks.invariants` make them or as ``from_rows`` packs a
+matrix's entries.  One read of each column's digits gives its exponent
+window and its entries' L1 norms.
 When the determinant packs into at most 2^14 bits, the digits are moved
 byte by byte to the width K at t = 2^K, as in Kronecker substitution
 (below), the elimination runs on plain integers, and the one result is
@@ -25,10 +26,10 @@ possible product coefficient, so the digits never overlap.  Small or sparse
 operands stay on the schoolbook loop, where packing costs more than it
 saves.
 ``LaurentPoly.from_packed`` decodes such an integer for other modules.  A
-column of the Burau passes of :mod:`lenslinks.invariants`, polynomials a
-fixed number of slots apart, is read only by :func:`_column_window`, for
-each entry's window and L1 norm, and :func:`_respace`, for its values at
-any width, both on the slots of :func:`_twos_complement`.
+packed column, polynomials a fixed number of slots apart, is read only by
+:func:`_column_window`, for each entry's window and L1 norm, and
+:func:`_respace`, for its values at any width, both on the slots of one
+:func:`_twos_complement`.
 Exact division runs from the lowest term up; :func:`divide_cyclic` first
 multiplies by 1 - t, so its divisor 1 + ... + t^(n-1) becomes 1 - t^n.
 
@@ -48,9 +49,10 @@ from ._value import Value
 from .errors import DivisibilityError
 
 
-# Tuples here are built from lists, never from generators: tuple(<generator>)
-# grows its result by resizing, which bypasses CPython's per-size tuple free
-# lists while freeing still fills them, so memory creeps up call after call.
+# Tuples in this package are built from lists, never from generators:
+# tuple(<generator>) grows its result by resizing, which bypasses CPython's
+# per-size tuple free lists while freeing still fills them, so memory creeps
+# up call after call.  tests/test_source.py checks every module for it.
 
 
 def _canonical(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -442,75 +444,59 @@ def _respace(raw: bytes, k: int, width: int, stride: int, first: int, last: int)
 
 
 class LaurentMatrix(Value):
-    """A square matrix over Z[t, t^-1], stored as a tuple of row tuples.
+    """A d x d matrix over Z[t, t^-1], d = len(columns), stored as packed columns.
 
-    :meth:`_from_passes` builds one from packed columns instead; its rows are
-    decoded on first read, and :meth:`det` never reads them on its packed
-    route.
+    Signed base-2^k digit r * stride + i of columns[c] is the coefficient of
+    t^(lows[c] + i) in entry (r, c), for i < stride: the form in which
+    :func:`~lenslinks.invariants._burau_pass` packs a column.  Every digit
+    must lie strictly between -2^(k-1) and 2^(k-1), and k be a multiple of
+    8.  The constructor takes the columns as they are; :meth:`from_rows`
+    packs a matrix given by its entries.
     """
 
-    __slots__ = ("rows", "_passes")
+    __slots__ = ("columns", "k", "stride", "lows")
 
-    def __init__(self, rows: tuple[tuple[LaurentPoly, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_passes", None)
-        self.__post_init__()
-
-    def __post_init__(self):
-        d = self.size
-        if d == 0:
-            raise ValueError("matrices must have positive size")
-        if any(len(row) != d for row in self.rows):
-            raise ValueError("matrix must be square")
-
-    def __getattr__(self, name):
-        # Only an unset slot gets here: the rows of a matrix from
-        # _from_passes, decoded and checked once, on first read.
-        if name != "rows":
-            raise AttributeError(name)
-        columns, k, stride, lows = self._passes
-        raws = [_twos_complement(x, k, stride * len(columns)) for x in columns]
-        entries = [
-            [_trusted(_unpack(value, k, low)) for value in _respace(raw, k, k, stride, 0, stride - 1)]
-            for raw, low in zip(raws, lows)
-        ]
-        rows = LaurentMatrix.from_rows(zip(*entries)).rows
-        object.__setattr__(self, "rows", rows)
-        return rows
+    def __init__(self, columns: tuple[int, ...], k: int, stride: int, lows: tuple[int, ...]):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "lows", lows)
 
     @property
     def size(self) -> int:
-        return len(self._passes[0]) if self._passes else len(self.rows)
+        return len(self.columns)
 
     @staticmethod
     def from_rows(rows) -> LaurentMatrix:
-        return LaurentMatrix(tuple([tuple(row) for row in rows]))
+        """The square matrix with these rows of :class:`LaurentPoly` entries, packed at the least stride and width.
 
-    @staticmethod
-    def _from_passes(columns: list[int], k: int, stride: int, lows: list[int]) -> LaurentMatrix:
-        """The d x d matrix, d = len(columns), whose entry (r, c) is t^lows[c] times the polynomial X_rc.
-
-        Signed base-2^k digit r * stride + i of columns[c] is the
-        coefficient of t^i in X_rc, for i < stride: the form in which
-        :func:`~lenslinks.invariants._burau_pass` packs a column.  Every
-        digit must lie strictly between -2^(k-1) and 2^(k-1), and k be a
-        multiple of 8.  Nothing is decoded here.
+        Column c starts at the lowest exponent of its entries, the stride
+        holds the widest span of an entry above its column's low, and k is
+        the slot width that holds the largest coefficient as a signed digit.
         """
-        m = object.__new__(LaurentMatrix)
-        object.__setattr__(m, "_passes", (columns, k, stride, lows))
-        return m
+        rows = [list(row) for row in rows]
+        d = len(rows)
+        if d == 0:
+            raise ValueError("matrices must have positive size")
+        if any(len(row) != d for row in rows):
+            raise ValueError("matrix must be square")
+        lows = [min([e.terms[0][0] for e in column if e.terms], default=0) for column in zip(*rows)]
+        stride = max([e.terms[-1][0] - low for row in rows for e, low in zip(row, lows) if e.terms], default=0) + 1
+        k = slot_bits(max([abs(c) for row in rows for e in row for _, c in e.terms], default=0).bit_length() + 1)
+        columns = [
+            sum([c << k * (stride * r + e - low) for r, entry in enumerate(column) for e, c in entry.terms])
+            for column, low in zip(zip(*rows), lows)
+        ]
+        return LaurentMatrix(tuple(columns), k, stride, tuple(lows))
 
     def det(self) -> LaurentPoly:
         """Determinant by :func:`_bareiss` elimination, on packed integers or on the polynomials.
 
-        Both routes start from packed columns, as :meth:`_from_passes` takes
-        them; a matrix built from its rows is packed into that form first, at
-        the least slot width that holds its coefficients.  A zero column
-        gives 0 at once.  Each column is read as two's complement digits
-        with one ``to_bytes`` (:func:`_column_window`): the slots that hold a
-        nonzero digit in some entry, first .. last, give the column's lowest
-        exponent and its span, and the entries' L1 norms its sum of squared
-        norms.
+        Both routes start from the packed columns.  A zero column gives 0 at
+        once.  Each column is read as two's complement digits with one
+        ``to_bytes`` (:func:`_column_window`): the slots that hold a nonzero
+        digit in some entry, first .. last, give the column's lowest exponent
+        and its span, and the entries' L1 norms its sum of squared norms.
 
         Packed: each column is shifted by its lowest exponent, which divides
         the determinant by the unit t^(sum of the lows), and its digits are
@@ -524,8 +510,9 @@ class LaurentMatrix(Value):
         every entry's coefficient is below that bound too, so its digits fit
         K bits.  No :class:`LaurentPoly` is built for an entry.
 
-        Polynomial: the same elimination on the decoded :class:`LaurentPoly`
-        entries, dividing with :func:`divide_exact`.
+        Polynomial: the same elimination on :class:`LaurentPoly` entries,
+        each decoded from its value at t = 2^k, which :func:`_respace` reads
+        from the same bytes, dividing with :func:`divide_exact`.
 
         The packed route replaces each polynomial product by one integer
         product; the packed determinant has at most K * (sum of column
@@ -534,17 +521,7 @@ class LaurentMatrix(Value):
         sparse the entries: on larger integers elimination's quadratic
         ``//`` costs more than the polynomial products.
         """
-        if self._passes is not None:
-            columns, k, stride, lows = self._passes
-        else:
-            rows = self.rows
-            lows = [min([e.terms[0][0] for e in column if e.terms], default=0) for column in zip(*rows)]
-            stride = max([e.terms[-1][0] - low for row in rows for e, low in zip(row, lows) if e.terms], default=0) + 1
-            k = slot_bits(max([abs(c) for row in rows for e in row for _, c in e.terms], default=0).bit_length() + 1)
-            columns = [
-                sum([c << k * (stride * r + e - low) for r, entry in enumerate(column) for e, c in entry.terms])
-                for column, low in zip(zip(*rows), lows)
-            ]
+        columns, k, stride, lows = self.columns, self.k, self.stride, self.lows
         if not all(columns):
             return LaurentPoly()
         raws = [_twos_complement(x, k, stride * len(columns)) for x in columns]
@@ -552,7 +529,11 @@ class LaurentMatrix(Value):
         bound = _coefficient_bound([sum([n * n for n in norms]) for _, _, norms in windows])
         width = 8 * -(-(bound.bit_length() + 1) // 8)
         if width * (sum([last - first for first, last, _ in windows]) + 1) > _PACKED_MAX_BITS:
-            return _bareiss([list(row) for row in self.rows], _term_count, divide_exact, LaurentPoly())
+            entries = [
+                [_trusted(_unpack(value, k, low)) for value in _respace(raw, k, k, stride, 0, stride - 1)]
+                for raw, low in zip(raws, lows)
+            ]
+            return _bareiss([list(row) for row in zip(*entries)], _term_count, divide_exact, LaurentPoly())
         packed = [_respace(raw, k, width, stride, first, last) for raw, (first, last, _) in zip(raws, windows)]
         value = _bareiss([list(row) for row in zip(*packed)], int.bit_length, int.__floordiv__, 0)
         return _trusted(_unpack(value, width, sum(lows) + sum([first for first, _, _ in windows])))

@@ -124,9 +124,7 @@ def homology_classes(d: BandDiagram) -> tuple[HomologyClass, ...]:
     p = d.space.p
     cycles = d._perm.cycles()
     signs = d.orientations or (1,) * len(cycles)
-    return tuple(
-        HomologyClass((sign * len(cycle)) % p, p) for sign, cycle in zip(signs, cycles)
-    )
+    return tuple([HomologyClass((sign * len(cycle)) % p, p) for sign, cycle in zip(signs, cycles)])
 
 
 def lifted_component_count(d: BandDiagram) -> int:

@@ -99,7 +99,7 @@ def root_of_unity_field(p: int) -> tuple[int, int]:
 
 
 def lift_numerator_mod(burau, n: int, power: int, twists: int, r: int, modulus: int, zeta: int) -> int:
-    """det(t^(n*twists) M^power - id) at t = r^power mod ``modulus``, from M = ``burau`` alone.
+    """det(t^(n*twists) M^power - id) at t = r^power mod ``modulus``, from the rows of M = ``burau`` alone.
 
     At t = r^power the unit t^(n*twists) is s^power with s = r^(n*twists),
     so the matrix is (sM)^power - id, and x^power - 1 = prod_j (x - zeta^j)
@@ -109,7 +109,7 @@ def lift_numerator_mod(burau, n: int, power: int, twists: int, r: int, modulus: 
     """
     t = pow(r, power, modulus)
     s = pow(r, n * twists, modulus)
-    entries = [[s * poly_mod(entry, t, modulus) % modulus for entry in row] for row in burau.rows]
+    entries = [[s * poly_mod(entry, t, modulus) % modulus for entry in row] for row in burau]
     value = 1
     for j in range(power):
         root = pow(zeta, j, modulus)

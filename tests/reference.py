@@ -24,6 +24,9 @@ from lenslinks.curves import SupportPoly
 from lenslinks.errors import DivisibilityError, ParseError
 from lenslinks.laurent import LaurentMatrix, LaurentPoly, slot_bits
 
+# A matrix over Z[t, t^-1] as a tuple of row tuples, compared entry by entry.
+Rows = tuple[tuple[LaurentPoly, ...], ...]
+
 
 def column_updates(letters, d: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """(column, [(Laurent shift, sign, source column), ...]) of each letter, in word order, for d x d matrices.
@@ -97,8 +100,8 @@ def centered_digits(x: int, k: int, count: int) -> list[int]:
     return digits
 
 
-def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
-    """Reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
+def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> Rows:
+    """Rows of the reduced Burau matrix of  w^power . Delta^{2*twists},  in word order.
 
     The letters of w are applied ``power`` times as column updates on
     entries packed one integer each (:func:`burau_columns`), at a width
@@ -116,37 +119,38 @@ def burau_reduced(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatri
     k = slot_bits(norm_bound_loop(d, steps, power).bit_length() + 1)
     columns, offsets = burau_columns(d, steps, power, k)
     unit = w.strands * twists
-    return LaurentMatrix.from_rows(
-        [[LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)] for r in range(d)]
+    return tuple(
+        [tuple([LaurentPoly.from_packed(col[r], k, unit - off) for col, off in zip(columns, offsets)]) for r in range(d)]
     )
 
 
-def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> LaurentMatrix:
-    """B - id for the Burau matrix B of  w^power . Delta^{2*twists}."""
+def closure_matrix(w: BraidWord, power: int = 1, twists: int = 0) -> Rows:
+    """Rows of B - id for the Burau matrix B of  w^power . Delta^{2*twists}."""
     one = LaurentPoly.one()
-    rows = burau_reduced(w, power, twists).rows
-    return LaurentMatrix(tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)]))
+    rows = burau_reduced(w, power, twists)
+    return tuple([row[:i] + (row[i] - one,) + row[i + 1 :] for i, row in enumerate(rows)])
 
 
 def det_numerator(w: BraidWord, power: int, twists: int) -> LaurentPoly:
     """det(B - id) for the Burau matrix B of  w^power . Delta^{2*twists}: the whole matrix, decoded, then its determinant."""
-    return closure_matrix(w, power, twists).det()
+    return LaurentMatrix.from_rows(closure_matrix(w, power, twists)).det()
 
 
-def leibniz_det(m: LaurentMatrix) -> LaurentPoly:
-    """det m as the sum over all d! permutations; only for small d."""
+def leibniz_det(m: Rows) -> LaurentPoly:
+    """det of the matrix with rows m as the sum over all d! permutations; only for small d."""
+    d = len(m)
     total = LaurentPoly()
-    for perm in permutations(range(m.size)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m.size), 2))
+    for perm in permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(d), 2))
         term = LaurentPoly.one()
         for row, col in enumerate(perm):
-            term = term * m.rows[row][col]
+            term = term * m[row][col]
         total = total - term if inversions % 2 else total + term
     return total
 
 
-def laplace_det(m: LaurentMatrix) -> LaurentPoly:
-    """det m by Laplace expansion along the rows, memoized over column subsets.
+def laplace_det(m: Rows) -> LaurentPoly:
+    """det of the matrix with rows m by Laplace expansion along the rows, memoized over column subsets.
 
     Row k is expanded against all k-column minors of the rows above it, so
     d x d costs at most d * 2^(d-1) products and no division: exact, and
@@ -154,7 +158,7 @@ def laplace_det(m: LaurentMatrix) -> LaurentPoly:
     """
     # minors[S] = det of the first popcount(S) rows on the column set S
     minors = {0: LaurentPoly.one()}
-    for k, row in enumerate(m.rows):
+    for k, row in enumerate(m):
         grown: dict[int, LaurentPoly] = {}
         for subset, minor in minors.items():
             position = 0
@@ -167,7 +171,7 @@ def laplace_det(m: LaurentMatrix) -> LaurentPoly:
                     key = subset | 1 << j
                     grown[key] = grown[key] + term if key in grown else term
         minors = grown
-    return minors.get((1 << m.size) - 1, LaurentPoly())
+    return minors.get((1 << len(m)) - 1, LaurentPoly())
 
 
 def long_division(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -201,27 +205,27 @@ def long_division(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(tuple(reversed(quotient)))
 
 
-def matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """The matrix product a * b, entry by entry."""
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    cols = list(zip(*b.rows))
+def matmul(a: Rows, b: Rows) -> Rows:
+    """The rows of the matrix product a * b, entry by entry."""
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    cols = list(zip(*b))
     rows = []
-    for row in a.rows:
+    for row in a:
         new_row = []
         for col in cols:
             acc = LaurentPoly()
             for x, y in zip(row, col):
                 acc = acc + x * y
             new_row.append(acc)
-        rows.append(new_row)
-    return LaurentMatrix.from_rows(rows)
+        rows.append(tuple(new_row))
+    return tuple(rows)
 
 
-def identity(size: int) -> LaurentMatrix:
-    """The identity matrix of the given size."""
+def identity(size: int) -> Rows:
+    """The rows of the identity matrix of the given size."""
     one, zero = LaurentPoly.one(), LaurentPoly()
-    return LaurentMatrix.from_rows([[one if r == c else zero for c in range(size)] for r in range(size)])
+    return tuple([tuple([one if r == c else zero for c in range(size)]) for r in range(size)])
 
 
 def spelled_out(w: BraidWord, power: int = 1, twists: int = 0) -> BraidWord:

@@ -11,7 +11,7 @@ from lenslinks.braid import (
     permutation,
 )
 from lenslinks.errors import ParseError
-from lenslinks.laurent import LaurentPoly
+from lenslinks.laurent import LaurentMatrix, LaurentPoly
 from reference import burau_reduced, closure_components, free_reduce
 
 
@@ -207,7 +207,7 @@ def det_is_unit(w, e):
     The image of s_i^(+-1) has determinant (-t)^(+-1), so e must be the
     exponent sum of the word.
     """
-    return burau_reduced(w).det() == LaurentPoly.from_dict({e: -1 if e % 2 else 1})
+    return LaurentMatrix.from_rows(burau_reduced(w)).det() == LaurentPoly.from_dict({e: -1 if e % 2 else 1})
 
 
 class TestExponentSum:

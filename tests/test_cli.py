@@ -191,7 +191,10 @@ def test_every_public_name_is_reached():
 
 # Code of the arithmetic layers that no golden argv enters, each with the
 # reason it stays.
-PRIVATE_REACH_EXEMPT: dict[str, str] = {}
+PRIVATE_REACH_EXEMPT: dict[str, str] = {
+    "laurent.LaurentMatrix.from_rows": "benchmarks/worker.py packs the rows of its det_dense_{10,12} kernel matrices with it",
+    "laurent.LaurentMatrix.size": "benchmarks/spans.py's det hook reads it as laurent.det.max_dim, which CI's smoke step asserts",
+}
 
 
 def _module_code(module):

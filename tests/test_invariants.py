@@ -91,11 +91,11 @@ def generator_matrix(n, letter):
             rows[col - 1][col] = LaurentPoly.one()
         if col + 1 < d:
             rows[col + 1][col] = LaurentPoly.from_dict({-1: 1})
-    return LaurentMatrix.from_rows(rows)
+    return tuple([tuple(row) for row in rows])
 
 
 def trace(m):
-    return sum([row[i] for i, row in enumerate(m.rows)], LaurentPoly())
+    return sum([row[i] for i, row in enumerate(m)], LaurentPoly())
 
 
 def reflect(poly):
@@ -104,13 +104,10 @@ def reflect(poly):
 
 
 def principal_minor_sums(m):
-    """[e_1 .. e_d] of the d x d matrix m: the sums of its principal k x k minors, each by Leibniz."""
+    """[e_1 .. e_d] of the d x d matrix with rows m: the sums of its principal k x k minors, each by Leibniz."""
     sums = []
-    for k in range(1, m.size + 1):
-        minors = [
-            leibniz_det(LaurentMatrix.from_rows([[m.rows[r][c] for c in rows] for r in rows]))
-            for rows in combinations(range(m.size), k)
-        ]
+    for k in range(1, len(m) + 1):
+        minors = [leibniz_det([[m[r][c] for c in rows] for r in rows]) for rows in combinations(range(len(m)), k)]
         sums.append(sum(minors, LaurentPoly()))
     return sums
 
@@ -126,7 +123,7 @@ def burau_by_products(w):
 def scalar(n, exponent):
     """t^exponent times the identity of size n - 1."""
     unit, zero = LaurentPoly.from_dict({exponent: 1}), LaurentPoly()
-    return LaurentMatrix.from_rows([[unit if r == c else zero for c in range(n - 1)] for r in range(n - 1)])
+    return tuple([tuple([unit if r == c else zero for c in range(n - 1)]) for r in range(n - 1)])
 
 
 def band_diagrams(max_strands=4, max_len=5, max_p=5):
@@ -229,7 +226,7 @@ class TestBurauAgainstProducts:
         w = BraidWord(3, (1, -2))
         matrix = burau_reduced(w, 60)
         assert matrix == burau_by_products(spelled_out(w, 60))
-        top = max(abs(c) for row in matrix.rows for entry in row for _, c in entry.terms)
+        top = max(abs(c) for row in matrix for entry in row for _, c in entry.terms)
         assert top > 2**64
 
     @settings(max_examples=40, deadline=None)
@@ -238,7 +235,7 @@ class TestBurauAgainstProducts:
         d = w.strands - 1
         bound = max(_windows(d, _steps(w.letters, d), e)[2])
         matrix = burau_reduced(w, e)
-        assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix.rows for entry in row)
+        assert all(sum(abs(c) for _, c in entry.terms) <= bound for row in matrix for entry in row)
 
     @settings(max_examples=60, deadline=None)
     @given(words(max_strands=12, max_len=10), st.integers(0, 40))
@@ -314,7 +311,7 @@ class TestColumnPass:
         u = w.strands * twists
         shifted = [[LaurentPoly(tuple([(e + u, c) for e, c in entry])) for entry in column] for column in entries]
         rows = list(zip(*shifted))
-        assert LaurentMatrix.from_rows(rows) == burau_reduced(w, power, twists)
+        assert tuple(rows) == burau_reduced(w, power, twists)
 
     @settings(max_examples=80, deadline=None)
     @given(shaped_words(), st.integers(0, 6))
@@ -455,7 +452,7 @@ class TestTraceRoute:
         # sum of their L1 norms, never at the pass width.
         w = BraidWord(3, (-2, 1, -2, 1, -1, -2, -2, 1, -1, 1, -2, 1, 1, 1, -2, 1, -2, -2, 1, 1))
         m = burau_reduced(w)
-        top = max([abs(c) for row in m.rows for entry in row for _, c in entry.terms])
+        top = max([abs(c) for row in m for entry in row for _, c in entry.terms])
         windows = invariants._windows
         monkeypatch.setattr(invariants, "_windows", lambda d, steps, power: (*windows(d, steps, power)[:2], [top] * d))
         assert max([abs(c) for _, c in trace(m).terms]) >= 2**7 > top
@@ -465,7 +462,7 @@ class TestTraceRoute:
     @given(lift_words((3, 4, 5, 6), max_len=8), st.integers(1, 10))
     @example(BraidWord(5, (1, -2, 3, -4)), 7)
     def test_principal_minors_of_the_decoded_matrix(self, w, p):
-        a = burau_reduced(w, p).rows
+        a = burau_reduced(w, p)
         pairs = combinations(range(w.strands - 1), 2)
         second = sum([a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in pairs], LaurentPoly())
         assert _principal_minors(w, p) == [trace(burau_reduced(w, p)), second]
@@ -498,7 +495,7 @@ class TestTraceRoute:
         monkeypatch.undo()
         assert set(moved) == {(k, width, 0, -1)}
         assert max(firsts) > 0
-        a = burau_reduced(w, power).rows
+        a = burau_reduced(w, power)
         second = sum([a[i][i] * a[j][j] - a[i][j] * a[j][i] for i, j in combinations(range(4), 2)], LaurentPoly())
         assert minors == [trace(burau_reduced(w, power)), second]
 

@@ -28,12 +28,7 @@ P = LaurentPoly
 # @dataclass(frozen=True) gave these values.
 CASES = [
     (LaurentPoly, (((0, 1), (2, -3)),), "LaurentPoly(terms=((0, 1), (2, -3)))"),
-    (
-        LaurentMatrix,
-        (((P(((0, 1),)), P()), (P(), P(((1, -2),)))),),
-        "LaurentMatrix(rows=((LaurentPoly(terms=((0, 1),)), LaurentPoly(terms=())), "
-        "(LaurentPoly(terms=()), LaurentPoly(terms=((1, -2),)))))",
-    ),
+    (LaurentMatrix, ((1, -512), 8, 1, (0, 1)), "LaurentMatrix(columns=(1, -512), k=8, stride=1, lows=(0, 1))"),
     (
         AlexanderPoly,
         (P(((0, 1), (1, -1), (2, 1))),),
@@ -91,6 +86,12 @@ def test_defaults():
     assert BraidWord(2) == BraidWord(2, ())
     assert BandDiagram(LensSpace(3, 1), BraidWord(2)).orientations is None
     assert SupportPoly().terms == () and CableSequence().pairs == ()
+
+
+def test_matrix_rows_pack_into_the_fields():
+    # Entry (r, c) is digit r * stride + e - lows[c] of column c, in 8-bit slots.
+    rows = ((P(((0, 1),)), P()), (P(), P(((1, -2),))))
+    assert LaurentMatrix.from_rows(rows) == LaurentMatrix((1, -2 << 8), 8, 1, (0, 1))
 
 
 def test_keywords():
